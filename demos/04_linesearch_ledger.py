@@ -31,6 +31,6 @@ line = LineFunction(cp, np.zeros(1), np.ones(1), f0=0.5, g0=np.array([-1.0]))
 ledger = NonmonotoneLedger.start(0.5)
 result = wolfe_search(line, 1.0, ledger, -1.0, 1.0, SolverParams())
 print(f"  accepted alpha = {result.alpha} by {result.accepted_by.value} "
-      f"using {result.n_f_used} f-evals and {result.n_g_used} g-evals")
+      f"using {cp.n_f} f-evals and {cp.n_g} g-evals")
 ledger = ledger_update(ledger, result.f_trial)
 print(f"  ledger after the step: C = {ledger.Ck}, Q = {ledger.Qk}")

@@ -32,24 +32,12 @@ class TrialPoint:
 
 
 @dataclass(frozen=True)
-class AccelDecision:
-    """Whether rescaling was attempted, and the interpolation scalars."""
-
-    attempted: bool
-    eta_bar: float
-    a_bar: float
-    b_bar: float
-    t_bar: float
-
-
-@dataclass(frozen=True)
 class AccelResult:
     x_next: Vector
     f_next: float
     g_next: Vector
     eta_bar: float
     accepted: bool
-    decision: AccelDecision
 
 
 def _interp_scalars(gTd: float, trial: TrialPoint):
@@ -92,20 +80,16 @@ def accel_parameter(a_bar: float, b_bar: float, params: SolverParams) -> float:
     return -a_bar / b_bar
 
 
-def apply_acceleration(problem, x: Vector, f_cur: float, gTd: float,
-                       trial: TrialPoint, ledger: NonmonotoneLedger,
-                       params: SolverParams) -> AccelResult:
+def apply_acceleration(problem, x: Vector, gTd: float, trial: TrialPoint,
+                       ledger: NonmonotoneLedger, params: SolverParams) -> AccelResult:
     """Evaluate the rescaled candidate and keep it only if it passes both conditions.
 
     Exactly one extra (f, g) evaluation pair is charged whether or not the
     candidate is accepted; rejection returns the unaccelerated trial point
     unchanged.
     """
-    a_bar, b_bar, sTg_z = _interp_scalars(gTd, trial)
+    a_bar, b_bar, _ = _interp_scalars(gTd, trial)
     eta = accel_parameter(a_bar, b_bar, params)
-    t_bar = abs(2.0 * (f_cur - trial.f_z + sTg_z) / sTg_z - 1.0) if sTg_z != 0.0 else math.inf
-    decision = AccelDecision(attempted=True, eta_bar=eta, a_bar=a_bar,
-                             b_bar=b_bar, t_bar=t_bar)
     x_cand = x + eta * trial.alpha * trial.d
     f_cand = problem.f(x_cand)
     g_cand = problem.g(x_cand)
@@ -114,6 +98,6 @@ def apply_acceleration(problem, x: Vector, f_cur: float, gTd: float,
           and curvature_ok(float(np.dot(g_cand, trial.d)), gTd, params))
     if ok:
         return AccelResult(x_next=x_cand, f_next=f_cand, g_next=g_cand,
-                           eta_bar=eta, accepted=True, decision=decision)
+                           eta_bar=eta, accepted=True)
     return AccelResult(x_next=trial.z, f_next=trial.f_z, g_next=trial.g_z,
-                       eta_bar=1.0, accepted=False, decision=decision)
+                       eta_bar=1.0, accepted=False)

@@ -1,27 +1,32 @@
-"""Reference solvers sharing the nonmonotone line search and accounting machinery.
+"""Reference solvers, run on the main solver's driver.
 
 Three classics for comparison runs: Hestenes-Stiefel conjugate gradients,
 limited-memory BFGS (two-loop recursion), and Barzilai-Borwein steepest
-descent.  They use the same evaluation-counting wrapper, the same
-nonmonotone Wolfe search, and the same termination protocol as the main
-solver, so reported counters are directly comparable.
+descent.  Each supplies only a search direction, a trial step, the BB
+rescue step and, for L-BFGS, its pair memory.  Everything else (the
+evaluation counting, the nonmonotone Wolfe search with its rescue, the
+termination tests and the trace records) is the main solver's own, so
+reported counters are directly comparable.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional
+from functools import partial
+from typing import List, Optional
 
 import numpy as np
 
-from .core import (CountingProblem, Problem, RunReport, SolverParams, Status,
-                   Vector, dot, norm_inf)
-from .linesearch import (AcceptKind, LineFunction, NonmonotoneLedger,
-                         bb_fallback_stepsize, bb_stepsizes, clip_step,
-                         ledger_update, quad_interp_min, wolfe_search)
+from .core import (CaseTag, DirectionRecord, Problem, RunReport, SolverParams,
+                   SolverState, Vector, dot)
+from .linesearch import (LineFunction, bb_fallback_stepsize, bb_stepsizes,
+                         clip_step, quad_interp_min)
+# not called here; tools that time the layers patch these names in this module
+from .linesearch import ledger_update, wolfe_search  # noqa: F401
+from .smcg_direction import hs_direction, neg_grad_record
+from .solver import TraceHook, minimize, policy_step
 
 
 class BaselineTag(Enum):
@@ -67,122 +72,58 @@ def lbfgs_two_loop(g: Vector, s_list: List[Vector], y_list: List[Vector]) -> Vec
     return -q
 
 
+class _Policy:
+    """A baseline as ``solver.policy_step`` runs it: its direction, its trial
+    step, the BB rescue step, and the L-BFGS pair memory."""
+
+    def __init__(self, kind: BaselineKind):
+        self.kind = kind
+        self.s_mem: List[Vector] = []
+        self.y_mem: List[Vector] = []
+
+    def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
+        g = state.g
+        if self.kind.tag is BaselineTag.HS_CG and state.dir_history:
+            d = hs_direction(g, state.y_prev, state.dir_history[0])
+            if d is not None:
+                return DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(g, d))
+        elif self.kind.tag is BaselineTag.LBFGS and self.s_mem:
+            d = lbfgs_two_loop(g, self.s_mem, self.y_mem)
+            return DirectionRecord(d=d, case_tag=CaseTag.LBFGS, gTd=dot(g, d))
+        return neg_grad_record(g)
+
+    def trial_step(self, line: LineFunction, state: SolverState,
+                   record: DirectionRecord, params: SolverParams) -> float:
+        s, y = state.s_prev, state.y_prev
+        if record.case_tag is CaseTag.LBFGS:
+            return 1.0
+        if record.case_tag is CaseTag.HS:
+            # aim the trial at the interpolated 1-D minimizer (exact on
+            # quadratics), fall back to the BB scale
+            phi1 = line.value(1.0)
+            cand = quad_interp_min(state.f, record.gTd, phi1, 1.0) \
+                if math.isfinite(phi1) else None
+            if cand is not None and cand > 0.0:
+                return clip_step(cand, params)
+        elif self.kind.tag is BaselineTag.BB_SD and s is not None and dot(s, y) > 0.0:
+            bb1, bb2 = bb_stepsizes(s, y)
+            return clip_step(bb1 if state.k % 2 == 1 else bb2, params)
+        return self.rescue_step(state, params)
+
+    def rescue_step(self, state: SolverState, params: SolverParams) -> float:
+        return bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
+
+    def update(self, state: SolverState) -> None:
+        s, y = state.s_prev, state.y_prev
+        if self.kind.tag is BaselineTag.LBFGS and \
+                dot(s, y) > LBFGS_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
+            self.s_mem.insert(0, s)
+            self.y_mem.insert(0, y)
+            del self.s_mem[self.kind.memory:], self.y_mem[self.kind.memory:]
+
+
 def run_baseline(kind: BaselineKind, problem: Problem,
                  params: Optional[SolverParams] = None,
-                 trace_hook: Optional[Callable] = None) -> RunReport:
+                 trace_hook: Optional[TraceHook] = None) -> RunReport:
     """Minimize with the chosen baseline under the shared protocol."""
-    p = (params if params is not None else SolverParams()).resolve(problem.dim)
-    cp = CountingProblem(problem)
-    t_start = time.perf_counter()
-    x = problem.x0.copy()
-    f = cp.f(x)
-    g = cp.g(x)
-    if not (math.isfinite(f) and bool(np.all(np.isfinite(g)))):
-        return RunReport(0, cp.n_f, cp.n_g, time.perf_counter() - t_start,
-                         Status.NUMERIC_FAIL, math.nan, x=x, f=f)
-
-    ledger = NonmonotoneLedger.start(f)
-    s_prev: Optional[Vector] = None
-    y_prev: Optional[Vector] = None
-    d_prev: Optional[Vector] = None
-    s_mem: List[Vector] = []
-    y_mem: List[Vector] = []
-    k = 0
-    strikes = 0
-    status: Optional[Status] = None
-
-    while True:
-        gni = norm_inf(g)
-        if gni <= p.grad_tol:
-            status = Status.CONVERGED
-            break
-        if k >= p.max_iter:
-            status = Status.ITER_CAP
-            break
-
-        d, alpha0 = _direction_and_step(kind, k, x, f, g, s_prev, y_prev,
-                                        d_prev, s_mem, y_mem, p)
-        gTd = dot(g, d)
-        if gTd >= 0.0 or not np.all(np.isfinite(d)):
-            d = -g
-            gTd = -dot(g, g)
-            alpha0 = bb_fallback_stepsize(g, s_prev, y_prev, p)
-
-        line = LineFunction(cp, x, d, f0=f, g0=g)
-        if alpha0 is None:
-            # conjugate-gradient step: aim the trial at the interpolated
-            # 1-D minimizer (exact on quadratics), fall back to the BB scale
-            phi1 = line.value(1.0)
-            cand = quad_interp_min(f, gTd, phi1, 1.0) if math.isfinite(phi1) else None
-            if cand is not None and cand > 0.0:
-                alpha0 = clip_step(cand, p)
-            else:
-                alpha0 = bb_fallback_stepsize(g, s_prev, y_prev, p)
-        result = wolfe_search(line, alpha0, ledger, gTd, 1.0, p)
-        if result.accepted_by is AcceptKind.MAX_BACKTRACK:
-            strikes += 1
-            if strikes >= 2 or result.alpha is None:
-                d = -g
-                gTd = -dot(g, g)
-                line = LineFunction(cp, x, d, f0=f, g0=g)
-                result = wolfe_search(line, bb_fallback_stepsize(g, s_prev, y_prev, p),
-                                      ledger, gTd, 1.0, p)
-                if result.accepted_by is not AcceptKind.WOLFE:
-                    status = Status.LINESEARCH_FAIL
-                    break
-                strikes = 0
-        else:
-            strikes = 0
-
-        alpha = result.alpha
-        x_next = line.point(alpha)
-        f_next = result.f_trial
-        g_next = result.g_trial
-        if not (math.isfinite(f_next) and bool(np.all(np.isfinite(g_next)))):
-            status = Status.NUMERIC_FAIL
-            break
-
-        s_prev = x_next - x
-        y_prev = g_next - g
-        d_prev = d
-        if kind.tag is BaselineTag.LBFGS:
-            sTy = dot(s_prev, y_prev)
-            if sTy > LBFGS_SKIP * np.linalg.norm(s_prev) * np.linalg.norm(y_prev):
-                s_mem.insert(0, s_prev)
-                y_mem.insert(0, y_prev)
-                del s_mem[kind.memory:], y_mem[kind.memory:]
-        ledger = ledger_update(ledger, f_next)
-        x, f, g = x_next, f_next, g_next
-        k += 1
-        if trace_hook is not None:
-            trace_hook({"k": k - 1, "case": kind.tag.value, "alpha": alpha,
-                        "gnorm_inf": norm_inf(g), "Ck": ledger.Ck,
-                        "state": "-", "mu": 0.0})
-        if norm_inf(g) <= p.grad_tol:
-            status = Status.CONVERGED
-            break
-
-    return RunReport(n_iter=k, n_f=cp.n_f, n_g=cp.n_g,
-                     wall_time=time.perf_counter() - t_start, status=status,
-                     final_gnorm_inf=norm_inf(g), x=x, f=f)
-
-
-def _direction_and_step(kind, k, x, f, g, s_prev, y_prev, d_prev, s_mem, y_mem,
-                        p: SolverParams):
-    if kind.tag is BaselineTag.HS_CG:
-        if k == 0 or d_prev is None:
-            return -g, bb_fallback_stepsize(g, s_prev, y_prev, p)
-        dTy = dot(d_prev, y_prev)
-        if dTy == 0.0:
-            return -g, bb_fallback_stepsize(g, s_prev, y_prev, p)
-        beta = dot(g, y_prev) / dTy
-        return -g + beta * d_prev, None  # interpolated trial, filled by caller
-    if kind.tag is BaselineTag.LBFGS:
-        d = lbfgs_two_loop(g, s_mem, y_mem)
-        return d, 1.0 if s_mem else bb_fallback_stepsize(g, s_prev, y_prev, p)
-    if kind.tag is BaselineTag.BB_SD:
-        if s_prev is None or dot(s_prev, y_prev) <= 0.0:
-            return -g, bb_fallback_stepsize(g, s_prev, y_prev, p)
-        bb1, bb2 = bb_stepsizes(s_prev, y_prev)
-        return -g, clip_step(bb1 if k % 2 == 1 else bb2, p)
-    raise ValueError(f"unknown baseline {kind.tag}")
+    return minimize(problem, params, partial(policy_step, _Policy(kind)), trace_hook)

@@ -20,6 +20,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -33,7 +34,14 @@ RESULT_HEADER = ["solver", "problem", "dim", "n_iter", "n_f", "n_g",
                  "wall_time_s", "status", "final_gnorm_inf"]
 TRACE_HEADER = ["k", "case", "alpha", "gnorm_inf", "Ck", "state", "mu"]
 
-SOLVER_NAMES = ("rlsmcg", "rlsmcg_norqn", "hs", "lbfgs", "bbsd")
+# every solver, called as solve(problem, params, trace_hook=hook)
+SOLVERS = {
+    "rlsmcg": solver.run,
+    "rlsmcg_norqn": partial(solver.run, rqn_enabled=False),
+    "hs": partial(run_baseline, BaselineKind(BaselineTag.HS_CG)),
+    "lbfgs": partial(run_baseline, BaselineKind(BaselineTag.LBFGS)),
+    "bbsd": partial(run_baseline, BaselineKind(BaselineTag.BB_SD)),
+}
 
 _METRICS = {"niter": "n_iter", "nf": "n_f", "ng": "n_g", "time": "wall_time_s",
             "n_iter": "n_iter", "n_f": "n_f", "n_g": "n_g",
@@ -59,8 +67,8 @@ class BenchConfig:
         if not self.problems:
             raise ConfigError("no problems listed")
         for s in self.solvers:
-            if s not in SOLVER_NAMES:
-                raise ConfigError(f"unknown solver {s!r} (choose from {SOLVER_NAMES})")
+            if s not in SOLVERS:
+                raise ConfigError(f"unknown solver {s!r} (choose from {tuple(SOLVERS)})")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
 
@@ -106,16 +114,6 @@ def parse_config(text: str) -> BenchConfig:
                        param_overrides=overrides, **kwargs)
 
 
-def _run_one(solver_name: str, problem: Problem, params: SolverParams) -> RunReport:
-    if solver_name == "rlsmcg":
-        return solver.run(problem, params)
-    if solver_name == "rlsmcg_norqn":
-        return solver.run(problem, params, rqn_enabled=False)
-    tags = {"hs": BaselineTag.HS_CG, "lbfgs": BaselineTag.LBFGS,
-            "bbsd": BaselineTag.BB_SD}
-    return run_baseline(BaselineKind(tags[solver_name]), problem, params)
-
-
 def run_matrix(cfg: BenchConfig) -> List[dict]:
     """One row per (solver, problem); all names resolved before any run starts."""
     params = cfg.params()
@@ -130,7 +128,7 @@ def run_matrix(cfg: BenchConfig) -> List[dict]:
         for problem in resolved:
             best: Optional[RunReport] = None
             for _ in range(cfg.repetitions):
-                rep = _run_one(solver_name, problem, params)
+                rep = SOLVERS[solver_name](problem, params)
                 if best is None or rep.wall_time < best.wall_time:
                     best = rep
             rows.append({
@@ -248,18 +246,12 @@ def gnuplot_script(profile_csv: str, metric: str, solvers: List[str]) -> str:
 def trace_rows(solver_name: str, problem: Problem,
                params: SolverParams) -> List[dict]:
     rows: List[dict] = []
-    if solver_name in ("rlsmcg", "rlsmcg_norqn"):
-        def hook(rec: solver.TraceRecord):
-            rows.append({"k": rec.k, "case": rec.case_tag.value,
-                         "alpha": rec.alpha, "gnorm_inf": rec.gnorm_inf,
-                         "Ck": rec.Ck, "state": rec.state.value, "mu": rec.mu})
-        solver.run(problem, params, rqn_enabled=(solver_name == "rlsmcg"),
-                   trace_hook=hook)
-    else:
-        tags = {"hs": BaselineTag.HS_CG, "lbfgs": BaselineTag.LBFGS,
-                "bbsd": BaselineTag.BB_SD}
-        run_baseline(BaselineKind(tags[solver_name]), problem, params,
-                     trace_hook=rows.append)
+
+    def hook(rec: solver.TraceRecord):
+        rows.append({"k": rec.k, "case": rec.case_tag.value,
+                     "alpha": rec.alpha, "gnorm_inf": rec.gnorm_inf,
+                     "Ck": rec.Ck, "state": rec.state.value, "mu": rec.mu})
+    SOLVERS[solver_name](problem, params, trace_hook=hook)
     return rows
 
 
@@ -288,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also emit a gnuplot script here")
 
     p_tr = sub.add_parser("trace", help="per-iteration trace of one run")
-    p_tr.add_argument("--solver", required=True, choices=SOLVER_NAMES)
+    p_tr.add_argument("--solver", required=True, choices=tuple(SOLVERS))
     p_tr.add_argument("--problem", required=True)
     p_tr.add_argument("--out", default=None, help="trace CSV path (default stdout)")
     p_tr.add_argument("--max-iter", type=int, default=None)

@@ -46,6 +46,7 @@ class CaseTag(Enum):
     HS = "hs"
     NEG_GRAD = "neg_grad"
     RQN = "rqn"
+    LBFGS = "lbfgs"
 
 
 def dot(a: Vector, b: Vector) -> float:
@@ -267,15 +268,13 @@ class RunReport:
     x: Optional[Vector] = None
     f: Optional[float] = None
 
-    def __post_init__(self):
-        if self.status is Status.CONVERGED and not math.isnan(self.final_gnorm_inf):
-            # cheap self-check; the grad_tol itself lives in SolverParams
-            assert self.final_gnorm_inf >= 0.0
-
 
 @dataclass
 class SolverState:
-    """Mutable per-run state; confined to one run and advanced only by the driver."""
+    """Mutable per-run state; confined to one run and advanced only by the driver.
+
+    The baselines leave the state flag, restart counters and phase untouched.
+    """
 
     k: int
     x: Vector
@@ -287,9 +286,8 @@ class SolverState:
     f_prev: Optional[float] = None
     # quadratic-closeness bookkeeping (inf = no usable sample yet)
     t_prev: float = math.inf
-    # nonmonotone reference value and weight
-    Ck: float = 0.0
-    Qk: float = 1.0
+    # nonmonotone reference value and weight (a linesearch.NonmonotoneLedger)
+    ledger: Optional[object] = None
     state_flag: IterType = IterType.SMCG
     iter_restart: int = 0
     iter_quad: int = 0
@@ -301,7 +299,6 @@ class SolverState:
     subspace: Optional[object] = None
     core: Optional[object] = None
     bhat: Optional[object] = None
-    mu: float = 0.0
-    rqn_phase_iter: int = 0
+    rqn_phase_iter: int = 0                 # 0 outside a phase
     # consecutive line-search fallbacks, for the failure escalation rule
     backtrack_strikes: int = 0

@@ -45,17 +45,16 @@ class StepResult:
     alpha: Optional[float]
     f_trial: Optional[float]
     g_trial: Optional[Vector]
-    n_f_used: int
-    n_g_used: int
     accepted_by: AcceptKind
     slope_trial: Optional[float] = None
 
 
 class LineFunction:
-    """The 1-D restriction phi(a) = f(x + a d) with cached, counted evaluations.
+    """The 1-D restriction phi(a) = f(x + a d) with cached evaluations.
 
-    Seeding the a = 0 slot with the already-known (f, g) keeps the evaluation
-    accounting honest: phi(0) and phi'(0) never re-evaluate.
+    ``problem`` (a CountingProblem) counts the evaluations.  Seeding the
+    a = 0 slot with the already-known (f, g) keeps the evaluation accounting
+    honest: phi(0) and phi'(0) never re-evaluate.
     """
 
     def __init__(self, problem, x: Vector, d: Vector,
@@ -63,8 +62,6 @@ class LineFunction:
         self.problem = problem
         self.x = np.asarray(x, dtype=float)
         self.d = np.asarray(d, dtype=float)
-        self.n_f_evals = 0
-        self.n_g_evals = 0
         self._f_cache = {}
         self._g_cache = {}
         if f0 is not None:
@@ -79,14 +76,12 @@ class LineFunction:
         a = float(a)
         if a not in self._f_cache:
             self._f_cache[a] = self.problem.f(self.point(a))
-            self.n_f_evals += 1
         return self._f_cache[a]
 
     def gradient(self, a: float) -> Vector:
         a = float(a)
         if a not in self._g_cache:
             self._g_cache[a] = self.problem.g(self.point(a))
-            self.n_g_evals += 1
         return self._g_cache[a]
 
     def slope(self, a: float) -> float:
@@ -189,7 +184,7 @@ def curvature_ok(slope_new: float, gTd: float, params: SolverParams) -> bool:
 
 def initial_stepsize(line: LineFunction, params: SolverParams, *,
                      kind: str, gTd: float, gnorm2: float, quad_like: bool,
-                     bb_fallback: float, prev_was_neg_grad: bool) -> float:
+                     bb_fallback: Optional[float], prev_was_neg_grad: bool) -> float:
     """Trial step for the line search, chosen per direction type.
 
     kind = "interp":       model-based directions (subspace solves, HS, and the
@@ -199,6 +194,8 @@ def initial_stepsize(line: LineFunction, params: SolverParams, *,
                            identity; interpolate through phi(1), BB fallback.
     kind = "neg_grad":     steepest descent; interpolate through phi(bb) under
                            a conservative gate, BB fallback.
+
+    ``bb_fallback`` is the BB trial step; "interp" never reads it.
     """
     phi0 = line.value(0.0)
     if kind in ("interp", "rqn_identity"):
@@ -243,8 +240,6 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
         raise ValueError("wolfe_search requires a descent direction (g'd < 0)")
     if alpha0 <= 0.0:
         raise ValueError("wolfe_search requires alpha0 > 0")
-    nf0 = line.n_f_evals
-    ng0 = line.n_g_evals
 
     lo, phi_lo, slope_lo = 0.0, line.value(0.0), gTd
     hi, phi_hi = None, None
@@ -260,8 +255,6 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
             if math.isfinite(slope_a) and curvature_ok(slope_a, gTd, params):
                 return StepResult(alpha=alpha, f_trial=phi_a,
                                   g_trial=line.gradient(eta_bar * alpha),
-                                  n_f_used=line.n_f_evals - nf0,
-                                  n_g_used=line.n_g_evals - ng0,
                                   accepted_by=AcceptKind.WOLFE,
                                   slope_trial=slope_a)
             # decrease fine but still descending steeply: move right
@@ -286,12 +279,8 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
 
     if best_alpha is None:
         return StepResult(alpha=None, f_trial=None, g_trial=None,
-                          n_f_used=line.n_f_evals - nf0,
-                          n_g_used=line.n_g_evals - ng0,
                           accepted_by=AcceptKind.MAX_BACKTRACK)
     return StepResult(alpha=best_alpha, f_trial=line.value(eta_bar * best_alpha),
                       g_trial=line.gradient(eta_bar * best_alpha),
-                      n_f_used=line.n_f_evals - nf0,
-                      n_g_used=line.n_g_evals - ng0,
                       accepted_by=AcceptKind.MAX_BACKTRACK,
                       slope_trial=line.slope(eta_bar * best_alpha))

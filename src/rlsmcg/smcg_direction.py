@@ -57,8 +57,6 @@ class RegularizedSolve:
 
     sigma_k: float
     varpi_star: float
-    rho_k: float
-    delta_k_det: float
     u: float
     v: float
 
@@ -146,12 +144,6 @@ def solve_regularized_subproblem(
     sigma * varpi^2 + varpi - N = 0, N = ||w0||_B.  sigma == 0 reproduces the
     plain quadratic solution exactly.
     """
-    if snap.sTy <= 0.0:
-        return None
-    rho = rho_estimate(snap)
-    delta = rho * snap.sTy - snap.gTy ** 2
-    if delta <= 0.0 or not math.isfinite(delta):
-        return None
     base = solve_quadratic_subproblem(snap)
     if base is None:
         return None
@@ -159,15 +151,16 @@ def solve_regularized_subproblem(
     sigma = float(sigma_rule(t_k, snap))
     if not math.isfinite(sigma) or sigma < 0.0:
         return None
+    n_b = _bnorm(u0, v0, snap)
     if sigma == 0.0:
-        return RegularizedSolve(0.0, _bnorm(u0, v0, rho, snap), rho, delta, u0, v0)
-    n_b = _bnorm(u0, v0, rho, snap)
+        return RegularizedSolve(0.0, n_b, u0, v0)
     varpi = 2.0 * n_b / (1.0 + math.sqrt(1.0 + 4.0 * sigma * n_b))
     scale = 1.0 / (1.0 + sigma * varpi)
-    return RegularizedSolve(sigma, varpi, rho, delta, scale * u0, scale * v0)
+    return RegularizedSolve(sigma, varpi, scale * u0, scale * v0)
 
 
-def _bnorm(u: float, v: float, rho: float, snap: CurvatureSnapshot) -> float:
+def _bnorm(u: float, v: float, snap: CurvatureSnapshot) -> float:
+    rho = rho_estimate(snap)
     q = rho * u * u + 2.0 * snap.gTy * u * v + snap.sTy * v * v
     return math.sqrt(max(q, 0.0))
 
@@ -220,13 +213,13 @@ def smcg_direction(
     """
     g = state.g
     if state.k == 0 or state.s_prev is None:
-        return _neg_grad(g)
+        return neg_grad_record(g)
     if t_k is None:
         t_k = closeness_from_state(state)
     try:
         snap = CurvatureSnapshot.from_vectors(g, state.s_prev, state.y_prev)
     except ValueError:
-        return _neg_grad(g)
+        return neg_grad_record(g)
 
     record = None
     if is_well_conditioned(snap, params):
@@ -246,13 +239,13 @@ def smcg_direction(
             record = DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(g, d))
 
     if record is None:
-        return _neg_grad(g)
+        return neg_grad_record(g)
     # floating-point backstop for the descent guarantee; -g always satisfies it
     c1 = sufficient_descent_coefficient(params)
     if not math.isfinite(record.gTd) or record.gTd > -c1 * snap.gTg:
-        return _neg_grad(g)
+        return neg_grad_record(g)
     if not np.all(np.isfinite(record.d)):
-        return _neg_grad(g)
+        return neg_grad_record(g)
     return record
 
 
@@ -261,5 +254,6 @@ def _combine(g: Vector, s: Vector, u: float, v: float, tag: CaseTag) -> Directio
     return DirectionRecord(d=d, case_tag=tag, gTd=dot(g, d))
 
 
-def _neg_grad(g: Vector) -> DirectionRecord:
+def neg_grad_record(g: Vector) -> DirectionRecord:
+    """The steepest-descent step -g, which every solver restarts and rescues with."""
     return DirectionRecord(d=-g, case_tag=CaseTag.NEG_GRAD, gTd=-dot(g, g))

@@ -1,11 +1,10 @@
-"""Driver: the two-state iteration loop with restart bookkeeping and termination.
+"""Driver: one iteration loop for all five solvers, and the rlsmcg iteration.
 
-Each iteration runs direction selection (per the current state flag), initial
-stepsize, the nonmonotone Wolfe search, an optional trial-point termination
-check, the acceleration gate, restart-counter and reference-value updates,
-and finally the state-flag transition driven by the orthogonality predicates.
-A per-iteration trace hook exposes everything the bench harness and the
-verification suites need.
+``minimize`` runs the loop, its termination tests and the trace hook.  Every
+iteration searches through ``search`` (nonmonotone Wolfe, two-strike rescue)
+and moves through ``accept``.  The rlsmcg iteration, ``step``, adds restarts,
+acceleration and the state-flag transition driven by the orthogonality
+predicates; a baseline supplies a direction policy to ``policy_step``.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -23,68 +23,188 @@ from .acceleration import TrialPoint, accel_criterion, apply_acceleration
 from .core import (CaseTag, CountingProblem, DirectionRecord, EmptySubspaceError,
                    IterType, NumericError, Problem, RunReport, SolverParams,
                    SolverState, Status, Vector, dot, norm_inf)
-from .linesearch import (AcceptKind, LineFunction, NonmonotoneLedger,
+from .linesearch import (AcceptKind, LineFunction, NonmonotoneLedger, StepResult,
                          bb_fallback_stepsize, bb_stepsizes, clip_step,
                          initial_stepsize, ledger_update, wolfe_search)
 
 
-@dataclass(frozen=True)
-class RestartCounters:
-    """Iterations since the last restart, and the length of the current quad-like run."""
-
-    iter_restart: int = 0
-    iter_quad: int = 0
-    min_quad: int = 50
-
-
-def update_restart_counters(counters: RestartCounters, t_k: float,
-                            restarted: bool, params: SolverParams) -> RestartCounters:
-    """Advance the counters; a forced restart zeroes both."""
+def update_restart_counters(iter_restart: int, iter_quad: int, t_k: float,
+                            restarted: bool, params: SolverParams) -> Tuple[int, int]:
+    """Iterations since the last restart and the length of the current
+    quad-like run, advanced by one step; a forced restart zeroes both."""
     if restarted:
-        return RestartCounters(0, 0, counters.min_quad)
-    iq = counters.iter_quad + 1 if t_k <= params.xi4 else 0
-    return RestartCounters(counters.iter_restart + 1, iq, counters.min_quad)
+        return 0, 0
+    return iter_restart + 1, iter_quad + 1 if t_k <= params.xi4 else 0
 
 
 @dataclass
 class TraceRecord:
-    """Everything observable about one iteration."""
+    """Everything observable about one iteration, of any solver.
+
+    The defaulted fields are rlsmcg's own; a baseline leaves the defaults."""
 
     k: int
     case_tag: CaseTag
     alpha: float
-    eta_bar: float
     gnorm_inf: float          # of the new gradient
     Ck: float                 # reference value after the update
     state: IterType           # state flag after the transition
     state_before: IterType    # state flag the iteration ran under
-    mu: float
     # diagnostics for the property suites
     gTd: float
     gnorm2: float             # ||g_k||^2 at direction time
     dnorm: float
     f: float                  # f_{k+1}
-    f_before: float           # f_k
     Ck_before: float
-    t_k: float
     accepted_by: AcceptKind
-    accel_attempted: bool
-    accel_accepted: bool
-    entered_rqn: bool
-    exited_rqn: bool
-    orth_lost_flag: Optional[bool]
-    bhat: Optional[np.ndarray]
     rescued: bool
-    guard_fallback: bool
-    early_converged: bool
     failure: Optional[Status]
+    mu: float = 0.0
+    t_k: float = math.inf
+    eta_bar: float = 1.0
+    accel_attempted: bool = False
+    accel_accepted: bool = False
+    entered_rqn: bool = False
+    exited_rqn: bool = False
+    orth_lost_flag: Optional[bool] = None
+    bhat: Optional[np.ndarray] = None
+    guard_fallback: bool = False
+    early_converged: bool = False
 
 
 TraceHook = Callable[[TraceRecord], None]
 
 
-def _neg_grad_record(g: Vector) -> DirectionRecord:
-    return DirectionRecord(d=-g, case_tag=CaseTag.NEG_GRAD, gTd=-dot(g, g))
+def search(state: SolverState, cp: CountingProblem, params: SolverParams,
+           record: DirectionRecord, line: LineFunction, alpha0: float,
+           rescue_step: Callable[[SolverState, SolverParams], float]
+           ) -> Tuple[DirectionRecord, LineFunction, Optional[StepResult], bool]:
+    """Nonmonotone Wolfe search along ``record.d`` from ``alpha0``.
+
+    The best point of a search that hit its backtracking cap is accepted
+    once; on a second such search in a row, or with no point below C_k, the
+    search reruns along -g from ``rescue_step(state, params)``.  Returns the
+    direction and line searched last, the result (None if the rescue failed
+    too) and whether the rescue ran."""
+    result = wolfe_search(line, alpha0, state.ledger, record.gTd, 1.0, params)
+    if result.accepted_by is AcceptKind.WOLFE:
+        state.backtrack_strikes = 0
+        return record, line, result, False
+    state.backtrack_strikes += 1
+    if state.backtrack_strikes < 2 and result.alpha is not None:
+        return record, line, result, False
+    record = smcg.neg_grad_record(state.g)
+    line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
+    result = wolfe_search(line, rescue_step(state, params), state.ledger,
+                          record.gTd, 1.0, params)
+    if result.accepted_by is not AcceptKind.WOLFE:
+        return record, line, None, True
+    state.backtrack_strikes = 0
+    return record, line, result, True
+
+
+def accept(state: SolverState, record: DirectionRecord, x_next: Vector,
+           f_next: float, g_next: Vector, params: SolverParams) -> Optional[Status]:
+    """Move to ``x_next`` after a step along ``record.d``: advance C_k, push
+    the direction onto the history (newest first, ``memory_m`` kept) and shift
+    (s, y) and the iterate.  Returns NUMERIC_FAIL, with ``state`` untouched,
+    when f or g is not finite there, else None.
+    """
+    if not (math.isfinite(f_next) and bool(np.all(np.isfinite(g_next)))):
+        return Status.NUMERIC_FAIL
+    state.ledger = ledger_update(state.ledger, f_next)
+    state.dir_history.insert(0, record.d)
+    del state.dir_history[params.memory_m:]
+    state.s_prev = x_next - state.x
+    state.y_prev = g_next - state.g
+    state.f_prev = state.f
+    state.x, state.f, state.g = x_next, f_next, g_next
+    state.prev_case = record.case_tag
+    state.k += 1
+    return None
+
+
+def _trace(traced: bool, state: SolverState, record: DirectionRecord,
+           gnorm2: float, ledger: NonmonotoneLedger, result: Optional[StepResult],
+           rescued: bool, state_before: IterType, failure: Optional[Status] = None,
+           **rlsmcg_fields) -> Optional[TraceRecord]:
+    """The iteration's record when ``traced``, read from ``state`` after the
+    step, or as it stayed when the step failed."""
+    if not traced:
+        return None
+    return TraceRecord(
+        k=state.k if failure else state.k - 1, case_tag=record.case_tag,
+        alpha=math.nan if failure else result.alpha, gnorm_inf=norm_inf(state.g),
+        Ck=state.ledger.Ck, state=state.state_flag, state_before=state_before,
+        gTd=record.gTd, gnorm2=gnorm2, dnorm=float(np.linalg.norm(record.d)),
+        f=state.f, Ck_before=ledger.Ck,
+        accepted_by=AcceptKind.MAX_BACKTRACK if failure else result.accepted_by,
+        rescued=rescued, failure=failure,
+        mu=state.bhat.mu if state.bhat is not None else 0.0, **rlsmcg_fields)
+
+
+def initial_state(cp: CountingProblem) -> SolverState:
+    x0 = cp.problem.x0.copy()
+    f0 = cp.f(x0)
+    g0 = cp.g(x0)
+    return SolverState(k=0, x=x0, f=f0, g=g0, ledger=NonmonotoneLedger.start(f0))
+
+
+def minimize(problem: Problem, params: Optional[SolverParams],
+             iterate: Callable, trace_hook: Optional[TraceHook] = None) -> RunReport:
+    """Run ``iterate(state, cp, params, traced)``, one step as ``step`` takes
+    it, until the max-norm gradient tolerance, the iteration cap or a failure.
+    """
+    p = (params if params is not None else SolverParams()).resolve(problem.dim)
+    cp = CountingProblem(problem)
+    t_start = time.perf_counter()
+    state = initial_state(cp)
+    finite_start = math.isfinite(state.f) and bool(np.all(np.isfinite(state.g)))
+    status = None if finite_start else Status.NUMERIC_FAIL
+    traced = trace_hook is not None
+    while status is None:
+        if norm_inf(state.g) <= p.grad_tol:
+            status = Status.CONVERGED
+        elif state.k >= p.max_iter:
+            status = Status.ITER_CAP
+        else:
+            try:
+                status, rec = iterate(state, cp, p, traced)
+            except NumericError:
+                status, rec = Status.NUMERIC_FAIL, None
+            if rec is not None:
+                trace_hook(rec)
+
+    return RunReport(n_iter=state.k, n_f=cp.n_f, n_g=cp.n_g,
+                     wall_time=time.perf_counter() - t_start, status=status,
+                     final_gnorm_inf=norm_inf(state.g) if finite_start else math.nan,
+                     x=state.x, f=state.f)
+
+
+def policy_step(policy, state: SolverState, cp: CountingProblem,
+                params: SolverParams, traced: bool = True
+                ) -> Tuple[Optional[Status], Optional[TraceRecord]]:
+    """One iteration of a baseline, given by its ``policy``; returns what
+    ``step`` returns.  The policy supplies ``direction(state, params)``,
+    ``trial_step(line, state, record, params)``, ``rescue_step(state,
+    params)`` and ``update(state)``; a non-descent direction becomes -g.
+    """
+    record = policy.direction(state, params)
+    if record.gTd >= 0.0 or not np.all(np.isfinite(record.d)):
+        record = smcg.neg_grad_record(state.g)
+    ledger = state.ledger
+    gnorm2 = dot(state.g, state.g) if traced else math.nan
+    line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
+    alpha0 = policy.trial_step(line, state, record, params)
+    record, line, result, rescued = search(state, cp, params, record, line,
+                                           alpha0, policy.rescue_step)
+    status = Status.LINESEARCH_FAIL if result is None else accept(
+        state, record, line.point(result.alpha), result.f_trial, result.g_trial,
+        params)
+    if status is None:
+        policy.update(state)
+    return status, _trace(traced, state, record, gnorm2, ledger, result,
+                          rescued, state.state_flag, status)
 
 
 def _rescue_stepsize(state: SolverState, params: SolverParams) -> float:
@@ -95,71 +215,62 @@ def _rescue_stepsize(state: SolverState, params: SolverParams) -> float:
     return clip_step(1.0 / gni if gni > 0.0 else 1.0, params)
 
 
-def step(state: SolverState, cp: CountingProblem, params: SolverParams, *,
-         rqn_enabled: bool = True, collect_bhat: bool = False) -> TraceRecord:
-    """One full iteration; mutates ``state`` and reports what happened.
+def step(state: SolverState, cp: CountingProblem, params: SolverParams,
+         traced: bool = True, *, rqn_enabled: bool = True,
+         collect_bhat: bool = False
+         ) -> Tuple[Optional[Status], Optional[TraceRecord]]:
+    """One full rlsmcg iteration; mutates ``state``.
 
-    Raises NumericError only when the reduced quasi-Newton solve fails twice;
-    all other numeric trouble is reported through the ``failure`` field.
-    """
+    Returns the failure status (None when the step was taken) and, when
+    ``traced``, the record.  Raises NumericError only when the reduced
+    quasi-Newton solve fails twice."""
     x, f, g = state.x, state.f, state.g
+    ledger = state.ledger
     state_before = state.state_flag
     gnorm2 = dot(g, g)
     t_k = smcg.closeness_from_state(state)
     quad_like = smcg.is_quadratic_like(t_k, state.t_prev, params)
-    c1 = smcg.sufficient_descent_coefficient(params)
 
     # --- Step 2: direction ---------------------------------------------
     restarted = False
     guard_fallback = False
-    if state.state_flag is IterType.SMCG:
-        if state.k == 0:
-            record = _neg_grad_record(g)
-        elif state.iter_quad == params.min_quad and state.iter_quad != state.iter_restart:
-            record = _neg_grad_record(g)
-            restarted = True
-        else:
-            record = smcg.smcg_direction(state, params, t_k)
-    else:
+    if state.state_flag is IterType.RQN:
         record = rqn.rqn_direction(state.subspace, state.bhat, g)
+        c1 = smcg.sufficient_descent_coefficient(params)
         if (not np.all(np.isfinite(record.d))) or record.gTd > -c1 * gnorm2:
             # degenerate reduced step: restart with -g and leave the phase
-            record = _neg_grad_record(g)
+            record = smcg.neg_grad_record(g)
             guard_fallback = True
+    elif state.iter_quad == params.min_quad and state.iter_quad != state.iter_restart:
+        record = smcg.neg_grad_record(g)
+        restarted = True
+    else:
+        record = smcg.smcg_direction(state, params, t_k)
 
     # --- Step 3: initial stepsize ---------------------------------------
     line = LineFunction(cp, x, record.d, f0=f, g0=g)
-    bb = bb_fallback_stepsize(g, state.s_prev, state.y_prev, params)
     if record.case_tag is CaseTag.RQN:
         kind = "rqn_identity" if state.bhat.is_identity else "interp"
     elif record.case_tag is CaseTag.NEG_GRAD:
         kind = "neg_grad"
     else:
         kind = "interp"
+    # the BB step only where initial_stepsize can use it
+    bb = None if kind == "interp" else bb_fallback_stepsize(g, state.s_prev,
+                                                             state.y_prev, params)
     prev_was_neg_grad = state.prev_case is None or state.prev_case is CaseTag.NEG_GRAD
     alpha0 = initial_stepsize(line, params, kind=kind, gTd=record.gTd,
                               gnorm2=gnorm2, quad_like=quad_like,
                               bb_fallback=bb, prev_was_neg_grad=prev_was_neg_grad)
 
-    # --- Step 4: line search (plus the one-shot rescue path) -------------
-    ledger = NonmonotoneLedger(Ck=state.Ck, Qk=state.Qk, eta_k=0.9, k=state.k)
-    result = wolfe_search(line, alpha0, ledger, record.gTd, 1.0, params)
-    rescued = False
-    if result.accepted_by is AcceptKind.MAX_BACKTRACK:
-        state.backtrack_strikes += 1
-        if state.backtrack_strikes >= 2 or result.alpha is None:
-            record = _neg_grad_record(g)
-            guard_fallback = guard_fallback or state.state_flag is IterType.RQN
-            line = LineFunction(cp, x, record.d, f0=f, g0=g)
-            result = wolfe_search(line, _rescue_stepsize(state, params), ledger,
-                                  record.gTd, 1.0, params)
-            rescued = True
-            if result.accepted_by is not AcceptKind.WOLFE:
-                return _failed(state, record, t_k, gnorm2, Status.LINESEARCH_FAIL,
-                               rescued=True)
-            state.backtrack_strikes = 0
-    else:
-        state.backtrack_strikes = 0
+    # --- Step 4: line search (plus the rescue path) ----------------------
+    record, line, result, rescued = search(state, cp, params, record, line,
+                                           alpha0, _rescue_stepsize)
+    guard_fallback = guard_fallback or (rescued and state_before is IterType.RQN)
+    if result is None:
+        return Status.LINESEARCH_FAIL, _trace(
+            traced, state, record, gnorm2, ledger, result, rescued, state_before,
+            Status.LINESEARCH_FAIL, t_k=t_k)
 
     alpha = result.alpha
     f_z = result.f_trial
@@ -167,46 +278,33 @@ def step(state: SolverState, cp: CountingProblem, params: SolverParams, *,
     z = line.point(alpha)
 
     # --- Step 5: trial-point termination check ---------------------------
-    gz_inf = norm_inf(g_z)
-    early = gz_inf <= params.grad_tol
+    early = norm_inf(g_z) <= params.grad_tol
 
     # --- Steps 6/7: acceleration or plain update -------------------------
     trial = TrialPoint(z=z, f_z=f_z, g_z=g_z, alpha=alpha, d=record.d)
-    accel_attempted = False
-    accel_accepted = False
-    eta_bar = 1.0
+    x_next, f_next, g_next = z, f_z, g_z
+    accel = None
     if not early and accel_criterion(f, gnorm2, record.gTd, trial, params):
-        accel_attempted = True
-        res = apply_acceleration(cp, x, f, record.gTd, trial, ledger, params)
-        x_next, f_next, g_next = res.x_next, res.f_next, res.g_next
-        eta_bar = res.eta_bar
-        accel_accepted = res.accepted
-    else:
-        x_next, f_next, g_next = z, f_z, g_z
+        accel = apply_acceleration(cp, x, record.gTd, trial, ledger, params)
+        x_next, f_next, g_next = accel.x_next, accel.f_next, accel.g_next
 
-    if not (math.isfinite(f_next) and bool(np.all(np.isfinite(g_next)))):
-        return _failed(state, record, t_k, gnorm2, Status.NUMERIC_FAIL,
-                       rescued=rescued)
+    # --- Steps 9/11: reference update, direction history and shift --------
+    failure = accept(state, record, x_next, f_next, g_next, params)
+    if failure is not None:
+        return failure, _trace(traced, state, record, gnorm2, ledger, result,
+                               rescued, state_before, failure, t_k=t_k)
 
     # --- Step 8: restart counters ----------------------------------------
-    rc = update_restart_counters(
-        RestartCounters(state.iter_restart, state.iter_quad, params.min_quad),
-        t_k, restarted, params)
+    state.iter_restart, state.iter_quad = update_restart_counters(
+        state.iter_restart, state.iter_quad, t_k, restarted, params)
+    state.t_prev = t_k
 
-    # --- Step 9: nonmonotone reference update -----------------------------
-    new_ledger = ledger_update(ledger, f_next)
-
-    # --- Step 10: direction history and state transition ------------------
-    s_new = x_next - x
-    y_new = g_next - g
-    state.dir_history.insert(0, np.array(record.d, dtype=float))
-    del state.dir_history[params.memory_m:]
-
+    # --- Step 10: state transition ----------------------------------------
     entered = False
     exited = False
     orth_lost_flag = None
     bhat_copy = None
-    if state.state_flag is IterType.SMCG:
+    if state_before is IterType.SMCG:
         if len(state.dir_history) == params.memory_m:
             fact = _try_qr(state.dir_history)
             if fact is not None:
@@ -234,25 +332,23 @@ def step(state: SolverState, cp: CountingProblem, params: SolverParams, *,
                         state.core = core
                         state.bhat = rqn.SubspaceHessian.identity(basis.rank,
                                                                   params.mu_min)
-                        state.mu = params.mu_min
-                        state.rqn_phase_iter = 0
                         entered = True
     else:
         if record.case_tag is CaseTag.RQN:
             Z = state.subspace.Z
-            s_hat = Z.T @ s_new
-            y_hat = Z.T @ y_new
+            s_hat = Z.T @ state.s_prev
+            y_hat = Z.T @ state.y_prev
             d_hat = Z.T @ record.d
             r = rqn.ratio(f, f_z, alpha, Z.T @ g, d_hat, state.bhat.B_hat)
             if r is None and f_z < f:
                 # the model rose past alpha = 2 where f fell: it overstated
                 # the curvature along d, so the step beat it (ratio +inf)
                 r = math.inf
-            mu_new = rqn.update_mu(state.bhat.mu, r, dot(s_new, s_new), params)
+            mu_new = rqn.update_mu(state.bhat.mu, r,
+                                   dot(state.s_prev, state.s_prev), params)
             state.rqn_phase_iter += 1
             state.bhat = rqn.rbfgs_update(replace(state.bhat, mu=mu_new),
                                           s_hat, y_hat, state.rqn_phase_iter, params)
-            state.mu = state.bhat.mu
             if collect_bhat:
                 bhat_copy = state.bhat.B_hat.copy()
             # exit once the gradient is mostly orthogonal to the frozen core
@@ -266,34 +362,14 @@ def step(state: SolverState, cp: CountingProblem, params: SolverParams, *,
             state.subspace = None
             state.core = None
             state.bhat = None
-            state.mu = 0.0
             state.rqn_phase_iter = 0
 
-    # --- Step 11: shift ----------------------------------------------------
-    state.s_prev = s_new
-    state.y_prev = y_new
-    state.f_prev = f
-    state.t_prev = t_k
-    state.x = x_next
-    state.f = f_next
-    state.g = g_next
-    state.Ck = new_ledger.Ck
-    state.Qk = new_ledger.Qk
-    state.iter_restart = rc.iter_restart
-    state.iter_quad = rc.iter_quad
-    state.prev_case = record.case_tag
-    state.k += 1
-
-    return TraceRecord(
-        k=state.k - 1, case_tag=record.case_tag, alpha=alpha, eta_bar=eta_bar,
-        gnorm_inf=norm_inf(g_next), Ck=state.Ck, state=state.state_flag,
-        state_before=state_before, mu=state.mu, gTd=record.gTd, gnorm2=gnorm2,
-        dnorm=float(np.linalg.norm(record.d)), f=f_next, f_before=f,
-        Ck_before=ledger.Ck, t_k=t_k, accepted_by=result.accepted_by,
-        accel_attempted=accel_attempted, accel_accepted=accel_accepted,
-        entered_rqn=entered, exited_rqn=exited, orth_lost_flag=orth_lost_flag,
-        bhat=bhat_copy, rescued=rescued, guard_fallback=guard_fallback,
-        early_converged=early, failure=None)
+    return None, _trace(
+        traced, state, record, gnorm2, ledger, result, rescued, state_before, t_k=t_k,
+        eta_bar=accel.eta_bar if accel else 1.0, accel_attempted=accel is not None,
+        accel_accepted=accel is not None and accel.accepted, entered_rqn=entered,
+        exited_rqn=exited, orth_lost_flag=orth_lost_flag, bhat=bhat_copy,
+        guard_fallback=guard_fallback, early_converged=early)
 
 
 def _try_qr(dirs, drop_tol: float = rqn.DROP_TOL
@@ -302,26 +378,6 @@ def _try_qr(dirs, drop_tol: float = rqn.DROP_TOL
         return rqn.qr_update(dirs, drop_tol)
     except EmptySubspaceError:
         return None
-
-
-def _failed(state: SolverState, record: DirectionRecord, t_k: float,
-            gnorm2: float, status: Status, *, rescued: bool) -> TraceRecord:
-    return TraceRecord(
-        k=state.k, case_tag=record.case_tag, alpha=math.nan, eta_bar=1.0,
-        gnorm_inf=norm_inf(state.g), Ck=state.Ck, state=state.state_flag,
-        state_before=state.state_flag, mu=state.mu, gTd=record.gTd, gnorm2=gnorm2,
-        dnorm=float(np.linalg.norm(record.d)), f=state.f, f_before=state.f,
-        Ck_before=state.Ck, t_k=t_k, accepted_by=AcceptKind.MAX_BACKTRACK,
-        accel_attempted=False, accel_accepted=False, entered_rqn=False,
-        exited_rqn=False, orth_lost_flag=None, bhat=None, rescued=rescued,
-        guard_fallback=False, early_converged=False, failure=status)
-
-
-def initial_state(cp: CountingProblem) -> SolverState:
-    x0 = cp.problem.x0.copy()
-    f0 = cp.f(x0)
-    g0 = cp.g(x0)
-    return SolverState(k=0, x=x0, f=f0, g=g0, Ck=f0, Qk=1.0)
 
 
 def run(problem: Problem, params: Optional[SolverParams] = None, *,
@@ -333,42 +389,8 @@ def run(problem: Problem, params: Optional[SolverParams] = None, *,
     is still evaluated and traced, but the quasi-Newton phase is never
     entered.
     """
-    p = (params if params is not None else SolverParams()).resolve(problem.dim)
-    cp = CountingProblem(problem)
-    t_start = time.perf_counter()
-    state = initial_state(cp)
-    if not (math.isfinite(state.f) and bool(np.all(np.isfinite(state.g)))):
-        return RunReport(n_iter=0, n_f=cp.n_f, n_g=cp.n_g,
-                         wall_time=time.perf_counter() - t_start,
-                         status=Status.NUMERIC_FAIL,
-                         final_gnorm_inf=math.nan, x=state.x, f=state.f)
-
-    status: Optional[Status] = None
-    while True:
-        if norm_inf(state.g) <= p.grad_tol:
-            status = Status.CONVERGED
-            break
-        if state.k >= p.max_iter:
-            status = Status.ITER_CAP
-            break
-        try:
-            rec = step(state, cp, p, rqn_enabled=rqn_enabled,
-                       collect_bhat=collect_bhat)
-        except NumericError:
-            status = Status.NUMERIC_FAIL
-            break
-        if trace_hook is not None:
-            trace_hook(rec)
-        if rec.failure is not None:
-            status = rec.failure
-            break
-        if rec.early_converged:
-            status = Status.CONVERGED
-            break
-
-    return RunReport(n_iter=state.k, n_f=cp.n_f, n_g=cp.n_g,
-                     wall_time=time.perf_counter() - t_start, status=status,
-                     final_gnorm_inf=norm_inf(state.g), x=state.x, f=state.f)
+    iterate = partial(step, rqn_enabled=rqn_enabled, collect_bhat=collect_bhat)
+    return minimize(problem, params, iterate, trace_hook)
 
 
 def run_with_trace(problem: Problem, params: Optional[SolverParams] = None, *,

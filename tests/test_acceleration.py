@@ -100,7 +100,7 @@ def test_apply_accepts_and_lands_on_minimizer():
     trial = make_trial(prob, x, [-1.0], 0.5)
     gTd = float(prob.eval_g(x) @ trial.d)
     led = NonmonotoneLedger.start(f)
-    res = apply_acceleration(cp, x, f, gTd, trial, led, P)
+    res = apply_acceleration(cp, x, gTd, trial, led, P)
     assert res.accepted
     assert res.eta_bar == 2.0
     assert res.x_next == pytest.approx([0.0])
@@ -122,7 +122,7 @@ def test_apply_rejection_restores_trial_bitwise():
     trial = make_trial(clean, x, [-1.0], 0.5)  # z=0.5, smooth values
     gTd = float(clean.eval_g(x) @ trial.d)
     led = NonmonotoneLedger.start(f0)
-    res = apply_acceleration(cp, x, f0, gTd, trial, led, P)
+    res = apply_acceleration(cp, x, gTd, trial, led, P)
     assert not res.accepted
     assert res.eta_bar == 1.0
     assert res.x_next is trial.z

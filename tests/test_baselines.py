@@ -3,8 +3,9 @@ import pytest
 
 from rlsmcg.baselines import (BaselineKind, BaselineTag, lbfgs_two_loop,
                               run_baseline)
-from rlsmcg.core import Problem, SolverParams, Status
+from rlsmcg.core import IterType, Problem, SolverParams, Status
 from rlsmcg.problems import get_problem, sphere
+from rlsmcg.solver import TraceRecord
 
 
 def quadratic_problem(diag, x0):
@@ -103,7 +104,52 @@ def test_baselines_share_termination_protocol():
 
 
 def test_baseline_trace_hook_rows():
-    rows = []
-    run_baseline(BaselineKind(BaselineTag.BB_SD), sphere(5), trace_hook=rows.append)
-    assert rows
-    assert set(rows[0]) == {"k", "case", "alpha", "gnorm_inf", "Ck", "state", "mu"}
+    # the baselines report through the same TraceRecord as rlsmcg, one per iteration
+    for tag in BaselineTag:
+        recs = []
+        rep = run_baseline(BaselineKind(tag), get_problem("trigonometric(10)"),
+                           trace_hook=recs.append)
+        assert all(isinstance(rec, TraceRecord) for rec in recs)
+        assert [rec.k for rec in recs] == list(range(rep.n_iter))
+        assert all(rec.failure is None and rec.state is IterType.SMCG for rec in recs)
+        assert recs[-1].gnorm_inf == rep.final_gnorm_inf
+
+
+def test_failed_baseline_step_reaches_the_hook():
+    # f = -x1 - x2 has no Wolfe point: the second capped search is rescued,
+    # the rescue fails, and the hook sees that step before the run stops
+    prob = Problem("linear", 2, lambda x: -float(np.sum(x)),
+                   lambda x: -np.ones(2), np.zeros(2))
+    for tag in BaselineTag:
+        recs = []
+        rep = run_baseline(BaselineKind(tag), prob, trace_hook=recs.append)
+        assert rep.status is Status.LINESEARCH_FAIL
+        assert len(recs) == rep.n_iter + 1
+        last = recs[-1]
+        assert last.failure is Status.LINESEARCH_FAIL and last.rescued
+        assert last.k == rep.n_iter and np.isnan(last.alpha)
+
+
+# exact (n_iter, n_f, n_g) of each baseline; the shared driver must keep them
+PINNED_COUNTS = {
+    "broyden_tridiag(100)": {"hs": (39, 78, 40), "lbfgs": (29, 30, 30),
+                             "bbsd": (32, 34, 33)},
+    "ext_rosenbrock(1000)": {"hs": (471, 1042, 510), "lbfgs": (62, 72, 65),
+                             "bbsd": (82, 94, 87)},
+    "powell_singular(4)": {"hs": (226, 458, 227), "lbfgs": (47, 48, 48),
+                           "bbsd": (137, 147, 144)},
+    "quad_diag(10)": {"hs": (65, 130, 66), "lbfgs": (114, 115, 115),
+                      "bbsd": (353, 374, 354)},
+    "quad_hilbert(6)": {"hs": (38, 76, 39), "lbfgs": (46, 47, 47),
+                        "bbsd": (615, 820, 660)},
+    "trigonometric(10)": {"hs": (29, 62, 30), "lbfgs": (29, 36, 30),
+                          "bbsd": (65, 72, 66)},
+}
+
+
+@pytest.mark.parametrize("tag", list(BaselineTag), ids=lambda t: t.value)
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+def test_baseline_counts_are_pinned(name, tag):
+    rep = run_baseline(BaselineKind(tag), get_problem(name))
+    assert rep.status is Status.CONVERGED
+    assert (rep.n_iter, rep.n_f, rep.n_g) == PINNED_COUNTS[name][tag.value]

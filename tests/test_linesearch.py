@@ -216,7 +216,7 @@ def test_wolfe_accepts_unit_step_on_quadratic():
     assert res.accepted_by is AcceptKind.WOLFE
     assert res.alpha == 1.0
     assert res.f_trial == 0.0
-    assert res.n_f_used == 1 and res.n_g_used == 1
+    assert line.problem.n_f == 1 and line.problem.n_g == 1
 
 
 def test_wolfe_satisfies_both_conditions():
@@ -301,7 +301,6 @@ def test_line_function_caches_and_counts():
     line.slope(0.5)
     line.gradient(0.5)
     assert calls["g"] == 1
-    assert line.n_f_evals == 1 and line.n_g_evals == 1
 
 
 def test_clip_step_bounds():

@@ -7,8 +7,8 @@ from rlsmcg import smcg_direction as smcg
 from rlsmcg.core import (CaseTag, CountingProblem, IterType, Problem,
                          SolverParams, Status)
 from rlsmcg.problems import ext_rosenbrock, get_problem, quad_diag, sphere
-from rlsmcg.solver import (RestartCounters, initial_state, run, run_with_trace,
-                           step, update_restart_counters)
+from rlsmcg.solver import (initial_state, run, run_with_trace, step,
+                           update_restart_counters)
 from rlsmcg.subspace_rqn import orthogonality_restored
 
 P = SolverParams()
@@ -17,21 +17,18 @@ P = SolverParams()
 # --- restart counters ------------------------------------------------------------
 
 def test_counters_increment_on_quadratic_like():
-    rc = update_restart_counters(RestartCounters(3, 2, 50), t_k=0.0,
-                                 restarted=False, params=P)
-    assert (rc.iter_restart, rc.iter_quad) == (4, 3)
+    rc = update_restart_counters(3, 2, t_k=0.0, restarted=False, params=P)
+    assert rc == (4, 3)
 
 
 def test_counters_reset_quad_run_on_large_closeness():
-    rc = update_restart_counters(RestartCounters(3, 2, 50), t_k=0.5,
-                                 restarted=False, params=P)
-    assert (rc.iter_restart, rc.iter_quad) == (4, 0)
+    rc = update_restart_counters(3, 2, t_k=0.5, restarted=False, params=P)
+    assert rc == (4, 0)
 
 
 def test_counters_zeroed_by_restart():
-    rc = update_restart_counters(RestartCounters(9, 5, 50), t_k=0.0,
-                                 restarted=True, params=P)
-    assert (rc.iter_restart, rc.iter_quad) == (0, 0)
+    rc = update_restart_counters(9, 5, t_k=0.0, restarted=True, params=P)
+    assert rc == (0, 0)
 
 
 def test_forced_restart_fires_when_counters_disagree():
@@ -43,7 +40,7 @@ def test_forced_restart_fires_when_counters_disagree():
         step(state, cp, params)
     state.iter_quad = params.min_quad
     state.iter_restart = params.min_quad + 7
-    rec = step(state, cp, params)
+    _, rec = step(state, cp, params)
     assert rec.case_tag is CaseTag.NEG_GRAD
     assert state.iter_quad == 0 and state.iter_restart == 0
 
@@ -155,7 +152,7 @@ def _step_into_phase(prob):
     for _ in range(200):
         quad_like = smcg.is_quadratic_like(smcg.closeness_from_state(state),
                                            state.t_prev, params)
-        rec = step(state, cp, params)
+        _, rec = step(state, cp, params)
         if rec.entered_rqn:
             return state, cp, params, quad_like
     raise AssertionError(f"{prob.name}: no phase within 200 iterations")
@@ -172,7 +169,7 @@ def test_full_memory_phase_models_whole_space_and_leaves_the_core():
     assert core.rank < cp.dim
     assert not orthogonality_restored(state.subspace, state.g, params)
     for _ in range(200):
-        rec = step(state, cp, params)
+        _, rec = step(state, cp, params)
         if rec.exited_rqn or rec.early_converged:
             break
     # the phase ends because the gradient points out of the core, not by a guard
