@@ -50,20 +50,13 @@ class CaseTag(Enum):
 
 
 def dot(a: Vector, b: Vector) -> float:
-    """Euclidean inner product of two equal-length vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    """Euclidean inner product of two equal-length vectors (ValueError if not)."""
     return float(np.dot(a, b))
 
 
 def norm_inf(v: Vector) -> float:
-    """Max-norm of a nonempty vector."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        raise ValueError("norm_inf of empty vector")
-    return float(np.max(np.abs(v)))
+    """Max-norm of a nonempty vector (ValueError if empty)."""
+    return float(np.abs(v).max())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ When the current gradient (numerically) falls inside the span of the last m
 search directions, conjugate-gradient behavior degrades; the driver then
 switches to a quasi-Newton iteration confined to that span (or to all of R^n
 when the memory spans it).  The machinery here provides the orthonormal basis
-(rank-revealing modified Gram-Schmidt), the enter/exit predicates, the
+(a rank-revealing Householder QR), the enter/exit predicates, the
 regularized BFGS update of the reduced Hessian, and the lift of the reduced
 direction back to full space.
 """
@@ -68,43 +68,39 @@ class SubspaceHessian:
 
 def qr_update(dirs: List[Vector],
               drop_tol: float = DROP_TOL) -> SubspaceFactorization:
-    """Rank-revealing modified Gram-Schmidt with one reorthogonalization pass.
+    """Rank-revealing thin QR of the direction columns, by LAPACK Householder.
 
-    Dependent columns (residual <= drop_tol * original norm) are dropped,
-    shrinking the basis.  Raises EmptySubspaceError when nothing survives.
+    Columns are judged in order: one is dependent, and dropped, when its
+    residual against the columns kept before it is at most drop_tol times its
+    own norm.  A Householder QR gives those residuals as |R_jj|, but only up
+    to the first dependent column j, since past it the basis holds that
+    column's rounding noise.  Past j, ||R[j:, k]|| is column k's residual
+    against the j columns before j; the kept columns before k include those,
+    so where it is small k is dependent too.  Column j and those are deleted
+    and the rest refactored until none is dependent.  Zero and non-finite
+    columns are dropped first, and the signs are fixed so that
+    diag(R_bar) > 0.  Raises EmptySubspaceError when nothing survives.
     """
     if not dirs:
         raise EmptySubspaceError("no directions supplied")
-    kept_cols: List[Vector] = []
-    kept_dirs: List[Vector] = []
-    coeffs: List[np.ndarray] = []
-    for d in dirs:
-        d = np.asarray(d, dtype=float)
-        nrm0 = float(np.linalg.norm(d))
-        if nrm0 == 0.0 or not math.isfinite(nrm0):
-            continue
-        v = d.copy()
-        r = np.zeros(len(kept_cols) + 1)
-        for _ in range(2):  # reorthogonalize once for orthonormality to ~1e-15
-            for j, q in enumerate(kept_cols):
-                c = float(np.dot(q, v))
-                r[j] += c
-                v -= c * q
-        resid = float(np.linalg.norm(v))
-        if resid <= drop_tol * nrm0:
-            continue
-        r[len(kept_cols)] = resid
-        kept_cols.append(v / resid)
-        kept_dirs.append(d)
-        coeffs.append(r)
-    if not kept_cols:
-        raise EmptySubspaceError("all candidate columns dropped as dependent")
-    m = len(kept_cols)
-    Z = np.column_stack(kept_cols)
-    R = np.zeros((m, m))
-    for j, r in enumerate(coeffs):
-        R[: j + 1, j] = r[: j + 1]
-    return SubspaceFactorization(Z=Z, R_bar=R, source_dirs=kept_dirs)
+    kept = [d for d in dirs if 0.0 < np.dot(d, d) < math.inf]
+    while kept:
+        Z, R = np.linalg.qr(np.array(kept).T)
+        norms = np.linalg.norm(R, axis=0)  # ||d_k||, as Z is orthonormal
+        # R has no diagonal past its n-th column: such a column lies in the
+        # span of the n before it
+        resid = np.zeros(len(kept))
+        resid[:len(R)] = np.abs(np.diag(R))
+        dependent = np.flatnonzero(resid <= drop_tol * norms)
+        if dependent.size == 0:
+            sign = np.sign(np.diag(R))
+            return SubspaceFactorization(Z=Z * sign, R_bar=R * sign[:, None],
+                                         source_dirs=kept)
+        j = dependent[0]
+        tail = np.linalg.norm(R[j:, j:], axis=0)
+        kept = kept[:j] + [d for d, t, nrm in zip(kept[j:], tail, norms[j:])
+                           if t > drop_tol * nrm]
+    raise EmptySubspaceError("all candidate columns dropped as dependent")
 
 
 def whole_space(n: int) -> SubspaceFactorization:

@@ -252,3 +252,39 @@ def test_accepted_step_lower_bound_on_quadratics():
                 continue
             bound = (1.0 - P.sigma_wolfe) / L * abs(rec.gTd) / rec.dnorm ** 2
             assert rec.eta_bar * rec.alpha >= bound * (1.0 - 1e-10), spec.name
+
+
+# exact (n_iter, n_f, n_g) of rlsmcg with the RQN phase on and off.  A change
+# to the orthogonality monitor that flips a single phase decision moves them.
+PINNED_COUNTS = {
+    "sphere(10)": ((1, 2, 2), (1, 2, 2)),
+    "sphere(100)": ((1, 2, 2), (1, 2, 2)),
+    "quad_diag(10)": ((30, 60, 31), (63, 126, 64)),
+    "quad_diag(50)": ((156, 312, 157), (156, 312, 157)),
+    "quad_diag(200)": ((325, 650, 326), (325, 650, 326)),
+    "quad_hilbert(6)": ((13, 26, 14), (31, 62, 32)),
+    "quad_hilbert(8)": ((17, 34, 18), (57, 114, 58)),
+    "quad_hilbert(12)": ((19, 38, 20), (57, 114, 58)),
+    "palmer_poly(8)": ((102, 218, 119), (616, 1233, 617)),
+    "ext_rosenbrock(2)": ((28, 69, 32), (28, 69, 32)),
+    "ext_rosenbrock(10)": ((34, 74, 38), (32, 80, 37)),
+    "ext_rosenbrock(100)": ((33, 71, 38), (30, 63, 35)),
+    "ext_rosenbrock(1000)": ((30, 67, 36), (29, 62, 36)),
+    "powell_singular(4)": ((211, 422, 212), (211, 422, 212)),
+    "powell_singular(40)": ((29, 59, 30), (229, 458, 230)),
+    "powell_singular(100)": ((30, 61, 31), (267, 534, 268)),
+    "trigonometric(10)": ((34, 72, 35), (34, 72, 35)),
+    "trigonometric(100)": ((50, 109, 51), (50, 109, 51)),
+    "broyden_tridiag(10)": ((26, 52, 27), (26, 52, 27)),
+    "broyden_tridiag(100)": ((30, 60, 31), (30, 60, 31)),
+    "broyden_tridiag(1000)": ((32, 64, 33), (32, 64, 33)),
+}
+
+
+@pytest.mark.parametrize("rqn_enabled", [True, False], ids=["rqn", "norqn"])
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+def test_rlsmcg_counts_are_pinned(name, rqn_enabled):
+    rep = run(get_problem(name), rqn_enabled=rqn_enabled)
+    assert rep.status is Status.CONVERGED
+    expected = PINNED_COUNTS[name][0 if rqn_enabled else 1]
+    assert (rep.n_iter, rep.n_f, rep.n_g) == expected

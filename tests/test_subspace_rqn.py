@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from rlsmcg.core import EmptySubspaceError, SolverParams
-from rlsmcg.subspace_rqn import (SubspaceHessian, orthogonality_lost,
-                                 orthogonality_restored, qr_update, ratio,
-                                 rbfgs_update, rqn_direction, update_mu)
+from rlsmcg.subspace_rqn import (DROP_TOL, ENTRY_RANK_TOL, SubspaceHessian,
+                                 orthogonality_lost, orthogonality_restored,
+                                 qr_update, ratio, rbfgs_update, rqn_direction,
+                                 update_mu)
 
 P = SolverParams().resolve(50)
 
@@ -34,6 +35,21 @@ def test_qr_drops_dependent_column():
     fact = qr_update([e(0), 2.0 * e(0)])
     assert fact.rank == 1
     assert len(fact.source_dirs) == 1
+    # more columns than rows: only n can be kept
+    fact = qr_update([e(0, 2), e(0, 2), e(1, 2), e(0, 2) + e(1, 2)])
+    assert fact.rank == 2
+    np.testing.assert_allclose(fact.Z, np.eye(2), atol=1e-15)
+
+
+def _assert_qr_invariants(fact):
+    ZtZ = fact.Z.T @ fact.Z
+    assert np.max(np.abs(ZtZ - np.eye(fact.rank))) <= 1e-12
+    S = np.column_stack(fact.source_dirs)
+    recon = fact.Z @ fact.R_bar
+    for j in range(fact.rank):
+        err = np.linalg.norm(recon[:, j] - S[:, j])
+        assert err <= 1e-10 * max(np.linalg.norm(S[:, j]), 1e-300)
+    assert np.all(np.diag(fact.R_bar) > 0.0)
 
 
 def test_qr_invariants_on_random_sets():
@@ -43,15 +59,50 @@ def test_qr_invariants_on_random_sets():
         m = int(rng.integers(1, min(n, 8) + 1))
         dirs = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
                 for _ in range(m)]
-        fact = qr_update(dirs)
-        ZtZ = fact.Z.T @ fact.Z
-        assert np.max(np.abs(ZtZ - np.eye(fact.rank))) <= 1e-12
-        S = np.column_stack(fact.source_dirs)
-        recon = fact.Z @ fact.R_bar
-        for j in range(fact.rank):
-            err = np.linalg.norm(recon[:, j] - S[:, j])
-            assert err <= 1e-10 * max(np.linalg.norm(S[:, j]), 1e-300)
-        assert np.all(np.diag(fact.R_bar) > 0.0)
+        _assert_qr_invariants(qr_update(dirs))
+    # near-dependent columns: a combination of earlier columns plus noise of
+    # 1e-13 times its norm is dependent at both tolerances; with noise of
+    # 1e-10 it is kept at DROP_TOL = 1e-12 and dropped at ENTRY_RANK_TOL = 1e-8
+    for _ in range(25):
+        n = int(rng.integers(12, 30))
+        base = int(rng.integers(1, 5))
+        noises = rng.choice([1e-13, 1e-10], size=int(rng.integers(1, 5)))
+        dirs = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+                for _ in range(base)]
+        for noise in noises:
+            c = rng.standard_normal(base) @ np.array(dirs[:base])
+            u = rng.standard_normal(n)
+            dirs.insert(int(rng.integers(base, len(dirs) + 1)),
+                        c + noise * np.linalg.norm(c) * u / np.linalg.norm(u))
+        fine = qr_update(dirs, DROP_TOL)
+        _assert_qr_invariants(fine)
+        assert fine.rank == base + int(np.sum(noises == 1e-10))
+        core = qr_update(dirs, ENTRY_RANK_TOL)
+        _assert_qr_invariants(core)
+        assert core.rank == base
+
+
+def test_qr_drop_rule_is_sequential():
+    n = 3
+    near = e(0, n) + 1e-10 * e(1, n)
+    dirs = [e(0, n), near, e(1, n) + e(2, n)]
+    assert qr_update(dirs, DROP_TOL).rank == 3
+    core = qr_update(dirs, ENTRY_RANK_TOL)
+    assert core.rank == 2
+    np.testing.assert_array_equal(np.column_stack(core.source_dirs),
+                                  np.column_stack([e(0, n), e(1, n) + e(2, n)]))
+    # a later column is judged against the kept columns only: e1 is in the
+    # span of [e0, near] but not of [e0], so it stays once near is dropped
+    core = qr_update([e(0, n), near, e(1, n)], ENTRY_RANK_TOL)
+    assert core.rank == 2
+    np.testing.assert_allclose(core.Z, np.column_stack([e(0, n), e(1, n)]),
+                               atol=1e-15)
+
+
+def test_qr_signs_give_positive_diagonal():
+    fact = qr_update([-e(0)])
+    np.testing.assert_array_equal(fact.Z, -e(0)[:, None])
+    np.testing.assert_array_equal(fact.R_bar, [[1.0]])
 
 
 def test_qr_empty_subspace_signal():
