@@ -29,7 +29,7 @@ prob = Problem("quad1d", 1, lambda x: 0.5 * float((1 - x[0]) ** 2),
 cp = CountingProblem(prob)
 line = LineFunction(cp, np.zeros(1), np.ones(1), f0=0.5, g0=np.array([-1.0]))
 ledger = NonmonotoneLedger.start(0.5)
-result = wolfe_search(line, 1.0, ledger, -1.0, 1.0, SolverParams())
+result = wolfe_search(line, 1.0, ledger, -1.0, SolverParams())
 print(f"  accepted alpha = {result.alpha} by {result.accepted_by.value} "
       f"using {cp.n_f} f-evals and {cp.n_g} g-evals")
 ledger = ledger_update(ledger, result.f_trial)

@@ -22,10 +22,6 @@ class NumericError(RuntimeError):
     """A computation produced non-finite values."""
 
 
-class EmptySubspaceError(ValueError):
-    """Every candidate basis column was dropped as numerically dependent."""
-
-
 class Status(Enum):
     CONVERGED = "converged"
     ITER_CAP = "iter_cap"
@@ -194,11 +190,16 @@ class SolverParams:
             if not cond:
                 raise ValueError(f"SolverParams: {msg}")
 
-        for name in ("xi1", "xi2", "xi3", "xi5"):
+        for name in ("xi1", "xi2", "xi5"):
             require(getattr(self, name) > 0, f"{name} must be positive")
+        # xi3 >= 1 would make the descent margin 1 - xi3 nonpositive
+        require(0 < self.xi3 < 1, "xi3 must be in (0, 1)")
         require(self.xi4 > 0 and self.xi4 < self.xi5, "need 0 < xi4 < xi5")
         require(0 < self.eta0_tilde < self.eta1_tilde < 1,
                 "need 0 < eta0_tilde < eta1_tilde < 1")
+        # the entry test compares with eta0_tilde**2; if that underflows to
+        # 0 it fires only on an exactly zero residual
+        require(self.eta0_tilde ** 2 > 0, "eta0_tilde**2 underflows to 0")
         require(self.upsilon > 0, "upsilon must be positive")
         if self.memory_m is not None:
             require(self.memory_m >= 1, "memory_m must be >= 1")
@@ -287,10 +288,11 @@ class SolverState:
     # ring buffer of the last memory_m search directions, newest first
     dir_history: list = field(default_factory=list)
     prev_case: Optional[CaseTag] = None
-    # subspace quasi-Newton phase (None while in SMCG state): the basis the
-    # reduced model lives in, and the core of the memory the phase must leave
-    subspace: Optional[object] = None
-    core: Optional[object] = None
+    # subspace quasi-Newton phase (None while in SMCG state): the orthonormal
+    # basis the reduced model lives in, and that of the core of the memory
+    # the phase must leave
+    subspace: Optional[np.ndarray] = None
+    core: Optional[np.ndarray] = None
     bhat: Optional[object] = None
     rqn_phase_iter: int = 0                 # 0 outside a phase
     # consecutive line-search fallbacks, for the failure escalation rule

@@ -46,7 +46,6 @@ class StepResult:
     f_trial: Optional[float]
     g_trial: Optional[Vector]
     accepted_by: AcceptKind
-    slope_trial: Optional[float] = None
 
 
 class LineFunction:
@@ -143,16 +142,13 @@ def q_next(ledger: NonmonotoneLedger, f_next: float) -> float:
     return _eta_rule(ledger.Ck, f_next, ledger.k) * ledger.Qk + 1.0
 
 
-def ledger_update(ledger: NonmonotoneLedger, f_next: float,
-                  special_k1: bool = True) -> NonmonotoneLedger:
+def ledger_update(ledger: NonmonotoneLedger, f_next: float) -> NonmonotoneLedger:
     """Advance (C_k, Q_k) after accepting f_{k+1}.
 
     The first update uses the fixed pair Q_1 = 2.0, C_1 = min(C_0, f_1 + 1.0);
-    afterwards C is the eta-weighted running combination.  ``special_k1=False``
-    applies the generic rule from the start (then C_k is a strict convex
-    combination of all past values).
+    afterwards C is the eta-weighted running combination.
     """
-    if ledger.k == 0 and special_k1:
+    if ledger.k == 0:
         return NonmonotoneLedger(Ck=min(ledger.Ck, f_next + 1.0), Qk=2.0,
                                  eta_k=1.0, k=1)
     eta = _eta_rule(ledger.Ck, f_next, ledger.k)
@@ -227,7 +223,7 @@ MAX_ROUNDS = 50
 
 
 def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
-                 gTd: float, eta_bar: float, params: SolverParams) -> StepResult:
+                 gTd: float, params: SolverParams) -> StepResult:
     """Bracket-and-interpolate search for the nonmonotone Wolfe conditions.
 
     A failed decrease test shrinks the bracket; a failed curvature test
@@ -247,16 +243,15 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
     best_alpha, best_phi = None, math.inf
 
     for _ in range(MAX_ROUNDS):
-        phi_a = line.value(eta_bar * alpha)
+        phi_a = line.value(alpha)
         if math.isfinite(phi_a) and phi_a <= ledger.Ck and phi_a < best_phi:
             best_alpha, best_phi = alpha, phi_a
-        if sufficient_decrease_ok(phi_a, ledger, eta_bar, alpha, gTd, params):
-            slope_a = line.slope(eta_bar * alpha)
+        if sufficient_decrease_ok(phi_a, ledger, 1.0, alpha, gTd, params):
+            slope_a = line.slope(alpha)
             if math.isfinite(slope_a) and curvature_ok(slope_a, gTd, params):
                 return StepResult(alpha=alpha, f_trial=phi_a,
-                                  g_trial=line.gradient(eta_bar * alpha),
-                                  accepted_by=AcceptKind.WOLFE,
-                                  slope_trial=slope_a)
+                                  g_trial=line.gradient(alpha),
+                                  accepted_by=AcceptKind.WOLFE)
             # decrease fine but still descending steeply: move right
             lo, phi_lo, slope_lo = alpha, phi_a, slope_a
         else:
@@ -280,7 +275,6 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
     if best_alpha is None:
         return StepResult(alpha=None, f_trial=None, g_trial=None,
                           accepted_by=AcceptKind.MAX_BACKTRACK)
-    return StepResult(alpha=best_alpha, f_trial=line.value(eta_bar * best_alpha),
-                      g_trial=line.gradient(eta_bar * best_alpha),
-                      accepted_by=AcceptKind.MAX_BACKTRACK,
-                      slope_trial=line.slope(eta_bar * best_alpha))
+    return StepResult(alpha=best_alpha, f_trial=line.value(best_alpha),
+                      g_trial=line.gradient(best_alpha),
+                      accepted_by=AcceptKind.MAX_BACKTRACK)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -49,16 +49,6 @@ class CurvatureSnapshot:
             gTs=dot(g, s),
             gTy=dot(g, y),
         )
-
-
-@dataclass(frozen=True)
-class RegularizedSolve:
-    """Solution of the 2-D cubic-regularized model plus its certificates."""
-
-    sigma_k: float
-    varpi_star: float
-    u: float
-    v: float
 
 
 def quadratic_closeness(f_prev: float, f_cur: float, gTs: float, sTy: float) -> float:
@@ -125,38 +115,33 @@ def default_regularization_weight(t_k: float, snap: CurvatureSnapshot) -> float:
 
     Vanishes as the quadratic fit improves and scales with the local
     curvature, so the regularized solve degrades gracefully to the plain
-    quadratic one.  Exposed so an alternative weight rule can be plugged in.
+    quadratic one.
     """
     return min(t_k, 1.0) * (snap.sTy / snap.sTs)
 
 
-def solve_regularized_subproblem(
-    snap: CurvatureSnapshot,
-    t_k: float,
-    sigma_rule: Callable[[float, CurvatureSnapshot], float] = default_regularization_weight,
-) -> Optional[RegularizedSolve]:
-    """Global minimizer of the cubic-regularized 2-D model.
+def solve_regularized_subproblem(snap: CurvatureSnapshot,
+                                 sigma: float) -> Optional[Tuple[float, float]]:
+    """Global minimizer (u, v) of the cubic-regularized 2-D model.
 
     With B = [[rho, g'y], [g'y, s'y]] and c = (||g||^2, g's), the model is
     c'w + w'Bw/2 + (sigma/3) ||w||_B^3.  Its stationarity condition collapses
     to w = w0 / (1 + sigma * varpi) with w0 the unregularized solution and
     varpi = ||w||_B the unique nonnegative root of
     sigma * varpi^2 + varpi - N = 0, N = ||w0||_B.  sigma == 0 reproduces the
-    plain quadratic solution exactly.
+    plain quadratic solution exactly.  Returns None for a degenerate model or
+    a negative or non-finite sigma.
     """
     base = solve_quadratic_subproblem(snap)
-    if base is None:
+    if base is None or not math.isfinite(sigma) or sigma < 0.0:
         return None
-    u0, v0 = base
-    sigma = float(sigma_rule(t_k, snap))
-    if not math.isfinite(sigma) or sigma < 0.0:
-        return None
-    n_b = _bnorm(u0, v0, snap)
     if sigma == 0.0:
-        return RegularizedSolve(0.0, n_b, u0, v0)
+        return base
+    u0, v0 = base
+    n_b = _bnorm(u0, v0, snap)
     varpi = 2.0 * n_b / (1.0 + math.sqrt(1.0 + 4.0 * sigma * n_b))
     scale = 1.0 / (1.0 + sigma * varpi)
-    return RegularizedSolve(sigma, varpi, scale * u0, scale * v0)
+    return scale * u0, scale * v0
 
 
 def _bnorm(u: float, v: float, snap: CurvatureSnapshot) -> float:
@@ -230,9 +215,11 @@ def smcg_direction(
                 u, v = sol
                 record = _combine(g, state.s_prev, u, v, CaseTag.QUAD_SUBPROBLEM)
         else:
-            reg = solve_regularized_subproblem(snap, t_k)
-            if reg is not None:
-                record = _combine(g, state.s_prev, reg.u, reg.v, CaseTag.REG_SUBPROBLEM)
+            sol = solve_regularized_subproblem(
+                snap, default_regularization_weight(t_k, snap))
+            if sol is not None:
+                u, v = sol
+                record = _combine(g, state.s_prev, u, v, CaseTag.REG_SUBPROBLEM)
     elif hs_fallback_ok(snap, params) and state.dir_history:
         d = hs_direction(g, state.y_prev, state.dir_history[0])
         if d is not None:

@@ -20,9 +20,9 @@ import numpy as np
 from . import smcg_direction as smcg
 from . import subspace_rqn as rqn
 from .acceleration import TrialPoint, accel_criterion, apply_acceleration
-from .core import (CaseTag, CountingProblem, DirectionRecord, EmptySubspaceError,
-                   IterType, NumericError, Problem, RunReport, SolverParams,
-                   SolverState, Status, Vector, dot, norm_inf)
+from .core import (CaseTag, CountingProblem, DirectionRecord, IterType,
+                   NumericError, Problem, RunReport, SolverParams, SolverState,
+                   Status, Vector, dot, norm_inf)
 from .linesearch import (AcceptKind, LineFunction, NonmonotoneLedger, StepResult,
                          bb_fallback_stepsize, bb_stepsizes, clip_step,
                          initial_stepsize, ledger_update, wolfe_search)
@@ -67,7 +67,7 @@ class TraceRecord:
     entered_rqn: bool = False
     exited_rqn: bool = False
     orth_lost_flag: Optional[bool] = None
-    bhat: Optional[np.ndarray] = None
+    bhat: Optional[np.ndarray] = None  # updated reduced Hessian, RQN steps
     guard_fallback: bool = False
     early_converged: bool = False
 
@@ -86,7 +86,7 @@ def search(state: SolverState, cp: CountingProblem, params: SolverParams,
     search reruns along -g from ``rescue_step(state, params)``.  Returns the
     direction and line searched last, the result (None if the rescue failed
     too) and whether the rescue ran."""
-    result = wolfe_search(line, alpha0, state.ledger, record.gTd, 1.0, params)
+    result = wolfe_search(line, alpha0, state.ledger, record.gTd, params)
     if result.accepted_by is AcceptKind.WOLFE:
         state.backtrack_strikes = 0
         return record, line, result, False
@@ -96,7 +96,7 @@ def search(state: SolverState, cp: CountingProblem, params: SolverParams,
     record = smcg.neg_grad_record(state.g)
     line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
     result = wolfe_search(line, rescue_step(state, params), state.ledger,
-                          record.gTd, 1.0, params)
+                          record.gTd, params)
     if result.accepted_by is not AcceptKind.WOLFE:
         return record, line, None, True
     state.backtrack_strikes = 0
@@ -216,8 +216,7 @@ def _rescue_stepsize(state: SolverState, params: SolverParams) -> float:
 
 
 def step(state: SolverState, cp: CountingProblem, params: SolverParams,
-         traced: bool = True, *, rqn_enabled: bool = True,
-         collect_bhat: bool = False
+         traced: bool = True, *, rqn_enabled: bool = True
          ) -> Tuple[Optional[Status], Optional[TraceRecord]]:
     """One full rlsmcg iteration; mutates ``state``.
 
@@ -303,19 +302,19 @@ def step(state: SolverState, cp: CountingProblem, params: SolverParams,
     entered = False
     exited = False
     orth_lost_flag = None
-    bhat_copy = None
+    bhat = None
     if state_before is IterType.SMCG:
         if len(state.dir_history) == params.memory_m:
-            fact = _try_qr(state.dir_history)
-            if fact is not None:
-                orth_lost_flag = rqn.orthogonality_lost(fact, g_next, params)
+            Z = rqn.qr_update(state.dir_history)
+            if Z is not None:
+                orth_lost_flag = rqn.orthogonality_lost(Z, g_next, params)
                 if orth_lost_flag and rqn_enabled:
                     # the phase is judged on the well-conditioned core of the
                     # span: entered only when the core is a proper subspace
                     # (else the exit predicate could never hold), left once
                     # the gradient points out of it
-                    core = _try_qr(state.dir_history, rqn.ENTRY_RANK_TOL)
-                    if core is not None and core.rank < cp.dim:
+                    core = rqn.qr_update(state.dir_history, rqn.ENTRY_RANK_TOL)
+                    if core is not None and core.shape[1] < cp.dim:
                         # the model lives on the core, unless the memory spans
                         # R^n and f is locally quadratic.  Then the model takes
                         # all of R^n: the core's complement holds the weak
@@ -326,16 +325,16 @@ def step(state: SolverState, cp: CountingProblem, params: SolverParams,
                         # scale matters, so the phase keeps to the core.
                         basis = core
                         if params.memory_m >= cp.dim and quad_like:
-                            basis = rqn.whole_space(cp.dim)
+                            basis = np.eye(cp.dim)
                         state.state_flag = IterType.RQN
                         state.subspace = basis
                         state.core = core
-                        state.bhat = rqn.SubspaceHessian.identity(basis.rank,
-                                                                  params.mu_min)
+                        state.bhat = rqn.SubspaceHessian.identity(
+                            basis.shape[1], params.mu_min)
                         entered = True
     else:
         if record.case_tag is CaseTag.RQN:
-            Z = state.subspace.Z
+            Z = state.subspace
             s_hat = Z.T @ state.s_prev
             y_hat = Z.T @ state.y_prev
             d_hat = Z.T @ record.d
@@ -349,8 +348,7 @@ def step(state: SolverState, cp: CountingProblem, params: SolverParams,
             state.rqn_phase_iter += 1
             state.bhat = rqn.rbfgs_update(replace(state.bhat, mu=mu_new),
                                           s_hat, y_hat, state.rqn_phase_iter, params)
-            if collect_bhat:
-                bhat_copy = state.bhat.B_hat.copy()
+            bhat = state.bhat.B_hat
             # exit once the gradient is mostly orthogonal to the frozen core
             if rqn.orthogonality_restored(state.core, g_next, params):
                 exited = True
@@ -368,36 +366,29 @@ def step(state: SolverState, cp: CountingProblem, params: SolverParams,
         traced, state, record, gnorm2, ledger, result, rescued, state_before, t_k=t_k,
         eta_bar=accel.eta_bar if accel else 1.0, accel_attempted=accel is not None,
         accel_accepted=accel is not None and accel.accepted, entered_rqn=entered,
-        exited_rqn=exited, orth_lost_flag=orth_lost_flag, bhat=bhat_copy,
+        exited_rqn=exited, orth_lost_flag=orth_lost_flag, bhat=bhat,
         guard_fallback=guard_fallback, early_converged=early)
 
 
-def _try_qr(dirs, drop_tol: float = rqn.DROP_TOL
-            ) -> Optional[rqn.SubspaceFactorization]:
-    try:
-        return rqn.qr_update(dirs, drop_tol)
-    except EmptySubspaceError:
-        return None
-
-
 def run(problem: Problem, params: Optional[SolverParams] = None, *,
-        rqn_enabled: bool = True, trace_hook: Optional[TraceHook] = None,
-        collect_bhat: bool = False) -> RunReport:
+        rqn_enabled: bool = True, trace_hook: Optional[TraceHook] = None
+        ) -> RunReport:
     """Minimize ``problem`` to the max-norm gradient tolerance.
 
     ``rqn_enabled=False`` is the ablation switch: the orthogonality predicate
     is still evaluated and traced, but the quasi-Newton phase is never
     entered.
     """
-    iterate = partial(step, rqn_enabled=rqn_enabled, collect_bhat=collect_bhat)
+    iterate = partial(step, rqn_enabled=rqn_enabled)
     return minimize(problem, params, iterate, trace_hook)
 
 
 def run_with_trace(problem: Problem, params: Optional[SolverParams] = None, *,
-                   rqn_enabled: bool = True, collect_bhat: bool = False
+                   rqn_enabled: bool = True
                    ) -> Tuple[RunReport, List[TraceRecord]]:
-    """run() plus the full list of per-iteration trace records."""
+    """run() plus the full list of per-iteration trace records; an RQN-case
+    record carries the reduced Hessian the step updated in ``bhat``."""
     records: List[TraceRecord] = []
     report = run(problem, params, rqn_enabled=rqn_enabled,
-                 trace_hook=records.append, collect_bhat=collect_bhat)
+                 trace_hook=records.append)
     return report, records

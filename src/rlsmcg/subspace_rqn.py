@@ -4,9 +4,9 @@ When the current gradient (numerically) falls inside the span of the last m
 search directions, conjugate-gradient behavior degrades; the driver then
 switches to a quasi-Newton iteration confined to that span (or to all of R^n
 when the memory spans it).  The machinery here provides the orthonormal basis
-(a rank-revealing Householder QR), the enter/exit predicates, the
-regularized BFGS update of the reduced Hessian, and the lift of the reduced
-direction back to full space.
+Z of the span (a rank-revealing Householder QR that drops dependent columns),
+the enter/exit predicates on Z, the regularized BFGS update of the reduced
+Hessian, and the lift of the reduced direction back to full space.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (CaseTag, DirectionRecord, EmptySubspaceError, NumericError,
-                   SolverParams, Vector)
+from .core import CaseTag, DirectionRecord, NumericError, SolverParams, Vector
 
 # columns whose residual after projection is below this times their original
 # norm are treated as linearly dependent and dropped
@@ -29,19 +28,6 @@ DROP_TOL = 1e-12
 # conjugate-gradient stall the recent directions cluster, so their core is a
 # proper subspace: the polluted span the gradient is trapped in.
 ENTRY_RANK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SubspaceFactorization:
-    """Thin QR of the recent-direction matrix: Z orthonormal, R upper triangular."""
-
-    Z: np.ndarray
-    R_bar: np.ndarray
-    source_dirs: List[Vector]
-
-    @property
-    def rank(self) -> int:
-        return self.Z.shape[1]
 
 
 @dataclass(frozen=True)
@@ -67,8 +53,9 @@ class SubspaceHessian:
 
 
 def qr_update(dirs: List[Vector],
-              drop_tol: float = DROP_TOL) -> SubspaceFactorization:
-    """Rank-revealing thin QR of the direction columns, by LAPACK Householder.
+              drop_tol: float = DROP_TOL) -> Optional[np.ndarray]:
+    """Orthonormal basis Z of the independent direction columns, by LAPACK
+    Householder QR; None when no column survives.
 
     Columns are judged in order: one is dependent, and dropped, when its
     residual against the columns kept before it is at most drop_tol times its
@@ -78,11 +65,10 @@ def qr_update(dirs: List[Vector],
     against the j columns before j; the kept columns before k include those,
     so where it is small k is dependent too.  Column j and those are deleted
     and the rest refactored until none is dependent.  Zero and non-finite
-    columns are dropped first, and the signs are fixed so that
-    diag(R_bar) > 0.  Raises EmptySubspaceError when nothing survives.
+    columns are dropped first.  Column i of Z is the i-th kept direction
+    orthogonalized against the kept ones before it, scaled to unit length,
+    so it has a positive component along that direction.
     """
-    if not dirs:
-        raise EmptySubspaceError("no directions supplied")
     kept = [d for d in dirs if 0.0 < np.dot(d, d) < math.inf]
     while kept:
         Z, R = np.linalg.qr(np.array(kept).T)
@@ -93,29 +79,21 @@ def qr_update(dirs: List[Vector],
         resid[:len(R)] = np.abs(np.diag(R))
         dependent = np.flatnonzero(resid <= drop_tol * norms)
         if dependent.size == 0:
-            sign = np.sign(np.diag(R))
-            return SubspaceFactorization(Z=Z * sign, R_bar=R * sign[:, None],
-                                         source_dirs=kept)
+            return Z * np.sign(np.diag(R))
         j = dependent[0]
         tail = np.linalg.norm(R[j:, j:], axis=0)
         kept = kept[:j] + [d for d, t, nrm in zip(kept[j:], tail, norms[j:])
                            if t > drop_tol * nrm]
-    raise EmptySubspaceError("all candidate columns dropped as dependent")
+    return None
 
 
-def whole_space(n: int) -> SubspaceFactorization:
-    """The basis of all of R^n: the trivial factorization of the identity."""
-    eye = np.eye(n)
-    return SubspaceFactorization(Z=eye, R_bar=eye.copy(), source_dirs=list(eye))
-
-
-def _outside_norm2(fact: SubspaceFactorization, g: Vector) -> float:
+def _outside_norm2(Z: np.ndarray, g: Vector) -> float:
     """||g - Z Z'g||^2, the squared distance from g to the span of Z."""
-    r = g - fact.Z @ (fact.Z.T @ g)
+    r = g - Z @ (Z.T @ g)
     return float(np.dot(r, r))
 
 
-def orthogonality_lost(fact: SubspaceFactorization, g: Vector,
+def orthogonality_lost(Z: np.ndarray, g: Vector,
                        params: SolverParams) -> bool:
     """True when g lies (almost) inside the span: ||g - ZZ'g||^2 <= eta0^2 ||g||^2.
 
@@ -126,10 +104,10 @@ def orthogonality_lost(fact: SubspaceFactorization, g: Vector,
     gTg = float(np.dot(g, g))
     if gTg <= 0.0:
         return False
-    return _outside_norm2(fact, g) <= params.eta0_tilde ** 2 * gTg
+    return _outside_norm2(Z, g) <= params.eta0_tilde ** 2 * gTg
 
 
-def orthogonality_restored(fact: SubspaceFactorization, g: Vector,
+def orthogonality_restored(Z: np.ndarray, g: Vector,
                            params: SolverParams) -> bool:
     """True when g points back out of the span: ||g - ZZ'g||^2 >= eta1^2 ||g||^2.
 
@@ -139,7 +117,7 @@ def orthogonality_restored(fact: SubspaceFactorization, g: Vector,
     gTg = float(np.dot(g, g))
     if gTg <= 0.0:
         return True
-    return _outside_norm2(fact, g) >= params.eta1_tilde ** 2 * gTg
+    return _outside_norm2(Z, g) >= params.eta1_tilde ** 2 * gTg
 
 
 def rbfgs_update(H: SubspaceHessian, s_hat: Vector, y_hat: Vector, k: int,
@@ -209,7 +187,7 @@ def update_mu(mu: float, r: Optional[float], s_hat_norm2: float,
     return min(params.mu_max, params.sigma2 * mu)
 
 
-def rqn_direction(fact: SubspaceFactorization, H: SubspaceHessian,
+def rqn_direction(Z: np.ndarray, H: SubspaceHessian,
                   g: Vector) -> DirectionRecord:
     """Lifted quasi-Newton step d = -Z B^{-1} Z'g via a Cholesky solve.
 
@@ -217,7 +195,7 @@ def rqn_direction(fact: SubspaceFactorization, H: SubspaceHessian,
     identity and the solve retried once; a second failure raises
     NumericError.
     """
-    g_hat = fact.Z.T @ g
+    g_hat = Z.T @ g
     B = H.B_hat
     for attempt in range(2):
         try:
@@ -230,5 +208,5 @@ def rqn_direction(fact: SubspaceFactorization, H: SubspaceHessian,
         if attempt == 1:
             raise NumericError("reduced quasi-Newton solve failed twice")
         B = np.eye(B.shape[0])
-    d = fact.Z @ d_hat
+    d = Z @ d_hat
     return DirectionRecord(d=d, case_tag=CaseTag.RQN, gTd=float(np.dot(g, d)))

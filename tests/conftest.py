@@ -16,6 +16,6 @@ def suite_runs():
     t0 = time.perf_counter()
     results = {}
     for spec in registry():
-        report, trace = run_with_trace(spec.make(), collect_bhat=True)
+        report, trace = run_with_trace(spec.make())
         results[spec.name] = (spec, report, trace)
     return results, time.perf_counter() - t0

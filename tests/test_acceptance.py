@@ -118,14 +118,13 @@ def test_criterion_4_subproblem_oracle():
             y = -y
         snap = CurvatureSnapshot.from_vectors(g, s, y)
         sigma = 0.0 if trial < 20 else float(rng.uniform(0.0, 4.0))
-        reg = solve_regularized_subproblem(snap, 0.0,
-                                           sigma_rule=lambda t, s_, v=sigma: v)
+        u, v = solve_regularized_subproblem(snap, sigma)
         if sigma == 0.0:
             base = solve_quadratic_subproblem(snap)
-            assert reg.u == base[0] and reg.v == base[1]
+            assert u == base[0] and v == base[1]
             exact_zero_checked += 1
         w = model_min_oracle(snap, sigma)
-        worst = max(worst, abs(reg.u - w[0]), abs(reg.v - w[1]))
+        worst = max(worst, abs(u - w[0]), abs(v - w[1]))
     ok = worst <= 1e-8 and exact_zero_checked == 20
     _verdict(4, ok, f"closed form vs brute-force oracle: worst |diff| = "
                     f"{worst:.2e} over 100 snapshots ({exact_zero_checked} "

@@ -199,10 +199,11 @@ def test_reference_is_convex_combination_without_special_case():
     rng = np.random.default_rng(12)
     led = NonmonotoneLedger.start(1.0)
     values = [1.0]
+    # the first step's C_1 = min(C_0, f_1 + 1) lies in the range as well
     for _ in range(60):
         f_next = float(rng.uniform(-5, 5))
         values.append(f_next)
-        led = ledger_update(led, f_next, special_k1=False)
+        led = ledger_update(led, f_next)
         assert min(values) - 1e-12 <= led.Ck <= max(values) + 1e-12
 
 
@@ -212,7 +213,7 @@ def test_wolfe_accepts_unit_step_on_quadratic():
     # phi(a) = (1-a)^2 / 2, phi'(0) = -1; alpha0 = 1 passes both conditions
     line = line_1d(lambda a: 0.5 * (1 - a) ** 2, lambda a: a - 1.0, f0=0.5)
     led = NonmonotoneLedger.start(0.5)
-    res = wolfe_search(line, 1.0, led, -1.0, 1.0, P)
+    res = wolfe_search(line, 1.0, led, -1.0, P)
     assert res.accepted_by is AcceptKind.WOLFE
     assert res.alpha == 1.0
     assert res.f_trial == 0.0
@@ -223,10 +224,10 @@ def test_wolfe_satisfies_both_conditions():
     line = line_1d(lambda a: math.exp(-a) + 0.05 * a * a,
                    lambda a: -math.exp(-a) + 0.1 * a, f0=1.0)
     led = NonmonotoneLedger.start(1.0)
-    res = wolfe_search(line, 1e-6, led, -1.0, 1.0, P)
+    res = wolfe_search(line, 1e-6, led, -1.0, P)
     assert res.accepted_by is AcceptKind.WOLFE
     assert res.alpha > 1e-6  # curvature forces it past the tiny start
-    assert curvature_ok(res.slope_trial, -1.0, P)
+    assert curvature_ok(line.slope(res.alpha), -1.0, P)
     assert sufficient_decrease_ok(res.f_trial, led, 1.0, res.alpha, -1.0, P)
 
 
@@ -237,7 +238,7 @@ def test_wolfe_agrees_with_bisection_oracle_region():
     g = lambda a: (a - 3.0) / 3.0
     line = line_1d(f, g, f0=1.5)
     led = NonmonotoneLedger.start(1.5)
-    res = wolfe_search(line, 0.01, led, -1.0, 1.0, P)
+    res = wolfe_search(line, 0.01, led, -1.0, P)
     assert res.accepted_by is AcceptKind.WOLFE
     a = res.alpha
     assert f(a) <= led.Ck + q_next(led, f(a)) * P.delta_k * a * (-1.0)
@@ -248,7 +249,7 @@ def test_wolfe_zhang_hager_override_reduces_to_plain_rule():
     params = SolverParams(zh_delta=0.0005)
     line = line_1d(lambda a: 0.5 * (1 - a) ** 2, lambda a: a - 1.0, f0=0.5)
     led = NonmonotoneLedger.start(0.5)
-    res = wolfe_search(line, 1.0, led, -1.0, 1.0, params)
+    res = wolfe_search(line, 1.0, led, -1.0, params)
     assert res.accepted_by is AcceptKind.WOLFE
     assert res.f_trial <= led.Ck + 0.0005 * res.alpha * (-1.0) + 1e-12
 
@@ -258,7 +259,7 @@ def test_wolfe_gives_up_on_rising_function():
     # trial fails the decrease test and no usable fallback exists
     line = line_1d(lambda a: 1.0 + a, lambda a: 1.0, f0=1.0)
     led = NonmonotoneLedger.start(1.0)
-    res = wolfe_search(line, 1.0, led, -1.0, 1.0, P)
+    res = wolfe_search(line, 1.0, led, -1.0, P)
     assert res.accepted_by is AcceptKind.MAX_BACKTRACK
     assert res.alpha is None
 
@@ -266,7 +267,7 @@ def test_wolfe_gives_up_on_rising_function():
 def test_wolfe_rejects_nondescent_input():
     line = line_1d(lambda a: a, lambda a: 1.0, f0=0.0)
     with pytest.raises(ValueError):
-        wolfe_search(line, 1.0, NonmonotoneLedger.start(0.0), 1.0, 1.0, P)
+        wolfe_search(line, 1.0, NonmonotoneLedger.start(0.0), 1.0, P)
 
 
 def test_wolfe_stepsize_lower_bound_on_quadratic():
@@ -276,7 +277,7 @@ def test_wolfe_stepsize_lower_bound_on_quadratic():
                    f0=0.5 * L)
     led = NonmonotoneLedger.start(0.5 * L)
     gTd = -L
-    res = wolfe_search(line, 0.5, led, gTd, 1.0, P)
+    res = wolfe_search(line, 0.5, led, gTd, P)
     assert res.accepted_by is AcceptKind.WOLFE
     assert res.alpha >= (1.0 - P.sigma_wolfe) * abs(gTd) / L - 1e-15
 

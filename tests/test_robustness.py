@@ -77,6 +77,18 @@ def test_params_zh_delta_validated():
         SolverParams(zh_delta=1.5)
 
 
+def test_params_reject_thresholds_that_break_their_guarantees():
+    # eta0_tilde**2 underflows to 0: the entry test would need a zero residual
+    assert 1e-170 ** 2 == 0.0
+    with pytest.raises(ValueError):
+        SolverParams(eta0_tilde=1e-170)
+    # xi3 >= 1 makes the descent margin min(..., 1 - xi3, ...) nonpositive
+    for xi3 in (1.0, 2.0):
+        with pytest.raises(ValueError):
+            SolverParams(xi3=xi3)
+    SolverParams(eta0_tilde=1e-150, xi3=0.5)
+
+
 def test_baselines_handle_one_dimension():
     prob = Problem("sq1", 1, lambda x: float(x[0] ** 2),
                    lambda x: np.array([2.0 * x[0]]), np.array([4.0]))

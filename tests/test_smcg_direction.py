@@ -152,6 +152,12 @@ def test_quadratic_subproblem_degenerate_signal():
 
 # --- regularized subproblem -----------------------------------------------------
 
+def _bnorm(snap, u, v):
+    """||(u, v)||_B with B = [[rho, g'y], [g'y, s'y]]: the root varpi."""
+    q = rho_estimate(snap) * u * u + 2.0 * snap.gTy * u * v + snap.sTy * v * v
+    return math.sqrt(q)
+
+
 def test_regularized_off_matches_quadratic_exactly():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -162,24 +168,22 @@ def test_regularized_off_matches_quadratic_exactly():
             y = -y
         snap = snap_of(g, s, y)
         base = solve_quadratic_subproblem(snap)
-        reg = solve_regularized_subproblem(snap, 0.0,
-                                           sigma_rule=lambda t, s_: 0.0)
-        assert reg.sigma_k == 0.0
-        assert reg.u == base[0] and reg.v == base[1]  # bitwise
+        u, v = solve_regularized_subproblem(snap, 0.0)
+        assert u == base[0] and v == base[1]  # bitwise
 
 
 def test_regularized_hand_example_against_root_oracle():
     snap = snap_of([1, 0], [0, 1], [0, 1])
-    reg = solve_regularized_subproblem(snap, 0.0, sigma_rule=lambda t, s_: 1.0)
+    u, v = solve_regularized_subproblem(snap, 1.0)
     # N = ||(-2/3, 0)||_B with B = [[1.5, 0], [0, 1]]
     n_b = math.sqrt(1.5 * (2.0 / 3.0) ** 2)
     assert n_b == pytest.approx(0.8164965809, abs=1e-9)
     # varpi* solves sigma w^2 + w - N = 0; independent root via numpy
     roots = np.roots([1.0, 1.0, -n_b])
     w_star = max(roots)
-    assert reg.varpi_star == pytest.approx(w_star, abs=1e-12)
-    assert reg.u == pytest.approx((-2.0 / 3.0) / (1.0 + w_star), abs=1e-12)
-    assert reg.v == 0.0
+    assert _bnorm(snap, u, v) == pytest.approx(w_star, abs=1e-12)
+    assert u == pytest.approx((-2.0 / 3.0) / (1.0 + w_star), abs=1e-12)
+    assert v == 0.0
 
 
 def test_regularized_shrinks_monotonically_in_sigma():
@@ -187,10 +191,9 @@ def test_regularized_shrinks_monotonically_in_sigma():
     prev_norm = math.inf
     prev_scale = math.inf
     for sigma in [0.0, 0.1, 1.0, 10.0, 1e3, 1e6]:
-        reg = solve_regularized_subproblem(snap, 0.0,
-                                           sigma_rule=lambda t, s_, s=sigma: s)
-        norm = math.hypot(reg.u, reg.v)
-        scale = 1.0 / (1.0 + reg.sigma_k * reg.varpi_star)
+        u, v = solve_regularized_subproblem(snap, sigma)
+        norm = math.hypot(u, v)
+        scale = 1.0 / (1.0 + sigma * _bnorm(snap, u, v))
         assert norm <= prev_norm + 1e-15
         assert scale <= prev_scale + 1e-15
         prev_norm, prev_scale = norm, scale
@@ -252,11 +255,10 @@ def test_regularized_solution_matches_bruteforce_oracle():
             y = -y
         snap = snap_of(g, s, y)
         sigma = 0.0 if trial % 4 == 0 else float(rng.uniform(0.0, 5.0))
-        reg = solve_regularized_subproblem(snap, 0.0,
-                                           sigma_rule=lambda t, s_, s2=sigma: s2)
+        u, v = solve_regularized_subproblem(snap, sigma)
         w = _cubic_model_oracle(snap, sigma)
-        assert abs(reg.u - w[0]) <= 1e-8
-        assert abs(reg.v - w[1]) <= 1e-8
+        assert abs(u - w[0]) <= 1e-8
+        assert abs(v - w[1]) <= 1e-8
 
 
 def test_default_regularization_weight_scales_with_closeness():
