@@ -14,19 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import List, Optional
 
 import numpy as np
 
 from .core import (CaseTag, DirectionRecord, Problem, RunReport, SolverParams,
                    SolverState, Vector, dot)
-from .linesearch import (LineFunction, bb_fallback_stepsize, bb_stepsizes,
-                         clip_step, quad_interp_min)
+from .linesearch import (LineFunction, StepResult, bb_fallback_stepsize,
+                         bb_stepsizes, clip_step, quad_interp_min)
 # not called here; tools that time the layers patch these names in this module
 from .linesearch import ledger_update, wolfe_search  # noqa: F401
 from .smcg_direction import hs_direction, neg_grad_record
-from .solver import TraceHook, minimize, policy_step
+from .solver import TraceHook, minimize
 
 
 class BaselineTag(Enum):
@@ -74,12 +73,16 @@ def lbfgs_two_loop(g: Vector, s_list: List[Vector], y_list: List[Vector]) -> Vec
 
 class _Policy:
     """A baseline as ``solver.policy_step`` runs it: its direction, its trial
-    step, the BB rescue step, and the L-BFGS pair memory."""
+    step, the BB rescue step, and the L-BFGS pair memory.  It lands on the
+    search's point, never opens a phase and adds nothing to the record."""
+
+    phase = None
 
     def __init__(self, kind: BaselineKind):
         self.kind = kind
         self.s_mem: List[Vector] = []
         self.y_mem: List[Vector] = []
+        self.trace_fields: dict = {}
 
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
         g = state.g
@@ -113,7 +116,12 @@ class _Policy:
     def rescue_step(self, state: SolverState, params: SolverParams) -> float:
         return bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
 
-    def update(self, state: SolverState) -> None:
+    def land(self, cp, state: SolverState, record: DirectionRecord,
+             line: LineFunction, result: StepResult, params: SolverParams):
+        return line.point(result.alpha), result.f_trial, result.g_trial
+
+    def update(self, state: SolverState, record: DirectionRecord,
+               line: LineFunction, result: StepResult, params: SolverParams) -> None:
         s, y = state.s_prev, state.y_prev
         if self.kind.tag is BaselineTag.LBFGS and \
                 dot(s, y) > LBFGS_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
@@ -126,4 +134,4 @@ def run_baseline(kind: BaselineKind, problem: Problem,
                  params: Optional[SolverParams] = None,
                  trace_hook: Optional[TraceHook] = None) -> RunReport:
     """Minimize with the chosen baseline under the shared protocol."""
-    return minimize(problem, params, partial(policy_step, _Policy(kind)), trace_hook)
+    return minimize(problem, params, _Policy(kind), trace_hook)

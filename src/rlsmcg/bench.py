@@ -8,9 +8,10 @@ The command line has three subcommands::
 
 Config files are flat key-value text (``key = value``, ``#`` comments).
 Recognized keys: ``solvers`` and ``problems`` (comma-separated lists),
-``out``, ``repetitions``, ``seed``, and any solver parameter name as an
-override (e.g. ``grad_tol = 1e-8``).  Runs are deterministic: the same
-config and seed reproduce every column except wall time.
+``out``, ``repetitions``, and any solver parameter name as an override
+(e.g. ``grad_tol = 1e-8``).  A ``seed`` key is accepted and ignored: runs
+are deterministic, so the same config reproduces every column except wall
+time.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class BenchConfig:
     problems: List[str]
     out: str = "results.csv"
     repetitions: int = 1
-    seed: int = 0
     param_overrides: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -105,7 +105,7 @@ def parse_config(text: str) -> BenchConfig:
         elif key == "repetitions":
             kwargs["repetitions"] = int(value)
         elif key == "seed":
-            kwargs["seed"] = int(value)
+            pass  # runs are deterministic; older configs still carry the key
         elif key in _PARAM_FIELDS:
             overrides[key] = int(value) if key in _INT_PARAMS else float(value)
         else:

@@ -174,8 +174,6 @@ class SolverParams:
     alpha_max: float = 1e8
     # line-search coefficients
     delta_k: float = 0.0005
-    delta_min: float = 1e-6
-    delta_max: float = 0.9
     sigma_wolfe: float = 0.9999
     # when set, the sufficient-decrease coefficient becomes
     # zh_delta / Q_{k+1} per iteration (the Zhang-Hager reduction)
@@ -216,8 +214,7 @@ class SolverParams:
             require(self.varsigma > 0, "varsigma must be positive")
         require(0 < self.alpha_min < self.alpha_max,
                 "need 0 < alpha_min < alpha_max")
-        require(0 < self.delta_min < self.delta_k < self.delta_max < 1,
-                "need 0 < delta_min < delta_k < delta_max < 1")
+        require(1e-6 < self.delta_k < 0.9, "delta_k must be in (1e-6, 0.9)")
         if self.zh_delta is not None:
             require(0 < self.zh_delta < 1, "zh_delta must be in (0, 1)")
         require(0 < self.sigma_wolfe < 1, "sigma_wolfe must be in (0, 1)")
@@ -265,10 +262,9 @@ class RunReport:
 
 @dataclass
 class SolverState:
-    """Mutable per-run state; confined to one run and advanced only by the driver.
-
-    The baselines leave the state flag, restart counters and phase untouched.
-    """
+    """What the driver (``solver.minimize`` and ``solver.accept``) advances
+    for every solver, confined to one run; a solver's own state lives in its
+    policy."""
 
     k: int
     x: Vector
@@ -278,22 +274,9 @@ class SolverState:
     s_prev: Optional[Vector] = None
     y_prev: Optional[Vector] = None
     f_prev: Optional[float] = None
-    # quadratic-closeness bookkeeping (inf = no usable sample yet)
-    t_prev: float = math.inf
     # nonmonotone reference value and weight (a linesearch.NonmonotoneLedger)
     ledger: Optional[object] = None
-    state_flag: IterType = IterType.SMCG
-    iter_restart: int = 0
-    iter_quad: int = 0
     # ring buffer of the last memory_m search directions, newest first
     dir_history: list = field(default_factory=list)
-    prev_case: Optional[CaseTag] = None
-    # subspace quasi-Newton phase (None while in SMCG state): the orthonormal
-    # basis the reduced model lives in, and that of the core of the memory
-    # the phase must leave
-    subspace: Optional[np.ndarray] = None
-    core: Optional[np.ndarray] = None
-    bhat: Optional[object] = None
-    rqn_phase_iter: int = 0                 # 0 outside a phase
     # consecutive line-search fallbacks, for the failure escalation rule
     backtrack_strikes: int = 0

@@ -26,16 +26,15 @@ class AcceptKind(Enum):
 
 @dataclass(frozen=True)
 class NonmonotoneLedger:
-    """Reference value C_k, accumulated weight Q_k, and the control used last."""
+    """Reference value C_k and accumulated weight Q_k after k updates."""
 
     Ck: float
     Qk: float
-    eta_k: float
     k: int
 
     @classmethod
     def start(cls, f0: float) -> "NonmonotoneLedger":
-        return cls(Ck=f0, Qk=1.0, eta_k=0.9, k=0)
+        return cls(Ck=f0, Qk=1.0, k=0)
 
 
 @dataclass
@@ -149,12 +148,11 @@ def ledger_update(ledger: NonmonotoneLedger, f_next: float) -> NonmonotoneLedger
     afterwards C is the eta-weighted running combination.
     """
     if ledger.k == 0:
-        return NonmonotoneLedger(Ck=min(ledger.Ck, f_next + 1.0), Qk=2.0,
-                                 eta_k=1.0, k=1)
+        return NonmonotoneLedger(Ck=min(ledger.Ck, f_next + 1.0), Qk=2.0, k=1)
     eta = _eta_rule(ledger.Ck, f_next, ledger.k)
     Qn = eta * ledger.Qk + 1.0
     Cn = (eta * ledger.Qk * ledger.Ck + f_next) / Qn
-    return NonmonotoneLedger(Ck=Cn, Qk=Qn, eta_k=eta, k=ledger.k + 1)
+    return NonmonotoneLedger(Ck=Cn, Qk=Qn, k=ledger.k + 1)
 
 
 def sufficient_decrease_ok(f_new: float, ledger: NonmonotoneLedger, eta_bar: float,

@@ -171,9 +171,8 @@ def sufficient_descent_coefficient(params: SolverParams) -> float:
 
 
 def closeness_from_state(state: SolverState) -> float:
-    """Quadratic closeness of the last accepted step; inf when undefined."""
-    if state.k == 0 or state.s_prev is None or state.f_prev is None:
-        return math.inf
+    """Quadratic closeness of the last accepted step (one must have been
+    taken); inf when undefined."""
     sTy = dot(state.s_prev, state.y_prev)
     if sTy == 0.0:
         return math.inf
@@ -181,12 +180,12 @@ def closeness_from_state(state: SolverState) -> float:
     return t if math.isfinite(t) else math.inf
 
 
-def smcg_direction(
-    state: SolverState,
-    params: SolverParams,
-    t_k: Optional[float] = None,
-) -> DirectionRecord:
+def smcg_direction(state: SolverState, params: SolverParams, t_k: float,
+                   quad_like: bool) -> DirectionRecord:
     """Four-case direction selection for the conjugate-gradient-type iteration.
+
+    ``quad_like`` is the quadratic-like test on the closeness ``t_k`` and the
+    one before it.
 
     Case (i)  well-conditioned, not quadratic-like: cubic-regularized solve.
     Case (ii) well-conditioned and quadratic-like:  plain quadratic solve.
@@ -199,8 +198,6 @@ def smcg_direction(
     g = state.g
     if state.k == 0 or state.s_prev is None:
         return neg_grad_record(g)
-    if t_k is None:
-        t_k = closeness_from_state(state)
     try:
         snap = CurvatureSnapshot.from_vectors(g, state.s_prev, state.y_prev)
     except ValueError:
@@ -208,7 +205,6 @@ def smcg_direction(
 
     record = None
     if is_well_conditioned(snap, params):
-        quad_like = is_quadratic_like(t_k, state.t_prev, params)
         if quad_like:
             sol = solve_quadratic_subproblem(snap)
             if sol is not None:

@@ -1,10 +1,12 @@
-"""Driver: one iteration loop for all five solvers, and the rlsmcg iteration.
+"""Driver: one iteration loop for all five solvers, and the rlsmcg policy.
 
-``minimize`` runs the loop, its termination tests and the trace hook.  Every
-iteration searches through ``search`` (nonmonotone Wolfe, two-strike rescue)
-and moves through ``accept``.  The rlsmcg iteration, ``step``, adds restarts,
-acceleration and the state-flag transition driven by the orthogonality
-predicates; a baseline supplies a direction policy to ``policy_step``.
+``minimize`` runs the loop, its termination tests and the trace hook; every
+iteration is one ``policy_step``: the policy's direction, the nonmonotone
+Wolfe search with its two-strike -g rescue, the policy's landing point, the
+move through ``accept`` and the policy's update.  A baseline is a direction
+policy (``baselines._Policy``).  ``Rlsmcg`` is the paper's method: restarts,
+acceleration, and the subspace quasi-Newton phase that the orthogonality
+predicates open and close, held as one ``Phase`` value.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -75,34 +76,6 @@ class TraceRecord:
 TraceHook = Callable[[TraceRecord], None]
 
 
-def search(state: SolverState, cp: CountingProblem, params: SolverParams,
-           record: DirectionRecord, line: LineFunction, alpha0: float,
-           rescue_step: Callable[[SolverState, SolverParams], float]
-           ) -> Tuple[DirectionRecord, LineFunction, Optional[StepResult], bool]:
-    """Nonmonotone Wolfe search along ``record.d`` from ``alpha0``.
-
-    The best point of a search that hit its backtracking cap is accepted
-    once; on a second such search in a row, or with no point below C_k, the
-    search reruns along -g from ``rescue_step(state, params)``.  Returns the
-    direction and line searched last, the result (None if the rescue failed
-    too) and whether the rescue ran."""
-    result = wolfe_search(line, alpha0, state.ledger, record.gTd, params)
-    if result.accepted_by is AcceptKind.WOLFE:
-        state.backtrack_strikes = 0
-        return record, line, result, False
-    state.backtrack_strikes += 1
-    if state.backtrack_strikes < 2 and result.alpha is not None:
-        return record, line, result, False
-    record = smcg.neg_grad_record(state.g)
-    line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
-    result = wolfe_search(line, rescue_step(state, params), state.ledger,
-                          record.gTd, params)
-    if result.accepted_by is not AcceptKind.WOLFE:
-        return record, line, None, True
-    state.backtrack_strikes = 0
-    return record, line, result, True
-
-
 def accept(state: SolverState, record: DirectionRecord, x_next: Vector,
            f_next: float, g_next: Vector, params: SolverParams) -> Optional[Status]:
     """Move to ``x_next`` after a step along ``record.d``: advance C_k, push
@@ -119,28 +92,8 @@ def accept(state: SolverState, record: DirectionRecord, x_next: Vector,
     state.y_prev = g_next - state.g
     state.f_prev = state.f
     state.x, state.f, state.g = x_next, f_next, g_next
-    state.prev_case = record.case_tag
     state.k += 1
     return None
-
-
-def _trace(traced: bool, state: SolverState, record: DirectionRecord,
-           gnorm2: float, ledger: NonmonotoneLedger, result: Optional[StepResult],
-           rescued: bool, state_before: IterType, failure: Optional[Status] = None,
-           **rlsmcg_fields) -> Optional[TraceRecord]:
-    """The iteration's record when ``traced``, read from ``state`` after the
-    step, or as it stayed when the step failed."""
-    if not traced:
-        return None
-    return TraceRecord(
-        k=state.k if failure else state.k - 1, case_tag=record.case_tag,
-        alpha=math.nan if failure else result.alpha, gnorm_inf=norm_inf(state.g),
-        Ck=state.ledger.Ck, state=state.state_flag, state_before=state_before,
-        gTd=record.gTd, gnorm2=gnorm2, dnorm=float(np.linalg.norm(record.d)),
-        f=state.f, Ck_before=ledger.Ck,
-        accepted_by=AcceptKind.MAX_BACKTRACK if failure else result.accepted_by,
-        rescued=rescued, failure=failure,
-        mu=state.bhat.mu if state.bhat is not None else 0.0, **rlsmcg_fields)
 
 
 def initial_state(cp: CountingProblem) -> SolverState:
@@ -150,11 +103,10 @@ def initial_state(cp: CountingProblem) -> SolverState:
     return SolverState(k=0, x=x0, f=f0, g=g0, ledger=NonmonotoneLedger.start(f0))
 
 
-def minimize(problem: Problem, params: Optional[SolverParams],
-             iterate: Callable, trace_hook: Optional[TraceHook] = None) -> RunReport:
-    """Run ``iterate(state, cp, params, traced)``, one step as ``step`` takes
-    it, until the max-norm gradient tolerance, the iteration cap or a failure.
-    """
+def minimize(problem: Problem, params: Optional[SolverParams], policy,
+             trace_hook: Optional[TraceHook] = None) -> RunReport:
+    """Run ``policy_step`` with a fresh ``policy`` until the max-norm
+    gradient tolerance, the iteration cap or a failure."""
     p = (params if params is not None else SolverParams()).resolve(problem.dim)
     cp = CountingProblem(problem)
     t_start = time.perf_counter()
@@ -169,7 +121,7 @@ def minimize(problem: Problem, params: Optional[SolverParams],
             status = Status.ITER_CAP
         else:
             try:
-                status, rec = iterate(state, cp, p, traced)
+                status, rec = policy_step(policy, state, cp, p, traced)
             except NumericError:
                 status, rec = Status.NUMERIC_FAIL, None
             if rec is not None:
@@ -181,14 +133,26 @@ def minimize(problem: Problem, params: Optional[SolverParams],
                      x=state.x, f=state.f)
 
 
+def _iter_type(phase) -> IterType:
+    return IterType.SMCG if phase is None else IterType.RQN
+
+
 def policy_step(policy, state: SolverState, cp: CountingProblem,
                 params: SolverParams, traced: bool = True
                 ) -> Tuple[Optional[Status], Optional[TraceRecord]]:
-    """One iteration of a baseline, given by its ``policy``; returns what
-    ``step`` returns.  The policy supplies ``direction(state, params)``,
-    ``trial_step(line, state, record, params)``, ``rescue_step(state,
-    params)`` and ``update(state)``; a non-descent direction becomes -g.
+    """One iteration of the solver given by ``policy``; mutates ``state``.
+
+    The policy supplies the ``direction`` (-g if it is no descent direction),
+    the ``trial_step`` and ``rescue_step`` of the search, the point to
+    ``land`` on from the search's result, and the ``update`` after a step is
+    taken.  Its ``phase`` (None outside an RQN phase) gives the state flags,
+    its ``trace_fields`` the rest of the record.  A search that hit its
+    backtracking cap is taken once; a second one in a row, or one with no
+    point below C_k, reruns along -g from the rescue step.  Returns the
+    failure status (None when the step was taken) and, when ``traced``, the
+    record; a NumericError from the policy propagates.
     """
+    phase = policy.phase
     record = policy.direction(state, params)
     if record.gTd >= 0.0 or not np.all(np.isfinite(record.d)):
         record = smcg.neg_grad_record(state.g)
@@ -196,178 +160,199 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
     gnorm2 = dot(state.g, state.g) if traced else math.nan
     line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
     alpha0 = policy.trial_step(line, state, record, params)
-    record, line, result, rescued = search(state, cp, params, record, line,
-                                           alpha0, policy.rescue_step)
+    result = wolfe_search(line, alpha0, ledger, record.gTd, params)
+    wolfe = result.accepted_by is AcceptKind.WOLFE
+    state.backtrack_strikes = 0 if wolfe else state.backtrack_strikes + 1
+    rescued = state.backtrack_strikes >= 2 or result.alpha is None
+    if rescued:
+        record = smcg.neg_grad_record(state.g)
+        line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
+        result = wolfe_search(line, policy.rescue_step(state, params), ledger,
+                              record.gTd, params)
+        if result.accepted_by is AcceptKind.WOLFE:
+            state.backtrack_strikes = 0
+        else:
+            result = None
     status = Status.LINESEARCH_FAIL if result is None else accept(
-        state, record, line.point(result.alpha), result.f_trial, result.g_trial,
+        state, record, *policy.land(cp, state, record, line, result, params),
         params)
     if status is None:
-        policy.update(state)
-    return status, _trace(traced, state, record, gnorm2, ledger, result,
-                          rescued, state.state_flag, status)
+        policy.update(state, record, line, result, params)
+    if not traced:
+        return status, None
+    exited = phase is not None and policy.phase is None
+    return status, TraceRecord(
+        k=state.k if status else state.k - 1, case_tag=record.case_tag,
+        alpha=math.nan if status else result.alpha, gnorm_inf=norm_inf(state.g),
+        Ck=state.ledger.Ck, state=_iter_type(policy.phase),
+        state_before=_iter_type(phase), gTd=record.gTd, gnorm2=gnorm2,
+        dnorm=float(np.linalg.norm(record.d)), f=state.f, Ck_before=ledger.Ck,
+        accepted_by=AcceptKind.MAX_BACKTRACK if status else result.accepted_by,
+        rescued=rescued, failure=status,
+        mu=0.0 if policy.phase is None else policy.phase.bhat.mu,
+        entered_rqn=phase is None and policy.phase is not None,
+        exited_rqn=exited,
+        # the guard or the rescue replaced the reduced step, closing the phase
+        guard_fallback=exited and record.case_tag is not CaseTag.RQN,
+        **policy.trace_fields)
 
 
-def _rescue_stepsize(state: SolverState, params: SolverParams) -> float:
-    if state.s_prev is not None and dot(state.s_prev, state.y_prev) > 0.0:
-        bb1, _ = bb_stepsizes(state.s_prev, state.y_prev)
-        return clip_step(bb1, params)
-    gni = norm_inf(state.g)
-    return clip_step(1.0 / gni if gni > 0.0 else 1.0, params)
+@dataclass(frozen=True)
+class Phase:
+    """An open RQN phase: the reduced model ``bhat`` lives in the orthonormal
+    ``basis``, and the phase is left once the gradient points out of
+    ``core``, the well-conditioned part of the memory's span at entry.
+    ``iters`` counts the RQN iterations taken."""
+
+    basis: np.ndarray
+    core: np.ndarray
+    bhat: rqn.SubspaceHessian
+    iters: int = 0
 
 
-def step(state: SolverState, cp: CountingProblem, params: SolverParams,
-         traced: bool = True, *, rqn_enabled: bool = True
-         ) -> Tuple[Optional[Status], Optional[TraceRecord]]:
-    """One full rlsmcg iteration; mutates ``state``.
+class Rlsmcg:
+    """The rlsmcg iteration as ``policy_step`` runs it (see ``run``)."""
 
-    Returns the failure status (None when the step was taken) and, when
-    ``traced``, the record.  Raises NumericError only when the reduced
-    quasi-Newton solve fails twice."""
-    x, f, g = state.x, state.f, state.g
-    ledger = state.ledger
-    state_before = state.state_flag
-    gnorm2 = dot(g, g)
-    t_k = smcg.closeness_from_state(state)
-    quad_like = smcg.is_quadratic_like(t_k, state.t_prev, params)
+    def __init__(self, rqn_enabled: bool = True):
+        self.rqn_enabled = rqn_enabled
+        # quadratic closeness at the current iterate (inf = no usable
+        # sample yet) and the quadratic-like test on it and the one before
+        self.t_k, self.quad_like = math.inf, False
+        self.iter_restart = self.iter_quad = 0
+        self.prev_case: Optional[CaseTag] = None
+        self.phase: Optional[Phase] = None
+        self.gnorm2 = math.nan
+        self.trace_fields: dict = {}
 
-    # --- Step 2: direction ---------------------------------------------
-    restarted = False
-    guard_fallback = False
-    if state.state_flag is IterType.RQN:
-        record = rqn.rqn_direction(state.subspace, state.bhat, g)
-        c1 = smcg.sufficient_descent_coefficient(params)
-        if (not np.all(np.isfinite(record.d))) or record.gTd > -c1 * gnorm2:
-            # degenerate reduced step: restart with -g and leave the phase
-            record = smcg.neg_grad_record(g)
-            guard_fallback = True
-    elif state.iter_quad == params.min_quad and state.iter_quad != state.iter_restart:
-        record = smcg.neg_grad_record(g)
-        restarted = True
-    else:
-        record = smcg.smcg_direction(state, params, t_k)
+    def _restart_due(self, params: SolverParams) -> bool:
+        return (self.phase is None and self.iter_quad == params.min_quad
+                and self.iter_quad != self.iter_restart)
 
-    # --- Step 3: initial stepsize ---------------------------------------
-    line = LineFunction(cp, x, record.d, f0=f, g0=g)
-    if record.case_tag is CaseTag.RQN:
-        kind = "rqn_identity" if state.bhat.is_identity else "interp"
-    elif record.case_tag is CaseTag.NEG_GRAD:
-        kind = "neg_grad"
-    else:
+    def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
+        g = state.g
+        self.gnorm2 = dot(g, g)
+        self.trace_fields = {"t_k": self.t_k}
+        if self.phase is not None:
+            record = rqn.rqn_direction(self.phase.basis, self.phase.bhat, g)
+            c1 = smcg.sufficient_descent_coefficient(params)
+            if not np.all(np.isfinite(record.d)) or record.gTd > -c1 * self.gnorm2:
+                # degenerate reduced step: restart with -g and leave the phase
+                return smcg.neg_grad_record(g)
+            return record
+        if self._restart_due(params):
+            return smcg.neg_grad_record(g)
+        return smcg.smcg_direction(state, params, self.t_k, self.quad_like)
+
+    def trial_step(self, line: LineFunction, state: SolverState,
+                   record: DirectionRecord, params: SolverParams) -> float:
         kind = "interp"
-    # the BB step only where initial_stepsize can use it
-    bb = None if kind == "interp" else bb_fallback_stepsize(g, state.s_prev,
-                                                             state.y_prev, params)
-    prev_was_neg_grad = state.prev_case is None or state.prev_case is CaseTag.NEG_GRAD
-    alpha0 = initial_stepsize(line, params, kind=kind, gTd=record.gTd,
-                              gnorm2=gnorm2, quad_like=quad_like,
-                              bb_fallback=bb, prev_was_neg_grad=prev_was_neg_grad)
+        if record.case_tag is CaseTag.RQN and self.phase.bhat.is_identity:
+            kind = "rqn_identity"
+        elif record.case_tag is CaseTag.NEG_GRAD:
+            kind = "neg_grad"
+        # the BB step only where initial_stepsize can use it
+        bb = None if kind == "interp" else bb_fallback_stepsize(
+            state.g, state.s_prev, state.y_prev, params)
+        prev_was_neg_grad = self.prev_case in (None, CaseTag.NEG_GRAD)
+        return initial_stepsize(line, params, kind=kind, gTd=record.gTd,
+                                gnorm2=self.gnorm2, quad_like=self.quad_like,
+                                bb_fallback=bb, prev_was_neg_grad=prev_was_neg_grad)
 
-    # --- Step 4: line search (plus the rescue path) ----------------------
-    record, line, result, rescued = search(state, cp, params, record, line,
-                                           alpha0, _rescue_stepsize)
-    guard_fallback = guard_fallback or (rescued and state_before is IterType.RQN)
-    if result is None:
-        return Status.LINESEARCH_FAIL, _trace(
-            traced, state, record, gnorm2, ledger, result, rescued, state_before,
-            Status.LINESEARCH_FAIL, t_k=t_k)
+    def rescue_step(self, state: SolverState, params: SolverParams) -> float:
+        s, y = state.s_prev, state.y_prev
+        if s is not None and dot(s, y) > 0.0:
+            return clip_step(bb_stepsizes(s, y)[0], params)
+        gni = norm_inf(state.g)
+        return clip_step(1.0 / gni if gni > 0.0 else 1.0, params)
 
-    alpha = result.alpha
-    f_z = result.f_trial
-    g_z = result.g_trial
-    z = line.point(alpha)
+    def land(self, cp: CountingProblem, state: SolverState, record: DirectionRecord,
+             line: LineFunction, result: StepResult, params: SolverParams):
+        """The trial point, or its secant rescale when the acceleration gate
+        opens before the trial point has converged."""
+        trial = TrialPoint(z=line.point(result.alpha), f_z=result.f_trial,
+                           g_z=result.g_trial, alpha=result.alpha, d=record.d)
+        early = norm_inf(trial.g_z) <= params.grad_tol
+        self.trace_fields["early_converged"] = early
+        if early or not accel_criterion(state.f, self.gnorm2, record.gTd, trial,
+                                        params):
+            return trial.z, trial.f_z, trial.g_z
+        accel = apply_acceleration(cp, state.x, record.gTd, trial, state.ledger,
+                                   params)
+        self.trace_fields.update(eta_bar=accel.eta_bar, accel_attempted=True,
+                                 accel_accepted=accel.accepted)
+        return accel.x_next, accel.f_next, accel.g_next
 
-    # --- Step 5: trial-point termination check ---------------------------
-    early = norm_inf(g_z) <= params.grad_tol
-
-    # --- Steps 6/7: acceleration or plain update -------------------------
-    trial = TrialPoint(z=z, f_z=f_z, g_z=g_z, alpha=alpha, d=record.d)
-    x_next, f_next, g_next = z, f_z, g_z
-    accel = None
-    if not early and accel_criterion(f, gnorm2, record.gTd, trial, params):
-        accel = apply_acceleration(cp, x, record.gTd, trial, ledger, params)
-        x_next, f_next, g_next = accel.x_next, accel.f_next, accel.g_next
-
-    # --- Steps 9/11: reference update, direction history and shift --------
-    failure = accept(state, record, x_next, f_next, g_next, params)
-    if failure is not None:
-        return failure, _trace(traced, state, record, gnorm2, ledger, result,
-                               rescued, state_before, failure, t_k=t_k)
-
-    # --- Step 8: restart counters ----------------------------------------
-    state.iter_restart, state.iter_quad = update_restart_counters(
-        state.iter_restart, state.iter_quad, t_k, restarted, params)
-    state.t_prev = t_k
-
-    # --- Step 10: state transition ----------------------------------------
-    entered = False
-    exited = False
-    orth_lost_flag = None
-    bhat = None
-    if state_before is IterType.SMCG:
-        if len(state.dir_history) == params.memory_m:
-            Z = rqn.qr_update(state.dir_history)
-            if Z is not None:
-                orth_lost_flag = rqn.orthogonality_lost(Z, g_next, params)
-                if orth_lost_flag and rqn_enabled:
-                    # the phase is judged on the well-conditioned core of the
-                    # span: entered only when the core is a proper subspace
-                    # (else the exit predicate could never hold), left once
-                    # the gradient points out of it
-                    core = rqn.qr_update(state.dir_history, rqn.ENTRY_RANK_TOL)
-                    if core is not None and core.shape[1] < cp.dim:
-                        # the model lives on the core, unless the memory spans
-                        # R^n and f is locally quadratic.  Then the model takes
-                        # all of R^n: the core's complement holds the weak
-                        # modes the stall neglects, and with the exact line
-                        # minimizers that interpolation gives on a quadratic,
-                        # BFGS iterates do not depend on the scale of the
-                        # identity it starts from there.  Off that regime the
-                        # scale matters, so the phase keeps to the core.
-                        basis = core
-                        if params.memory_m >= cp.dim and quad_like:
-                            basis = np.eye(cp.dim)
-                        state.state_flag = IterType.RQN
-                        state.subspace = basis
-                        state.core = core
-                        state.bhat = rqn.SubspaceHessian.identity(
-                            basis.shape[1], params.mu_min)
-                        entered = True
-    else:
-        if record.case_tag is CaseTag.RQN:
-            Z = state.subspace
-            s_hat = Z.T @ state.s_prev
-            y_hat = Z.T @ state.y_prev
-            d_hat = Z.T @ record.d
-            r = rqn.ratio(f, f_z, alpha, Z.T @ g, d_hat, state.bhat.B_hat)
-            if r is None and f_z < f:
-                # the model rose past alpha = 2 where f fell: it overstated
-                # the curvature along d, so the step beat it (ratio +inf)
-                r = math.inf
-            mu_new = rqn.update_mu(state.bhat.mu, r,
-                                   dot(state.s_prev, state.s_prev), params)
-            state.rqn_phase_iter += 1
-            state.bhat = rqn.rbfgs_update(replace(state.bhat, mu=mu_new),
-                                          s_hat, y_hat, state.rqn_phase_iter, params)
-            bhat = state.bhat.B_hat
-            # exit once the gradient is mostly orthogonal to the frozen core
-            if rqn.orthogonality_restored(state.core, g_next, params):
-                exited = True
+    def update(self, state: SolverState, record: DirectionRecord,
+               line: LineFunction, result: StepResult, params: SolverParams):
+        """Advance the restart counters, open, advance or close the phase,
+        and take the closeness of the new iterate."""
+        self.iter_restart, self.iter_quad = update_restart_counters(
+            self.iter_restart, self.iter_quad, self.t_k, self._restart_due(params),
+            params)
+        self.prev_case = record.case_tag
+        if self.phase is None:
+            self._monitor(state, params)
+        elif record.case_tag is CaseTag.RQN:
+            self._advance(state, record, line, result, params)
         else:
-            # guard or rescue replaced the reduced step: abandon the phase
-            exited = True
-        if exited:
-            state.state_flag = IterType.SMCG
-            state.subspace = None
-            state.core = None
-            state.bhat = None
-            state.rqn_phase_iter = 0
+            self.phase = None  # guard or rescue replaced the reduced step
+        t_next = smcg.closeness_from_state(state)
+        self.quad_like = smcg.is_quadratic_like(t_next, self.t_k, params)
+        self.t_k = t_next
 
-    return None, _trace(
-        traced, state, record, gnorm2, ledger, result, rescued, state_before, t_k=t_k,
-        eta_bar=accel.eta_bar if accel else 1.0, accel_attempted=accel is not None,
-        accel_accepted=accel is not None and accel.accepted, entered_rqn=entered,
-        exited_rqn=exited, orth_lost_flag=orth_lost_flag, bhat=bhat,
-        guard_fallback=guard_fallback, early_converged=early)
+    def _monitor(self, state: SolverState, params: SolverParams) -> None:
+        """With a full memory, test whether g lost orthogonality to its span,
+        and if so open a phase."""
+        if len(state.dir_history) < params.memory_m:
+            return
+        Z = rqn.qr_update(state.dir_history)
+        if Z is None:
+            return
+        lost = rqn.orthogonality_lost(Z, state.g, params)
+        self.trace_fields["orth_lost_flag"] = lost
+        if not (lost and self.rqn_enabled):
+            return
+        # the phase is judged on the well-conditioned core of the span:
+        # entered only when the core is a proper subspace (else the exit
+        # predicate could never hold), left once the gradient points out of it
+        n = state.x.size
+        core = rqn.qr_update(state.dir_history, rqn.ENTRY_RANK_TOL)
+        if core is None or core.shape[1] >= n:
+            return
+        # the model lives on the core, unless the memory spans R^n and f is
+        # locally quadratic.  Then the model takes all of R^n: the core's
+        # complement holds the weak modes the stall neglects, and with the
+        # exact line minimizers that interpolation gives on a quadratic, BFGS
+        # iterates do not depend on the scale of the identity it starts from
+        # there.  Off that regime the scale matters, so the phase keeps to
+        # the core.
+        basis = np.eye(n) if params.memory_m >= n and self.quad_like else core
+        self.phase = Phase(basis, core, rqn.SubspaceHessian.identity(
+            basis.shape[1], params.mu_min))
+
+    def _advance(self, state: SolverState, record: DirectionRecord,
+                 line: LineFunction, result: StepResult, params: SolverParams):
+        """One regularized BFGS update after an RQN step; the phase closes
+        once the gradient is mostly orthogonal to the frozen core."""
+        Z, bhat = self.phase.basis, self.phase.bhat
+        f = line.value(0.0)  # the pre-step f and g themselves
+        s_hat = Z.T @ state.s_prev
+        y_hat = Z.T @ state.y_prev
+        d_hat = Z.T @ record.d
+        r = rqn.ratio(f, result.f_trial, result.alpha, Z.T @ line.gradient(0.0),
+                      d_hat, bhat.B_hat)
+        if r is None and result.f_trial < f:
+            # the model rose past alpha = 2 where f fell: it overstated the
+            # curvature along d, so the step beat it (ratio +inf)
+            r = math.inf
+        mu = rqn.update_mu(bhat.mu, r, dot(state.s_prev, state.s_prev), params)
+        iters = self.phase.iters + 1
+        bhat = rqn.rbfgs_update(replace(bhat, mu=mu), s_hat, y_hat, iters, params)
+        self.trace_fields["bhat"] = bhat.B_hat
+        if rqn.orthogonality_restored(self.phase.core, state.g, params):
+            self.phase = None
+        else:
+            self.phase = replace(self.phase, bhat=bhat, iters=iters)
 
 
 def run(problem: Problem, params: Optional[SolverParams] = None, *,
@@ -379,8 +364,7 @@ def run(problem: Problem, params: Optional[SolverParams] = None, *,
     is still evaluated and traced, but the quasi-Newton phase is never
     entered.
     """
-    iterate = partial(step, rqn_enabled=rqn_enabled)
-    return minimize(problem, params, iterate, trace_hook)
+    return minimize(problem, params, Rlsmcg(rqn_enabled), trace_hook)
 
 
 def run_with_trace(problem: Problem, params: Optional[SolverParams] = None, *,

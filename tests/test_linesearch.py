@@ -5,7 +5,7 @@ import pytest
 
 from rlsmcg.core import CountingProblem, Problem, SolverParams
 from rlsmcg.linesearch import (AcceptKind, LineFunction, NonmonotoneLedger,
-                               bb_fallback_stepsize, bb_stepsizes, clip_step,
+                               _eta_rule, bb_fallback_stepsize, bb_stepsizes, clip_step,
                                curvature_ok, initial_stepsize, ledger_update,
                                q_next, quad_interp_min, sufficient_decrease_ok,
                                wolfe_search)
@@ -138,25 +138,25 @@ def test_ledger_first_update_uses_fixed_weight():
 
 
 def test_ledger_eta_stays_low_early():
-    led = NonmonotoneLedger(Ck=1.0, Qk=3.0, eta_k=0.9, k=50)
+    led = NonmonotoneLedger(Ck=1.0, Qk=3.0, k=50)
     led2 = ledger_update(led, 0.01)
     # reduction 0.99 > 0.95 but k <= 100 keeps eta at 0.9
     assert led2.Qk == pytest.approx(0.9 * 3.0 + 1.0)
 
 
 def test_ledger_eta_locks_late_on_large_reduction():
-    led = NonmonotoneLedger(Ck=1.0, Qk=3.0, eta_k=0.9, k=150)
+    led = NonmonotoneLedger(Ck=1.0, Qk=3.0, k=150)
     led2 = ledger_update(led, 0.01)
     assert led2.Qk == pytest.approx(1.0 * 3.0 + 1.0)
 
 
 def test_ledger_recurrences_hold_exactly():
     rng = np.random.default_rng(4)
-    led = NonmonotoneLedger(Ck=5.0, Qk=1.7, eta_k=0.9, k=3)
+    led = NonmonotoneLedger(Ck=5.0, Qk=1.7, k=3)
     for _ in range(50):
         f_next = float(rng.normal())
         new = ledger_update(led, f_next)
-        eta = new.eta_k
+        eta = _eta_rule(led.Ck, f_next, led.k)
         assert new.Qk == eta * led.Qk + 1.0
         assert new.Ck == (eta * led.Qk * led.Ck + f_next) / new.Qk
         led = new
@@ -168,7 +168,7 @@ def test_equivalence_identity_between_forms():
     for _ in range(200):
         led = NonmonotoneLedger(Ck=float(rng.normal()),
                                 Qk=float(rng.uniform(1, 10)),
-                                eta_k=0.9, k=int(rng.integers(1, 300)))
+                                k=int(rng.integers(1, 300)))
         f_next = float(rng.normal())
         X = float(-abs(rng.normal()))
         new = ledger_update(led, f_next)
@@ -195,7 +195,7 @@ def test_reference_value_monotone_under_acceptance():
         led = new
 
 
-def test_reference_is_convex_combination_without_special_case():
+def test_reference_stays_in_range_from_the_default_first_step():
     rng = np.random.default_rng(12)
     led = NonmonotoneLedger.start(1.0)
     values = [1.0]

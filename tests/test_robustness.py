@@ -99,14 +99,15 @@ def test_baselines_handle_one_dimension():
 
 def test_memory_cap_respected_in_trace():
     from rlsmcg.core import CountingProblem
-    from rlsmcg.solver import initial_state, step
+    from rlsmcg.solver import Rlsmcg, initial_state, policy_step
     from rlsmcg.problems import ext_rosenbrock
     prob = ext_rosenbrock(100)
     params = SolverParams().resolve(prob.dim)
     cp = CountingProblem(prob)
     state = initial_state(cp)
+    policy = Rlsmcg()
     for _ in range(15):
-        step(state, cp, params)
+        policy_step(policy, state, cp, params)
         assert len(state.dir_history) <= params.memory_m
         for d in state.dir_history:
             assert d.shape == (100,)

@@ -326,13 +326,13 @@ def test_dispatch_sufficient_descent_margin():
 
 def test_dispatch_falls_back_when_all_gates_closed():
     # negative curvature pair closes both the model and the HS gates
-    from rlsmcg.core import IterType, SolverState
+    from rlsmcg.core import SolverState
+    from rlsmcg.smcg_direction import closeness_from_state
     g = np.array([1.0, 1.0])
     state = SolverState(k=3, x=np.zeros(2), f=1.0, g=g,
                         s_prev=np.array([1.0, 0.0]),
                         y_prev=np.array([-1.0, 0.0]),
-                        f_prev=2.0, state_flag=IterType.SMCG,
-                        dir_history=[np.array([0.0, -1.0])])
-    rec = smcg_direction_op(state, P)
+                        f_prev=2.0, dir_history=[np.array([0.0, -1.0])])
+    rec = smcg_direction_op(state, P, closeness_from_state(state), False)
     assert rec.case_tag is CaseTag.NEG_GRAD
     assert rec.d == pytest.approx(-g)

@@ -1,15 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rlsmcg import smcg_direction as smcg
 from rlsmcg.core import (CaseTag, CountingProblem, IterType, Problem,
                          SolverParams, Status)
 from rlsmcg.problems import ext_rosenbrock, get_problem, quad_diag, sphere
-from rlsmcg.solver import (initial_state, run, run_with_trace, step,
-                           update_restart_counters)
-from rlsmcg.subspace_rqn import orthogonality_restored
+from rlsmcg.solver import (Rlsmcg, initial_state, policy_step, run,
+                           run_with_trace, update_restart_counters)
+from rlsmcg.subspace_rqn import SubspaceHessian, orthogonality_restored
 
 P = SolverParams()
 
@@ -36,13 +36,14 @@ def test_forced_restart_fires_when_counters_disagree():
     params = P.resolve(prob.dim)
     cp = CountingProblem(prob)
     state = initial_state(cp)
+    policy = Rlsmcg()
     for _ in range(3):
-        step(state, cp, params)
-    state.iter_quad = params.min_quad
-    state.iter_restart = params.min_quad + 7
-    _, rec = step(state, cp, params)
+        policy_step(policy, state, cp, params)
+    policy.iter_quad = params.min_quad
+    policy.iter_restart = params.min_quad + 7
+    _, rec = policy_step(policy, state, cp, params)
     assert rec.case_tag is CaseTag.NEG_GRAD
-    assert state.iter_quad == 0 and state.iter_restart == 0
+    assert policy.iter_quad == 0 and policy.iter_restart == 0
 
 
 # --- single steps ----------------------------------------------------------------
@@ -59,8 +60,9 @@ def test_step_keeps_objective_and_gradient_consistent():
     params = P.resolve(prob.dim)
     cp = CountingProblem(prob)
     state = initial_state(cp)
+    policy = Rlsmcg()
     for _ in range(10):
-        step(state, cp, params)
+        policy_step(policy, state, cp, params)
         assert state.f == pytest.approx(prob.eval_f(state.x))
         np.testing.assert_allclose(state.g, prob.eval_g(state.x))
 
@@ -149,48 +151,102 @@ def _step_into_phase(prob):
     params = P.resolve(prob.dim)
     cp = CountingProblem(prob)
     state = initial_state(cp)
+    policy = Rlsmcg()
     for _ in range(200):
-        quad_like = smcg.is_quadratic_like(smcg.closeness_from_state(state),
-                                           state.t_prev, params)
-        _, rec = step(state, cp, params)
+        quad_like = policy.quad_like
+        _, rec = policy_step(policy, state, cp, params)
         if rec.entered_rqn:
-            return state, cp, params, quad_like
+            return state, cp, params, policy, quad_like
     raise AssertionError(f"{prob.name}: no phase within 200 iterations")
 
 
 def test_full_memory_phase_models_all_of_rn_and_leaves_the_core():
     # memory_m = n = 8: the memory spans R^8, so the model takes all of it,
     # while the exit is judged on the well-conditioned core, a proper subspace
-    state, cp, params, quad_like = _step_into_phase(get_problem("quad_hilbert(8)"))
+    state, cp, params, policy, quad_like = _step_into_phase(
+        get_problem("quad_hilbert(8)"))
     assert params.memory_m == cp.dim and quad_like
-    np.testing.assert_array_equal(state.subspace, np.eye(cp.dim))
-    assert state.bhat.B_hat.shape == (cp.dim, cp.dim)
-    core = state.core
+    np.testing.assert_array_equal(policy.phase.basis, np.eye(cp.dim))
+    assert policy.phase.bhat.B_hat.shape == (cp.dim, cp.dim)
+    core = policy.phase.core
     assert core.shape[1] < cp.dim
-    assert not orthogonality_restored(state.subspace, state.g, params)
+    assert not orthogonality_restored(policy.phase.basis, state.g, params)
     for _ in range(200):
-        _, rec = step(state, cp, params)
+        _, rec = policy_step(policy, state, cp, params)
         if rec.exited_rqn or rec.early_converged:
             break
     # the phase ends because the gradient points out of the core, not by a guard
     assert rec.exited_rqn and not rec.guard_fallback and not rec.rescued
     assert orthogonality_restored(core, state.g, params)
-    assert state.state_flag is IterType.SMCG
-    assert state.subspace is None and state.core is None
+    assert rec.state is IterType.SMCG and policy.phase is None
 
 
 def test_full_memory_phase_off_the_quadratic_regime_stays_on_the_core():
-    state, cp, params, quad_like = _step_into_phase(ext_rosenbrock(10))
+    state, cp, params, policy, quad_like = _step_into_phase(ext_rosenbrock(10))
     assert params.memory_m == cp.dim and not quad_like
-    assert state.subspace is state.core
-    assert state.subspace.shape[1] < cp.dim
+    assert policy.phase.basis is policy.phase.core
+    assert policy.phase.basis.shape[1] < cp.dim
 
 
 def test_short_memory_phase_models_the_core():
-    state, cp, params, quad_like = _step_into_phase(get_problem("quad_hilbert(12)"))
+    state, cp, params, policy, quad_like = _step_into_phase(
+        get_problem("quad_hilbert(12)"))
     assert params.memory_m < cp.dim and quad_like
-    assert state.subspace is state.core
-    assert state.subspace.shape[1] <= params.memory_m
+    assert policy.phase.basis is policy.phase.core
+    assert policy.phase.basis.shape[1] <= params.memory_m
+
+
+def test_degenerate_reduced_step_falls_back_to_steepest_descent():
+    # a phase whose basis is orthogonal to g offers no descent: the guard
+    # takes -g, and the record shows the fallback and the closed phase
+    state, cp, params, policy, _ = _step_into_phase(get_problem("quad_hilbert(8)"))
+    Q, _ = np.linalg.qr(np.column_stack([state.g, np.eye(cp.dim)[:, 1:]]))
+    policy.phase = replace(policy.phase, basis=Q[:, 1:],
+                           bhat=SubspaceHessian.identity(cp.dim - 1, P.mu_min))
+    status, rec = policy_step(policy, state, cp, params)
+    assert status is None
+    assert rec.case_tag is CaseTag.NEG_GRAD and not rec.rescued
+    assert rec.state_before is IterType.RQN and rec.state is IterType.SMCG
+    assert rec.guard_fallback and rec.exited_rqn and not rec.entered_rqn
+    assert rec.mu == 0.0 and rec.bhat is None
+    assert policy.phase is None
+
+
+# per instance, with the RQN phase on: phases entered, RQN iterations and
+# phases left; with it off: iterations whose gradient lost orthogonality
+PINNED_PHASES = {
+    "sphere(10)": (0, 0, 0, 0),
+    "sphere(100)": (0, 0, 0, 0),
+    "quad_diag(10)": (1, 9, 1, 53),
+    "quad_diag(50)": (0, 0, 0, 0),
+    "quad_diag(200)": (0, 0, 0, 0),
+    "quad_hilbert(6)": (1, 7, 1, 26),
+    "quad_hilbert(8)": (1, 9, 1, 50),
+    "quad_hilbert(12)": (1, 8, 1, 47),
+    "palmer_poly(8)": (4, 85, 4, 607),
+    "ext_rosenbrock(2)": (0, 0, 0, 27),
+    "ext_rosenbrock(10)": (1, 24, 0, 23),
+    "ext_rosenbrock(100)": (1, 22, 0, 20),
+    "ext_rosenbrock(1000)": (1, 19, 0, 19),
+    "powell_singular(4)": (0, 0, 0, 208),
+    "powell_singular(40)": (1, 18, 0, 219),
+    "powell_singular(100)": (1, 19, 0, 257),
+    "trigonometric(10)": (0, 0, 0, 25),
+    "trigonometric(100)": (0, 0, 0, 0),
+    "broyden_tridiag(10)": (0, 0, 0, 17),
+    "broyden_tridiag(100)": (0, 0, 0, 0),
+    "broyden_tridiag(1000)": (0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PHASES))
+def test_phase_decisions_are_pinned(name, suite_runs):
+    _, _, trace = suite_runs[0][name]
+    _, ablation = run_with_trace(get_problem(name), rqn_enabled=False)
+    assert (sum(rec.entered_rqn for rec in trace),
+            sum(rec.state_before is IterType.RQN for rec in trace),
+            sum(rec.exited_rqn for rec in trace),
+            sum(bool(rec.orth_lost_flag) for rec in ablation)) == PINNED_PHASES[name]
 
 
 def test_trace_records_carry_bhat_on_rqn_iterations():
