@@ -11,7 +11,6 @@ reported counters are directly comparable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
@@ -21,7 +20,7 @@ import numpy as np
 from .core import (CaseTag, DirectionRecord, Problem, RunReport, SolverParams,
                    SolverState, Vector, dot)
 from .linesearch import (LineFunction, StepResult, bb_fallback_stepsize,
-                         bb_stepsizes, clip_step, quad_interp_min)
+                         bb_stepsizes, clip_step, interp_step)
 # not called here; tools that time the layers patch these names in this module
 from .linesearch import ledger_update, wolfe_search  # noqa: F401
 from .smcg_direction import hs_direction, neg_grad_record
@@ -37,13 +36,10 @@ class BaselineTag(Enum):
 @dataclass(frozen=True)
 class BaselineKind:
     tag: BaselineTag
-    memory: int = 11
-
-    def __post_init__(self):
-        if self.tag is BaselineTag.LBFGS and self.memory < 1:
-            raise ValueError("L-BFGS memory must be >= 1")
 
 
+# L-BFGS keeps this many (s, y) pairs
+LBFGS_MEMORY = 11
 # pairs with s'y below this times ||s|| ||y|| are skipped (curvature too weak)
 LBFGS_SKIP = 1e-10
 
@@ -103,12 +99,9 @@ class _Policy:
         if record.case_tag is CaseTag.HS:
             # aim the trial at the interpolated 1-D minimizer (exact on
             # quadratics), fall back to the BB scale
-            phi1 = line.value(1.0)
-            cand = quad_interp_min(state.f, record.gTd, phi1, 1.0) \
-                if math.isfinite(phi1) else None
-            if cand is not None and cand > 0.0:
-                return clip_step(cand, params)
-        elif self.kind.tag is BaselineTag.BB_SD and s is not None and dot(s, y) > 0.0:
+            return (interp_step(line, 1.0, record.gTd, params)
+                    or self.rescue_step(state, params))
+        if self.kind.tag is BaselineTag.BB_SD and s is not None and dot(s, y) > 0.0:
             bb1, bb2 = bb_stepsizes(s, y)
             return clip_step(bb1 if state.k % 2 == 1 else bb2, params)
         return self.rescue_step(state, params)
@@ -127,7 +120,7 @@ class _Policy:
                 dot(s, y) > LBFGS_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
             self.s_mem.insert(0, s)
             self.y_mem.insert(0, y)
-            del self.s_mem[self.kind.memory:], self.y_mem[self.kind.memory:]
+            del self.s_mem[LBFGS_MEMORY:], self.y_mem[LBFGS_MEMORY:]
 
 
 def run_baseline(kind: BaselineKind, problem: Problem,

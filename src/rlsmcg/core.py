@@ -94,10 +94,6 @@ class CountingProblem:
         self.n_f = 0
         self.n_g = 0
 
-    @property
-    def dim(self) -> int:
-        return self.problem.dim
-
     def f(self, x: Vector) -> float:
         self.n_f += 1
         return float(self.problem.eval_f(x))
@@ -237,8 +233,8 @@ class SolverParams:
 class DirectionRecord:
     """A chosen search direction plus the branch that produced it.
 
-    Producers guarantee gTd < 0 (sufficient descent is enforced with a
-    steepest-descent fallback in the direction routines).
+    Producers guarantee gTd < 0: a -g fallback in the rlsmcg policy and in
+    ``solver.policy_step`` enforces it.
     """
 
     d: Vector

@@ -1,10 +1,11 @@
-"""Initial stepsize selection and the generalized nonmonotone Wolfe search.
+"""Trial-step primitives and the generalized nonmonotone Wolfe search.
 
 The sufficient-decrease test is measured against a weighted reference value
 C_k (a convex combination of past objective values) instead of f_k, which
 permits controlled nonmonotonicity; the curvature side is the usual one-sided
-Wolfe condition.  Initial trial steps come from quadratic interpolation and
-the two Barzilai-Borwein scalars, chosen per direction type.
+Wolfe condition.  Trial steps are built from quadratic interpolation along
+the line, the two Barzilai-Borwein scalars and the gradient scale; which of
+them a direction gets is its solver's choice.
 """
 
 from __future__ import annotations
@@ -109,16 +110,34 @@ def clip_step(alpha: float, params: SolverParams) -> float:
     return max(min(alpha, params.alpha_max), params.alpha_min)
 
 
+def gradient_scale_step(g: Vector, params: SolverParams) -> float:
+    """The step guess with no curvature pair: clipped 1/||g||_inf (1 at g = 0)."""
+    gni = norm_inf(g)
+    return clip_step(1.0 / gni if gni > 0.0 else 1.0, params)
+
+
+def interp_step(line: LineFunction, a: float, gTd: float,
+                params: SolverParams) -> Optional[float]:
+    """Clipped minimizer of the quadratic through phi(0), slope gTd and phi(a).
+
+    None when phi(a) is not finite or the fit has no positive minimizer.
+    """
+    phi_a = line.value(a)
+    if not math.isfinite(phi_a):
+        return None
+    t = quad_interp_min(line.value(0.0), gTd, phi_a, a)
+    return clip_step(t, params) if t is not None and t > 0.0 else None
+
+
 def bb_fallback_stepsize(g: Vector, s_prev: Optional[Vector],
                          y_prev: Optional[Vector], params: SolverParams) -> float:
     """Default trial step: clipped BB2 when g's_prev > 0, else clipped BB1.
 
-    Before the first pair exists the guess is 1/||g||_inf; a nonpositive s'y
-    degrades to alpha_min.
+    Before the first pair exists the guess is the gradient scale; a
+    nonpositive s'y degrades to alpha_min.
     """
     if s_prev is None or y_prev is None:
-        gni = norm_inf(g)
-        return clip_step(1.0 / gni if gni > 0.0 else 1.0, params)
+        return gradient_scale_step(g, params)
     if dot(s_prev, y_prev) <= 0.0:
         return params.alpha_min
     bb1, bb2 = bb_stepsizes(s_prev, y_prev)
@@ -176,42 +195,21 @@ def curvature_ok(slope_new: float, gTd: float, params: SolverParams) -> bool:
 
 # --- initial stepsize -------------------------------------------------------
 
-def initial_stepsize(line: LineFunction, params: SolverParams, *,
-                     kind: str, gTd: float, gnorm2: float, quad_like: bool,
-                     bb_fallback: Optional[float], prev_was_neg_grad: bool) -> float:
-    """Trial step for the line search, chosen per direction type.
+def initial_stepsize(line: LineFunction, gTd: float, params: SolverParams, *,
+                     quad_like: bool) -> Optional[float]:
+    """Trial step along a model direction: interpolate through phi(1).
 
-    kind = "interp":       model-based directions (subspace solves, HS, and the
-                           quasi-Newton step with a shaped reduced Hessian);
-                           interpolate through phi(1), unit fallback.
-    kind = "rqn_identity": quasi-Newton step while the reduced Hessian is the
-                           identity; interpolate through phi(1), BB fallback.
-    kind = "neg_grad":     steepest descent; interpolate through phi(bb) under
-                           a conservative gate, BB fallback.
-
-    ``bb_fallback`` is the BB trial step; "interp" never reads it.
+    The interpolated step is taken when f is quadratic-like or phi(1) stays
+    within tau2 relative changes of phi(0), measured as
+    |phi(1) - phi(0)| / (tau1 + |phi(0)|).  None when the fit or the gate
+    fails; the caller then picks its own fallback step.
     """
+    alpha = interp_step(line, 1.0, gTd, params)
+    if alpha is None:
+        return None
     phi0 = line.value(0.0)
-    if kind in ("interp", "rqn_identity"):
-        phi1 = line.value(1.0)
-        fallback = 1.0 if kind == "interp" else bb_fallback
-        if not math.isfinite(phi1):
-            return fallback
-        alpha_bar = quad_interp_min(phi0, gTd, phi1, 1.0)
-        denom = params.tau1 + phi0
-        varpi = abs(phi1 - phi0) / denom if denom != 0.0 else math.inf
-        if (quad_like or varpi <= params.tau2) and alpha_bar is not None and alpha_bar > 0.0:
-            return clip_step(alpha_bar, params)
-        return fallback
-    if kind == "neg_grad":
-        if quad_like and gnorm2 <= 1.0 and not prev_was_neg_grad:
-            phi_a = line.value(bb_fallback)
-            if math.isfinite(phi_a):
-                att = quad_interp_min(phi0, gTd, phi_a, bb_fallback)
-                if att is not None and att > 0.0:
-                    return clip_step(att, params)
-        return bb_fallback
-    raise ValueError(f"unknown initial-stepsize kind {kind!r}")
+    varpi = abs(line.value(1.0) - phi0) / (params.tau1 + abs(phi0))
+    return alpha if quad_like or varpi <= params.tau2 else None
 
 
 # --- the search itself ------------------------------------------------------

@@ -9,7 +9,9 @@ Four mutually exclusive branches, gated on two cheap indicators:
 
 Depending on the gates, the direction minimizes a cubic-regularized or plain
 quadratic model over span{g, s_prev}, falls back to a Hestenes-Stiefel step,
-or restarts with -g.  All branches guarantee sufficient descent.
+or restarts with -g.  All branches guarantee sufficient descent in exact
+arithmetic; the solver's policy (``solver.Rlsmcg.direction``) checks each
+emitted direction against the margin and takes -g where rounding broke it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .core import CaseTag, DirectionRecord, SolverParams, SolverState, Vector, dot
 
@@ -192,8 +192,8 @@ def smcg_direction(state: SolverState, params: SolverParams, t_k: float,
     Case (iii) otherwise, HS gate open:             Hestenes-Stiefel step.
     Case (iv) everything else (and k == 0):         -g.
 
-    Any degenerate or non-finite intermediate falls through to -g, and the
-    emitted direction is checked against the sufficient-descent margin.
+    Any degenerate or non-finite intermediate falls through to -g.  The
+    sufficient-descent margin is checked by the caller.
     """
     g = state.g
     if state.k == 0 or state.s_prev is None:
@@ -221,15 +221,7 @@ def smcg_direction(state: SolverState, params: SolverParams, t_k: float,
         if d is not None:
             record = DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(g, d))
 
-    if record is None:
-        return neg_grad_record(g)
-    # floating-point backstop for the descent guarantee; -g always satisfies it
-    c1 = sufficient_descent_coefficient(params)
-    if not math.isfinite(record.gTd) or record.gTd > -c1 * snap.gTg:
-        return neg_grad_record(g)
-    if not np.all(np.isfinite(record.d)):
-        return neg_grad_record(g)
-    return record
+    return neg_grad_record(g) if record is None else record
 
 
 def _combine(g: Vector, s: Vector, u: float, v: float, tag: CaseTag) -> DirectionRecord:

@@ -4,9 +4,9 @@
 iteration is one ``policy_step``: the policy's direction, the nonmonotone
 Wolfe search with its two-strike -g rescue, the policy's landing point, the
 move through ``accept`` and the policy's update.  A baseline is a direction
-policy (``baselines._Policy``).  ``Rlsmcg`` is the paper's method: restarts,
-acceleration, and the subspace quasi-Newton phase that the orthogonality
-predicates open and close, held as one ``Phase`` value.
+policy (``baselines._Policy``).  ``Rlsmcg`` is the paper's method: its
+trial-step rule, restarts, acceleration, and the subspace quasi-Newton phase
+that the orthogonality predicates open and close, held as one ``Phase`` value.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .core import (CaseTag, CountingProblem, DirectionRecord, IterType,
                    Status, Vector, dot, norm_inf)
 from .linesearch import (AcceptKind, LineFunction, NonmonotoneLedger, StepResult,
                          bb_fallback_stepsize, bb_stepsizes, clip_step,
-                         initial_stepsize, ledger_update, wolfe_search)
+                         gradient_scale_step, initial_stepsize, interp_step,
+                         ledger_update, wolfe_search)
 
 
 def update_restart_counters(iter_restart: int, iter_quad: int, t_k: float,
@@ -180,7 +181,6 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
         policy.update(state, record, line, result, params)
     if not traced:
         return status, None
-    exited = phase is not None and policy.phase is None
     return status, TraceRecord(
         k=state.k if status else state.k - 1, case_tag=record.case_tag,
         alpha=math.nan if status else result.alpha, gnorm_inf=norm_inf(state.g),
@@ -191,9 +191,9 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
         rescued=rescued, failure=status,
         mu=0.0 if policy.phase is None else policy.phase.bhat.mu,
         entered_rqn=phase is None and policy.phase is not None,
-        exited_rqn=exited,
-        # the guard or the rescue replaced the reduced step, closing the phase
-        guard_fallback=exited and record.case_tag is not CaseTag.RQN,
+        exited_rqn=phase is not None and policy.phase is None,
+        # the guard or the rescue replaced the reduced step of an open phase
+        guard_fallback=phase is not None and record.case_tag is not CaseTag.RQN,
         **policy.trace_fields)
 
 
@@ -234,36 +234,46 @@ class Rlsmcg:
         self.trace_fields = {"t_k": self.t_k}
         if self.phase is not None:
             record = rqn.rqn_direction(self.phase.basis, self.phase.bhat, g)
-            c1 = smcg.sufficient_descent_coefficient(params)
-            if not np.all(np.isfinite(record.d)) or record.gTd > -c1 * self.gnorm2:
-                # degenerate reduced step: restart with -g and leave the phase
-                return smcg.neg_grad_record(g)
-            return record
-        if self._restart_due(params):
+        elif self._restart_due(params):
             return smcg.neg_grad_record(g)
-        return smcg.smcg_direction(state, params, self.t_k, self.quad_like)
+        else:
+            record = smcg.smcg_direction(state, params, self.t_k, self.quad_like)
+        # floating-point backstop for the sufficient-descent guarantee of
+        # every branch; -g always meets it, and in a phase it closes the phase
+        c1 = smcg.sufficient_descent_coefficient(params)
+        if (math.isfinite(record.gTd) and record.gTd <= -c1 * self.gnorm2
+                and np.all(np.isfinite(record.d))):
+            return record
+        return smcg.neg_grad_record(g)
 
     def trial_step(self, line: LineFunction, state: SolverState,
                    record: DirectionRecord, params: SolverParams) -> float:
-        kind = "interp"
+        """The initial step of the search, chosen per direction type.
+
+        -g interpolates through phi at the BB step when f is quadratic-like,
+        ||g|| <= 1 and the step before was no -g, else takes the BB step.
+        Every other direction interpolates through phi(1) (``initial_stepsize``)
+        with a unit fallback, or the BB step while the reduced Hessian of an
+        RQN step is still the identity.
+        """
+        if record.case_tag is CaseTag.NEG_GRAD:
+            step = bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
+            if (self.quad_like and self.gnorm2 <= 1.0
+                    and self.prev_case not in (None, CaseTag.NEG_GRAD)):
+                return interp_step(line, step, record.gTd, params) or step
+            return step
+        step = initial_stepsize(line, record.gTd, params, quad_like=self.quad_like)
+        if step is not None:
+            return step
         if record.case_tag is CaseTag.RQN and self.phase.bhat.is_identity:
-            kind = "rqn_identity"
-        elif record.case_tag is CaseTag.NEG_GRAD:
-            kind = "neg_grad"
-        # the BB step only where initial_stepsize can use it
-        bb = None if kind == "interp" else bb_fallback_stepsize(
-            state.g, state.s_prev, state.y_prev, params)
-        prev_was_neg_grad = self.prev_case in (None, CaseTag.NEG_GRAD)
-        return initial_stepsize(line, params, kind=kind, gTd=record.gTd,
-                                gnorm2=self.gnorm2, quad_like=self.quad_like,
-                                bb_fallback=bb, prev_was_neg_grad=prev_was_neg_grad)
+            return bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
+        return 1.0
 
     def rescue_step(self, state: SolverState, params: SolverParams) -> float:
         s, y = state.s_prev, state.y_prev
         if s is not None and dot(s, y) > 0.0:
             return clip_step(bb_stepsizes(s, y)[0], params)
-        gni = norm_inf(state.g)
-        return clip_step(1.0 / gni if gni > 0.0 else 1.0, params)
+        return gradient_scale_step(state.g, params)
 
     def land(self, cp: CountingProblem, state: SolverState, record: DirectionRecord,
              line: LineFunction, result: StepResult, params: SolverParams):

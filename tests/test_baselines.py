@@ -76,15 +76,10 @@ def test_bbsd_identity_hessian_two_iterations():
 
 
 def test_lbfgs_converges_on_hilbert_6():
-    rep = run_baseline(BaselineKind(BaselineTag.LBFGS, memory=11),
+    rep = run_baseline(BaselineKind(BaselineTag.LBFGS),
                        get_problem("quad_hilbert(6)"))
     assert rep.status is Status.CONVERGED
     assert rep.final_gnorm_inf <= 1e-6
-
-
-def test_lbfgs_memory_validation():
-    with pytest.raises(ValueError):
-        BaselineKind(BaselineTag.LBFGS, memory=0)
 
 
 def test_counters_satisfy_reporting_contract():

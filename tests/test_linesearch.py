@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from rlsmcg.core import CountingProblem, Problem, SolverParams
+from rlsmcg.core import (CaseTag, CountingProblem, DirectionRecord, Problem,
+                         SolverParams, SolverState)
 from rlsmcg.linesearch import (AcceptKind, LineFunction, NonmonotoneLedger,
                                _eta_rule, bb_fallback_stepsize, bb_stepsizes, clip_step,
-                               curvature_ok, initial_stepsize, ledger_update,
-                               q_next, quad_interp_min, sufficient_decrease_ok,
-                               wolfe_search)
+                               curvature_ok, initial_stepsize, interp_step,
+                               ledger_update, q_next, quad_interp_min,
+                               sufficient_decrease_ok, wolfe_search)
+from rlsmcg.solver import Phase, Rlsmcg
+from rlsmcg.subspace_rqn import SubspaceHessian
 
 P = SolverParams()
 
@@ -70,6 +73,8 @@ def test_bb_requires_positive_curvature():
 def test_bb_fallback_first_iteration_uses_gradient_scale():
     g = np.array([0.0, 4.0])
     assert bb_fallback_stepsize(g, None, None, P) == pytest.approx(0.25)
+    assert bb_fallback_stepsize(np.zeros(2), None, None, P) == 1.0
+    assert bb_fallback_stepsize(np.array([1e-20]), None, None, P) == P.alpha_max
 
 
 def test_bb_fallback_nonpositive_curvature_clips_to_floor():
@@ -85,46 +90,74 @@ def test_initial_step_interpolates_exact_quadratic():
     # phi(a) = 2 (a - 0.4)^2: minimizer 0.4 inside the clip window
     line = line_1d(lambda a: 2 * (a - 0.4) ** 2, lambda a: 4 * (a - 0.4),
                    f0=2 * 0.16)
-    a0 = initial_stepsize(line, P, kind="interp", gTd=-1.6, gnorm2=1.0,
-                          quad_like=True, bb_fallback=1.0,
-                          prev_was_neg_grad=False)
+    a0 = initial_stepsize(line, -1.6, P, quad_like=True)
     assert a0 == pytest.approx(0.4, abs=1e-12)
 
 
-def test_initial_step_unit_fallback_when_gates_closed():
+def test_initial_step_gate_measures_change_relative_to_abs_f():
+    # at phi(0) = -1 the steep phi(1) is still (1e6 - 1) / 1.1 relative
+    # changes away, far past tau2; a signed denominator tau1 + phi(0) < 0
+    # would let the gate pass
+    f0 = -1.0
+    line = line_1d(lambda a: f0 + 1e6 * a * a - a, lambda a: 2e6 * a - 1, f0=f0)
+    assert initial_stepsize(line, -1.0, P, quad_like=False) is None
+
+
+def _trial_step(line, gTd, case_tag, bb, *, quad_like=True, gnorm2=1.0,
+                phase=None):
+    """``Rlsmcg.trial_step`` for a ``case_tag`` record along ``line``, after a
+    model step, with ||g||^2 = ``gnorm2``, the RQN phase ``phase`` and the
+    pair s = bb, y = 1 (BB2 = bb, taken since g's > 0)."""
+    policy = Rlsmcg()
+    policy.quad_like, policy.gnorm2 = quad_like, gnorm2
+    policy.prev_case, policy.phase = CaseTag.QUAD_SUBPROBLEM, phase
+    state = SolverState(k=1, x=np.zeros(1), f=line.value(0.0), g=np.ones(1),
+                        s_prev=np.array([bb]), y_prev=np.ones(1))
+    record = DirectionRecord(d=line.d, case_tag=case_tag, gTd=gTd)
+    return policy.trial_step(line, state, record, P)
+
+
+def _steep_line():
     # steep growth of phi(1) makes the relative-change ratio exceed tau2
     f0 = 0.001
-    line = line_1d(lambda a: f0 + 1e6 * a * a - a, lambda a: 2e6 * a - 1, f0=f0)
-    a0 = initial_stepsize(line, P, kind="interp", gTd=-1.0, gnorm2=1.0,
-                          quad_like=False, bb_fallback=0.123,
-                          prev_was_neg_grad=False)
+    return line_1d(lambda a: f0 + 1e6 * a * a - a, lambda a: 2e6 * a - 1, f0=f0)
+
+
+def test_initial_step_unit_fallback_when_gates_closed():
+    # a model step falls back to 1 even with a BB value on offer
+    a0 = _trial_step(_steep_line(), -1.0, CaseTag.QUAD_SUBPROBLEM, bb=0.123,
+                     quad_like=False)
     assert a0 == 1.0
 
 
 def test_initial_step_neg_grad_gate_requires_small_gradient():
     line = line_1d(lambda a: 0.5 * (a - 1.0) ** 2, lambda a: a - 1.0, f0=0.5)
-    a0 = initial_stepsize(line, P, kind="neg_grad", gTd=-1.0, gnorm2=4.0,
-                          quad_like=True, bb_fallback=0.321,
-                          prev_was_neg_grad=False)
+    a0 = _trial_step(line, -1.0, CaseTag.NEG_GRAD, bb=0.321, gnorm2=4.0)
     assert a0 == 0.321  # ||g||^2 = 4 > 1 forces the BB fallback
 
 
 def test_initial_step_neg_grad_interpolates_when_gate_open():
     line = line_1d(lambda a: 0.5 * (a - 0.25) ** 2, lambda a: a - 0.25,
                    f0=0.5 * 0.25 ** 2)
-    a0 = initial_stepsize(line, P, kind="neg_grad", gTd=-0.25, gnorm2=0.0625,
-                          quad_like=True, bb_fallback=1.0,
-                          prev_was_neg_grad=False)
+    a0 = _trial_step(line, -0.25, CaseTag.NEG_GRAD, bb=1.0, gnorm2=0.0625)
     assert a0 == pytest.approx(0.25, abs=1e-12)
 
 
 def test_initial_step_rqn_identity_falls_back_to_bb():
-    f0 = 0.001
-    line = line_1d(lambda a: f0 + 1e6 * a * a - a, lambda a: 2e6 * a - 1, f0=f0)
-    a0 = initial_stepsize(line, P, kind="rqn_identity", gTd=-1.0, gnorm2=1.0,
-                          quad_like=False, bb_fallback=0.777,
-                          prev_was_neg_grad=False)
+    # while the reduced Hessian is still the identity, the BB step replaces 1
+    phase = Phase(basis=np.ones((1, 1)), core=np.ones((1, 1)),
+                  bhat=SubspaceHessian.identity(1, 0.0))
+    a0 = _trial_step(_steep_line(), -1.0, CaseTag.RQN, bb=0.777,
+                     quad_like=False, phase=phase)
     assert a0 == 0.777
+
+
+def test_interp_step_declines_nonfinite_and_concave_data():
+    line = line_1d(lambda a: math.inf if a > 0.5 else -a, lambda a: -1.0, f0=0.0)
+    assert interp_step(line, 1.0, -1.0, P) is None   # phi(1) = inf
+    assert interp_step(line, 0.5, -1.0, P) is None   # linear: no minimizer
+    line = line_1d(lambda a: (a - 3.0) ** 2, lambda a: 2 * (a - 3.0), f0=9.0)
+    assert interp_step(line, 1.0, -6.0, P) == pytest.approx(3.0)
 
 
 # --- ledger ----------------------------------------------------------------------
