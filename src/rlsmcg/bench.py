@@ -73,14 +73,35 @@ class BenchConfig:
             raise ConfigError("repetitions must be >= 1")
 
     def params(self) -> SolverParams:
-        try:
-            return SolverParams(**self.param_overrides)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad parameter override: {exc}") from exc
+        return _solver_params(self.param_overrides)
+
+
+def _solver_params(overrides: Dict[str, object]) -> SolverParams:
+    """SolverParams with the overrides; ConfigError for a rejected value."""
+    try:
+        return SolverParams(**overrides)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad parameter override: {exc}") from exc
+
+
+def _resolve_problem(name: str) -> Problem:
+    """The problem ``name`` gives; ConfigError for a bad name or dimension."""
+    try:
+        return get_problem(name)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(exc.args[0]) from exc
 
 
 _PARAM_FIELDS = {f.name: f for f in dc_fields(SolverParams)}
 _INT_PARAMS = {"memory_m", "l_reset", "max_iter", "min_quad"}
+
+
+def _number(convert, key: str, value: str, lineno: int):
+    try:
+        return convert(value)
+    except ValueError:
+        raise ConfigError(f"line {lineno}: {key} must be of type "
+                          f"{convert.__name__}, got {value!r}") from None
 
 
 def parse_config(text: str) -> BenchConfig:
@@ -103,11 +124,12 @@ def parse_config(text: str) -> BenchConfig:
         elif key == "out":
             kwargs["out"] = value
         elif key == "repetitions":
-            kwargs["repetitions"] = int(value)
+            kwargs["repetitions"] = _number(int, key, value, lineno)
         elif key == "seed":
             pass  # runs are deterministic; older configs still carry the key
         elif key in _PARAM_FIELDS:
-            overrides[key] = int(value) if key in _INT_PARAMS else float(value)
+            overrides[key] = _number(int if key in _INT_PARAMS else float,
+                                     key, value, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return BenchConfig(solvers=solvers, problems=problems,
@@ -117,12 +139,7 @@ def parse_config(text: str) -> BenchConfig:
 def run_matrix(cfg: BenchConfig) -> List[dict]:
     """One row per (solver, problem); all names resolved before any run starts."""
     params = cfg.params()
-    resolved = []
-    for name in cfg.problems:
-        try:
-            resolved.append(get_problem(name))
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+    resolved = [_resolve_problem(name) for name in cfg.problems]
     rows = []
     for solver_name in cfg.solvers:
         for problem in resolved:
@@ -288,21 +305,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            try:
-                with open(args.config) as fh:
-                    cfg = parse_config(fh.read())
-            except OSError as exc:
-                raise ConfigError(f"cannot read config: {exc}") from exc
+            with open(args.config) as fh:
+                cfg = parse_config(fh.read())
             rows = run_matrix(cfg)
             write_results_csv(rows, cfg.out)
             n_conv = sum(r["status"] == Status.CONVERGED.value for r in rows)
             print(f"wrote {len(rows)} rows to {cfg.out} ({n_conv} converged)")
             return 0
         if args.command == "profile":
-            try:
-                rows = read_results_csv(args.input)
-            except OSError as exc:
-                raise ConfigError(f"cannot read results: {exc}") from exc
+            rows = read_results_csv(args.input)
             taus, curves = performance_profile(rows, args.metric)
             write_profile_csv(taus, curves, args.out)
             if args.gnuplot:
@@ -311,12 +322,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"wrote profile ({len(taus)} grid points) to {args.out}")
             return 0
         if args.command == "trace":
-            try:
-                problem = get_problem(args.problem)
-            except KeyError as exc:
-                raise ConfigError(str(exc)) from exc
-            params = SolverParams() if args.max_iter is None else \
-                SolverParams(max_iter=args.max_iter)
+            problem = _resolve_problem(args.problem)
+            params = _solver_params({} if args.max_iter is None else
+                                   {"max_iter": args.max_iter})
             rows = trace_rows(args.solver, problem, params)
             if args.out:
                 with open(args.out, "w", newline="") as fh:
@@ -325,7 +333,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 write_trace_csv(rows, sys.stdout)
             return 0
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a file read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -54,12 +54,13 @@ class CurvatureSnapshot:
 def quadratic_closeness(f_prev: float, f_cur: float, gTs: float, sTy: float) -> float:
     """t = |2 (f_prev - f_cur + g's) / (s'y) - 1|; zero iff the data fits a quadratic.
 
-    Raises ValueError when s'y == 0 (closeness undefined; callers treat the
-    quadratic-likeness test as failed).
+    inf when s'y == 0 or t is not finite: the closeness is undefined, and the
+    quadratic-likeness test on it fails.
     """
     if sTy == 0.0:
-        raise ValueError("quadratic closeness undefined: s'y == 0")
-    return abs(2.0 * (f_prev - f_cur + gTs) / sTy - 1.0)
+        return math.inf
+    t = abs(2.0 * (f_prev - f_cur + gTs) / sTy - 1.0)
+    return t if math.isfinite(t) else math.inf
 
 
 def is_quadratic_like(t_k: float, t_prev: float, params: SolverParams) -> bool:
@@ -173,11 +174,8 @@ def sufficient_descent_coefficient(params: SolverParams) -> float:
 def closeness_from_state(state: SolverState) -> float:
     """Quadratic closeness of the last accepted step (one must have been
     taken); inf when undefined."""
-    sTy = dot(state.s_prev, state.y_prev)
-    if sTy == 0.0:
-        return math.inf
-    t = quadratic_closeness(state.f_prev, state.f, dot(state.g, state.s_prev), sTy)
-    return t if math.isfinite(t) else math.inf
+    return quadratic_closeness(state.f_prev, state.f, dot(state.g, state.s_prev),
+                               dot(state.s_prev, state.y_prev))
 
 
 def smcg_direction(state: SolverState, params: SolverParams, t_k: float,
@@ -190,13 +188,13 @@ def smcg_direction(state: SolverState, params: SolverParams, t_k: float,
     Case (i)  well-conditioned, not quadratic-like: cubic-regularized solve.
     Case (ii) well-conditioned and quadratic-like:  plain quadratic solve.
     Case (iii) otherwise, HS gate open:             Hestenes-Stiefel step.
-    Case (iv) everything else (and k == 0):         -g.
+    Case (iv) everything else (and the first step): -g.
 
     Any degenerate or non-finite intermediate falls through to -g.  The
     sufficient-descent margin is checked by the caller.
     """
     g = state.g
-    if state.k == 0 or state.s_prev is None:
+    if state.s_prev is None:
         return neg_grad_record(g)
     try:
         snap = CurvatureSnapshot.from_vectors(g, state.s_prev, state.y_prev)

@@ -22,8 +22,8 @@ from . import smcg_direction as smcg
 from . import subspace_rqn as rqn
 from .acceleration import TrialPoint, accel_criterion, apply_acceleration
 from .core import (CaseTag, CountingProblem, DirectionRecord, IterType,
-                   NumericError, Problem, RunReport, SolverParams, SolverState,
-                   Status, Vector, dot, norm_inf)
+                   Problem, RunReport, SolverParams, SolverState, Status,
+                   Vector, dot, norm_inf)
 from .linesearch import (AcceptKind, LineFunction, NonmonotoneLedger, StepResult,
                          bb_fallback_stepsize, bb_stepsizes, clip_step,
                          gradient_scale_step, initial_stepsize, interp_step,
@@ -121,10 +121,7 @@ def minimize(problem: Problem, params: Optional[SolverParams], policy,
         elif state.k >= p.max_iter:
             status = Status.ITER_CAP
         else:
-            try:
-                status, rec = policy_step(policy, state, cp, p, traced)
-            except NumericError:
-                status, rec = Status.NUMERIC_FAIL, None
+            status, rec = policy_step(policy, state, cp, p, traced)
             if rec is not None:
                 trace_hook(rec)
 
@@ -151,7 +148,7 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
     backtracking cap is taken once; a second one in a row, or one with no
     point below C_k, reruns along -g from the rescue step.  Returns the
     failure status (None when the step was taken) and, when ``traced``, the
-    record; a NumericError from the policy propagates.
+    record.
     """
     phase = policy.phase
     record = policy.direction(state, params)
@@ -345,19 +342,13 @@ class Rlsmcg:
         """One regularized BFGS update after an RQN step; the phase closes
         once the gradient is mostly orthogonal to the frozen core."""
         Z, bhat = self.phase.basis, self.phase.bhat
-        f = line.value(0.0)  # the pre-step f and g themselves
-        s_hat = Z.T @ state.s_prev
-        y_hat = Z.T @ state.y_prev
-        d_hat = Z.T @ record.d
-        r = rqn.ratio(f, result.f_trial, result.alpha, Z.T @ line.gradient(0.0),
-                      d_hat, bhat.B_hat)
-        if r is None and result.f_trial < f:
-            # the model rose past alpha = 2 where f fell: it overstated the
-            # curvature along d, so the step beat it (ratio +inf)
-            r = math.inf
+        # line's phi(0) and gradient are the pre-step f and g themselves
+        r = rqn.ratio(line.value(0.0), result.f_trial, result.alpha,
+                      Z.T @ line.gradient(0.0), Z.T @ record.d, bhat.B_hat)
         mu = rqn.update_mu(bhat.mu, r, dot(state.s_prev, state.s_prev), params)
         iters = self.phase.iters + 1
-        bhat = rqn.rbfgs_update(replace(bhat, mu=mu), s_hat, y_hat, iters, params)
+        bhat = rqn.rbfgs_update(bhat, Z.T @ state.s_prev, Z.T @ state.y_prev,
+                                iters, mu, params)
         self.trace_fields["bhat"] = bhat.B_hat
         if rqn.orthogonality_restored(self.phase.core, state.g, params):
             self.phase = None

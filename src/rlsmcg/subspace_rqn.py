@@ -12,12 +12,12 @@ Hessian, and the lift of the reduced direction back to full space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .core import CaseTag, DirectionRecord, NumericError, SolverParams, Vector
+from .core import CaseTag, DirectionRecord, SolverParams, Vector
 
 # columns whose residual after projection is below this times their original
 # norm are treated as linearly dependent and dropped
@@ -32,16 +32,26 @@ ENTRY_RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SubspaceHessian:
-    """Reduced Hessian approximation carried through one quasi-Newton phase.
+    """Reduced Hessian approximation carried through one quasi-Newton phase,
+    symmetric positive definite by construction.
 
-    ``mu`` is the regularization weight folded into the update through the
-    shifted gradient difference y + mu*s; ``updates_since_reset == 0`` means
-    the matrix is the identity.
+    Building one factors ``B_hat`` and keeps its lower Cholesky factor in
+    ``L``; a ``B_hat`` that is not finite or not positive definite raises
+    ``np.linalg.LinAlgError``.  ``mu`` is the regularization weight folded
+    into the update through the shifted gradient difference y + mu*s;
+    ``updates_since_reset == 0`` means the matrix is the identity.
     """
 
     B_hat: np.ndarray
     updates_since_reset: int
     mu: float
+    L: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # cholesky returns NaN or inf for non-finite input instead of raising
+        if not np.all(np.isfinite(self.B_hat)):
+            raise np.linalg.LinAlgError("reduced Hessian is not finite")
+        object.__setattr__(self, "L", np.linalg.cholesky(self.B_hat))
 
     @classmethod
     def identity(cls, m: int, mu: float) -> "SubspaceHessian":
@@ -121,92 +131,76 @@ def orthogonality_restored(Z: np.ndarray, g: Vector,
 
 
 def rbfgs_update(H: SubspaceHessian, s_hat: Vector, y_hat: Vector, k: int,
-                 params: SolverParams) -> SubspaceHessian:
-    """Regularized BFGS update of the reduced Hessian.
+                 mu: float, params: SolverParams) -> SubspaceHessian:
+    """Regularized BFGS update of the reduced Hessian under the new shift mu.
 
     With y(mu) = y_hat + mu * s_hat, the update applies when the phase
     counter k is not a multiple of l_reset and the shifted curvature
     s'y(mu)/s's clears the floor; otherwise the matrix resets to the
-    identity.  A non-finite result also resets.
+    identity.  So does an update that is not finite or not positive
+    definite, which the SubspaceHessian constructor rejects.
     """
     m = H.B_hat.shape[0]
-    if k % params.l_reset == 0:
-        return SubspaceHessian.identity(m, H.mu)
     sTs = float(np.dot(s_hat, s_hat))
-    y_mu = y_hat + H.mu * s_hat
+    y_mu = y_hat + mu * s_hat
     sTy_mu = float(np.dot(s_hat, y_mu))
-    if sTs <= 0.0 or sTy_mu / sTs < params.upsilon:
-        return SubspaceHessian.identity(m, H.mu)
+    if k % params.l_reset == 0 or sTs <= 0.0 or sTy_mu / sTs < params.upsilon:
+        return SubspaceHessian.identity(m, mu)
     B = H.B_hat
     Bs = B @ s_hat
     sBs = float(np.dot(s_hat, Bs))
     if sBs <= 0.0:
-        return SubspaceHessian.identity(m, H.mu)
+        return SubspaceHessian.identity(m, mu)
     B_new = B - np.outer(Bs, Bs) / sBs + np.outer(y_mu, y_mu) / sTy_mu
-    B_new = 0.5 * (B_new + B_new.T)
-    if not np.all(np.isfinite(B_new)):
-        return SubspaceHessian.identity(m, H.mu)
     try:
-        np.linalg.cholesky(B_new)
-    except np.linalg.LinAlgError:
-        # positive definiteness lost to rounding (near-degenerate pair)
-        return SubspaceHessian.identity(m, H.mu)
-    return SubspaceHessian(B_hat=B_new,
-                           updates_since_reset=H.updates_since_reset + 1,
-                           mu=H.mu)
+        return SubspaceHessian(B_hat=0.5 * (B_new + B_new.T),
+                               updates_since_reset=H.updates_since_reset + 1,
+                               mu=mu)
+    except np.linalg.LinAlgError:  # not finite, or rounding broke definiteness
+        return SubspaceHessian.identity(m, mu)
 
 
 def ratio(f_cur: float, f_trial: float, alpha: float, g_hat: Vector,
-          d_hat: Vector, B_hat_mu: np.ndarray) -> Optional[float]:
+          d_hat: Vector, B_hat_mu: np.ndarray) -> float:
     """Actual-over-model decrease for the trial step alpha * d_hat.
 
-    Model: q = f_cur + alpha g'd + alpha^2 d'Bd / 2.  Returns None when the
-    model predicts no decrease.  For d = -B^{-1} g_hat that happens exactly
-    when alpha >= 2; the driver then counts the step as beating the model if
-    f fell anyway, and as a poor ratio (mu grows) if it did not.
+    Model: q = f_cur + alpha g'd + alpha^2 d'Bd / 2.  When the model predicts
+    no decrease (for d = -B^{-1} g_hat, exactly when alpha >= 2) the ratio is
+    inf if f fell anyway, since the model overstated the curvature along d
+    and the step beat it, and 0 if f did not fall.
     """
     pred = -(alpha * float(np.dot(g_hat, d_hat))
              + 0.5 * alpha * alpha * float(d_hat @ B_hat_mu @ d_hat))
     if pred <= 0.0 or not math.isfinite(pred):
-        return None
+        return math.inf if f_trial < f_cur else 0.0
     return (f_cur - f_trial) / pred
 
 
-def update_mu(mu: float, r: Optional[float], s_hat_norm2: float,
+def update_mu(mu: float, r: float, s_norm2: float,
               params: SolverParams) -> float:
     """Trust-region-flavored update of the regularization weight.
 
-    Small steps adapt mu by the decrease ratio (shrink on success, grow on
-    failure, clipped to [mu_min, mu_max]); large steps switch regularization
-    off entirely.  A ``None`` ratio (no model decrease) counts as failure.
+    ``s_norm2`` is ||s||^2 of the full step just taken.  Small steps adapt
+    mu by the decrease ratio r (shrink on success, grow on failure, clipped
+    to [mu_min, mu_max]); large steps switch regularization off entirely.
     """
-    if s_hat_norm2 > params.tau_hat:
+    if s_norm2 > params.tau_hat:
         return 0.0
-    if r is not None and r >= params.sigma3:
+    if r >= params.sigma3:
         return max(params.mu_min, params.sigma1 * mu)
     return min(params.mu_max, params.sigma2 * mu)
 
 
 def rqn_direction(Z: np.ndarray, H: SubspaceHessian,
                   g: Vector) -> DirectionRecord:
-    """Lifted quasi-Newton step d = -Z B^{-1} Z'g via a Cholesky solve.
+    """Lifted quasi-Newton step d = -Z B^{-1} Z'g, solved with the Cholesky
+    factor ``H.L``.
 
-    On a factorization failure the reduced Hessian is replaced by the
-    identity and the solve retried once; a second failure raises
-    NumericError.
+    H is positive definite by construction, so the solve cannot fail; one
+    that overflows gives a non-finite d, which the policy's descent backstop
+    replaces by -g.
     """
     g_hat = Z.T @ g
-    B = H.B_hat
-    for attempt in range(2):
-        try:
-            L = np.linalg.cholesky(B)
-            d_hat = -np.linalg.solve(L.T, np.linalg.solve(L, g_hat))
-        except np.linalg.LinAlgError:
-            d_hat = None
-        if d_hat is not None and np.all(np.isfinite(d_hat)):
-            break
-        if attempt == 1:
-            raise NumericError("reduced quasi-Newton solve failed twice")
-        B = np.eye(B.shape[0])
+    d_hat = -np.linalg.solve(H.L.T, np.linalg.solve(H.L, g_hat))
     d = Z @ d_hat
     return DirectionRecord(d=d, case_tag=CaseTag.RQN, gTd=float(np.dot(g, d)))

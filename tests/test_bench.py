@@ -217,6 +217,20 @@ def test_cli_errors_give_nonzero_exit(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 0
     assert main(["profile", "--metric", "warp", "--in", str(ok_results),
                  "--out", str(tmp_path / "p.csv")]) == 2
+    # values that do not parse and problems whose dimension the family rejects
+    for line in ("repetitions = two", "grad_tol = tiny", "memory_m = 2.5",
+                 "problems = ext_rosenbrock(3)", "problems = powell_singular(6)"):
+        bad.write_text(f"solvers = hs\nproblems = sphere(5)\n{line}\n")
+        assert main(["run", "--config", str(bad)]) == 2, line
+    assert main(["trace", "--solver", "hs", "--problem", "ext_rosenbrock(3)"]) == 2
+    assert main(["trace", "--solver", "hs", "--problem", "sphere(5)",
+                 "--max-iter", "0"]) == 2
+    # an output path that cannot be written
+    unwritable = str(tmp_path / "missing_dir" / "out.csv")
+    bad.write_text(f"solvers = hs\nproblems = sphere(5)\nout = {unwritable}\n")
+    assert main(["run", "--config", str(bad)]) == 2
+    assert main(["trace", "--solver", "hs", "--problem", "sphere(5)",
+                 "--out", unwritable]) == 2
 
 
 def test_perfbench_patch_list_resolves(monkeypatch):

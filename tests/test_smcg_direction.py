@@ -42,8 +42,8 @@ def test_closeness_zero_when_data_fits_quadratic():
 
 
 def test_closeness_undefined_for_zero_sty():
-    with pytest.raises(ValueError):
-        quadratic_closeness(1.0, 0.5, 0.1, 0.0)
+    assert quadratic_closeness(1.0, 0.5, 0.1, 0.0) == math.inf
+    assert quadratic_closeness(math.inf, math.inf, 0.1, 1.0) == math.inf
 
 
 # --- gates --------------------------------------------------------------------

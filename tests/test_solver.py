@@ -8,9 +8,10 @@ from rlsmcg.core import (CaseTag, CountingProblem, IterType, Problem,
                          SolverParams, Status)
 from rlsmcg.problems import (ext_rosenbrock, get_problem, quad_diag, registry,
                              sphere)
-from rlsmcg.solver import (Rlsmcg, initial_state, policy_step, run,
+from rlsmcg.solver import (Phase, Rlsmcg, initial_state, policy_step, run,
                            run_with_trace, update_restart_counters)
-from rlsmcg.subspace_rqn import SubspaceHessian, orthogonality_restored
+from rlsmcg.subspace_rqn import (SubspaceHessian, orthogonality_restored,
+                                 rqn_direction)
 
 P = SolverParams()
 
@@ -217,6 +218,31 @@ def test_degenerate_reduced_step_falls_back_to_steepest_descent():
     assert rec.state_before is IterType.RQN and rec.state is IterType.SMCG
     assert rec.guard_fallback and rec.exited_rqn and not rec.entered_rqn
     assert rec.mu == 0.0 and rec.bhat is None
+    assert policy.phase is None
+
+
+# lifting the overflowed reduced step multiplies inf by the basis' zeros
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_overflowing_reduced_solve_falls_back_to_steepest_descent():
+    # a planted phase on span{e0}: g_hat = 1e10 over B_hat = 1e-300 overflows,
+    # so the reduced step is not finite; the backstop takes -g and closes
+    # the phase
+    far = Problem("far_sphere", 2, lambda x: 0.5 * float(x @ x),
+                  lambda x: x.copy(), np.array([1e10, 1.0]))
+    params = P.resolve(far.dim)
+    cp = CountingProblem(far)
+    state = initial_state(cp)
+    policy = Rlsmcg()
+    basis = np.eye(2)[:, :1]
+    policy.phase = Phase(basis, basis, SubspaceHessian(
+        B_hat=np.array([[1e-300]]), updates_since_reset=1, mu=P.mu_min))
+    assert not np.all(np.isfinite(
+        rqn_direction(basis, policy.phase.bhat, state.g).d))
+    status, rec = policy_step(policy, state, cp, params)
+    assert status is None
+    assert rec.case_tag is CaseTag.NEG_GRAD and not rec.rescued
+    assert rec.guard_fallback and rec.exited_rqn
+    assert rec.state_before is IterType.RQN and rec.state is IterType.SMCG
     assert policy.phase is None
 
 

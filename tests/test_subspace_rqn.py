@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rlsmcg.core import SolverParams
 from rlsmcg.subspace_rqn import (DROP_TOL, ENTRY_RANK_TOL, SubspaceHessian,
@@ -171,14 +176,14 @@ def test_restored_switches_at_the_exit_threshold():
 
 def test_rbfgs_identity_fixed_point():
     H = SubspaceHessian.identity(2, mu=0.0)
-    H2 = rbfgs_update(H, e(0, 2), e(0, 2), k=1, params=P)
+    H2 = rbfgs_update(H, e(0, 2), e(0, 2), k=1, mu=0.0, params=P)
     np.testing.assert_allclose(H2.B_hat, np.eye(2))
 
 
 def test_rbfgs_hand_update():
     H = SubspaceHessian.identity(2, mu=0.0)
     H2 = rbfgs_update(H, np.array([1.0, 0.0]), np.array([2.0, 0.0]), k=1,
-                      params=P)
+                      mu=0.0, params=P)
     np.testing.assert_allclose(H2.B_hat, np.diag([2.0, 1.0]))
     assert H2.updates_since_reset == 1
     assert not H2.is_identity
@@ -187,20 +192,21 @@ def test_rbfgs_hand_update():
 def test_rbfgs_weak_curvature_resets():
     H = SubspaceHessian(B_hat=np.diag([2.0, 1.0]), updates_since_reset=3, mu=0.0)
     H2 = rbfgs_update(H, np.array([1.0, 0.0]),
-                      np.array([P.upsilon / 10.0, 0.0]), k=4, params=P)
+                      np.array([P.upsilon / 10.0, 0.0]), k=4, mu=0.0,
+                      params=P)
     np.testing.assert_allclose(H2.B_hat, np.eye(2))
     assert H2.updates_since_reset == 0
 
 
 def test_rbfgs_periodic_reset():
     H = SubspaceHessian(B_hat=np.diag([3.0, 1.0]), updates_since_reset=5, mu=0.0)
-    H2 = rbfgs_update(H, e(0, 2), e(0, 2), k=P.l_reset, params=P)
+    H2 = rbfgs_update(H, e(0, 2), e(0, 2), k=P.l_reset, mu=0.0, params=P)
     assert H2.is_identity
 
 
 def test_rbfgs_mu_shift_enters_update():
     H = SubspaceHessian.identity(1, mu=0.5)
-    H2 = rbfgs_update(H, np.array([1.0]), np.array([1.0]), k=1, params=P)
+    H2 = rbfgs_update(H, np.array([1.0]), np.array([1.0]), k=1, mu=0.5, params=P)
     # y(mu) = 1 + 0.5, update gives y y / s'y = 1.5
     np.testing.assert_allclose(H2.B_hat, [[1.5]])
 
@@ -213,7 +219,7 @@ def test_rbfgs_stays_positive_definite():
         y = rng.standard_normal(4)
         if np.dot(s, y) <= 0:
             y = -y
-        H = rbfgs_update(H, s, y, k=k, params=P)
+        H = rbfgs_update(H, s, y, k=k, mu=1e-3, params=P)
         np.linalg.cholesky(H.B_hat)  # raises if not SPD (safeguard resets)
         assert np.max(np.abs(H.B_hat - H.B_hat.T)) <= 1e-12
 
@@ -225,7 +231,7 @@ def test_rbfgs_reset_honesty_window():
     for k in range(1, P.l_reset + 1):
         s = rng.standard_normal(3)
         y = s + 0.1 * rng.standard_normal(3)
-        H = rbfgs_update(H, s, y, k=k, params=P)
+        H = rbfgs_update(H, s, y, k=k, mu=0.0, params=P)
         if H.is_identity:
             resets += 1
     assert resets >= 1
@@ -259,8 +265,10 @@ def test_ratio_hand_arithmetic():
 
 def test_ratio_model_not_descent_signals():
     B = np.eye(1)
-    # ascent direction: model predicts increase
-    assert ratio(1.0, 0.9, 1.0, np.array([1.0]), np.array([1.0]), B) is None
+    # ascent direction: model predicts increase, yet f fell
+    assert ratio(1.0, 0.9, 1.0, np.array([1.0]), np.array([1.0]), B) == math.inf
+    # ... and where f did not fall the step failed the model
+    assert ratio(1.0, 1.0, 1.0, np.array([1.0]), np.array([1.0]), B) == 0.0
 
 
 def test_update_mu_good_ratio_shrinks():
@@ -276,7 +284,11 @@ def test_update_mu_large_step_disables():
 
 
 def test_update_mu_none_ratio_counts_as_poor():
-    assert update_mu(1e-2, None, 0.5, P) == pytest.approx(5e-2)
+    # a step that did not lower f under a model without decrease has no
+    # usable ratio; ratio() reports it as 0.0, and mu grows as on any failure
+    r = ratio(1.0, 1.0, 1.0, np.array([1.0]), np.array([1.0]), np.eye(1))
+    assert r == 0.0
+    assert update_mu(1e-2, r, 0.5, P) == pytest.approx(5e-2)
 
 
 # --- reduced direction -----------------------------------------------------------
@@ -318,14 +330,73 @@ def test_rqn_direction_eigenvalue_bounds():
             (1.0 - 1e-12) * float(g_hat @ g_hat) / lam_max
 
 
-def test_rqn_direction_retries_with_identity_then_fails():
-    from rlsmcg.core import NumericError
-    Z = qr_update([np.array([1.0, 0.0])])
-    broken = SubspaceHessian(B_hat=np.array([[-1.0]]), updates_since_reset=2,
-                             mu=0.0)
-    # first solve fails (indefinite), the identity retry succeeds
-    rec = rqn_direction(Z, broken, np.array([4.0, 1.0]))
-    assert rec.d == pytest.approx([-4.0, 0.0])
-    # a non-finite gradient defeats the retry as well
-    with pytest.raises(NumericError):
-        rqn_direction(Z, broken, np.array([np.nan, 1.0]))
+
+# --- generated reduced Hessians -------------------------------------------------
+
+GENERATED = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=50)
+dims = st.integers(1, 11)
+
+
+@st.composite
+def orthonormal(draw, rows, cols):
+    A = draw(arrays(np.float64, (rows, cols), elements=st.floats(-1.0, 1.0)))
+    return np.linalg.qr(A)[0]  # Householder: orthonormal columns for any A
+
+
+@st.composite
+def spd_spectra(draw, m):
+    """(Q, lam) with Q orthonormal and eigenvalues in 10^[-6, 6], so that
+    Q diag(lam) Q' has a condition number up to 1e12."""
+    exponents = draw(arrays(np.float64, m, elements=st.floats(-6.0, 6.0)))
+    return draw(orthonormal(m, m)), 10.0 ** exponents
+
+
+def _matrix(Q, lam):
+    B = (Q * lam) @ Q.T
+    return 0.5 * (B + B.T)
+
+
+def _vectors(m):
+    return arrays(np.float64, m, elements=st.floats(-10.0, 10.0))
+
+
+@GENERATED
+@given(data=st.data(), m=dims)
+def test_rbfgs_update_keeps_the_factor_of_its_matrix(data, m):
+    B = _matrix(*data.draw(spd_spectra(m)))
+    s = data.draw(_vectors(m))
+    # y near C s for a generated SPD C, so that many pairs clear the floor
+    C = _matrix(*data.draw(spd_spectra(m)))
+    y = C @ s + data.draw(st.floats(-1.0, 1.0)) * data.draw(_vectors(m))
+    H = rbfgs_update(SubspaceHessian(B_hat=B, updates_since_reset=1, mu=0.0),
+                     s, y, k=data.draw(st.integers(1, 3 * P.l_reset)),
+                     mu=data.draw(st.floats(0.0, 1.0)), params=P)
+    np.testing.assert_allclose(H.L @ H.L.T, H.B_hat, rtol=0.0,
+                               atol=(m + 1) * 1e-15 * np.abs(H.B_hat).max())
+
+
+@GENERATED
+@given(data=st.data(), m=dims,
+       bad=st.sampled_from([-1.0, math.nan, math.inf, -math.inf]))
+def test_hessian_rejects_a_matrix_that_is_not_spd_or_not_finite(data, m, bad):
+    Q, lam = data.draw(spd_spectra(m))
+    i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    if bad == -1.0:
+        lam[i] = -lam[i]  # one negative eigenvalue
+        B = _matrix(Q, lam)
+    else:
+        B = _matrix(Q, lam)
+        B[i, j] = bad  # cholesky reads only one triangle
+    with pytest.raises(np.linalg.LinAlgError):
+        SubspaceHessian(B_hat=B, updates_since_reset=1, mu=0.0)
+
+
+@GENERATED
+@given(data=st.data(), m=dims, extra=st.integers(0, 3))
+def test_rqn_direction_descends_for_a_gradient_in_the_span(data, m, extra):
+    Z = data.draw(orthonormal(m + extra, m))
+    H = SubspaceHessian(B_hat=_matrix(*data.draw(spd_spectra(m))),
+                        updates_since_reset=1, mu=0.0)
+    c = data.draw(_vectors(m).filter(lambda v: np.dot(v, v) > 1e-6))
+    assert rqn_direction(Z, H, Z @ c).gTd < 0.0
