@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
 from functools import partial
@@ -170,16 +171,38 @@ def write_results_csv(rows: List[dict], path: str) -> None:
             writer.writerow(out)
 
 
+def _probe_writable(path: str) -> None:
+    """Open ``path`` for appending, so that an ``out`` that cannot be written
+    fails before any solve; a file the probe creates is removed again."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
+_NUMERIC_COLUMNS = {"dim": int, "n_iter": int, "n_f": int, "n_g": int,
+                    "wall_time_s": float, "final_gnorm_inf": float}
+
+
 def read_results_csv(path: str) -> List[dict]:
+    """The rows ``write_results_csv`` wrote; ConfigError naming the line and
+    column of a value that is missing or does not parse."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = []
         for row in reader:
-            row["dim"] = int(row["dim"])
-            for key in ("n_iter", "n_f", "n_g"):
-                row[key] = int(row[key])
-            row["wall_time_s"] = float(row["wall_time_s"])
-            row["final_gnorm_inf"] = float(row["final_gnorm_inf"])
+            for key in RESULT_HEADER:
+                value = row.get(key)
+                try:
+                    if value is None:  # a short row, or no such column
+                        raise ValueError
+                    if key in _NUMERIC_COLUMNS:
+                        row[key] = _NUMERIC_COLUMNS[key](value)
+                except ValueError:
+                    raise ConfigError(f"{path}, line {reader.line_num}: "
+                                      f"missing or malformed {key!r}: "
+                                      f"{value!r}") from None
             rows.append(row)
     return rows
 
@@ -307,6 +330,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "run":
             with open(args.config) as fh:
                 cfg = parse_config(fh.read())
+            _probe_writable(cfg.out)
             rows = run_matrix(cfg)
             write_results_csv(rows, cfg.out)
             n_conv = sum(r["status"] == Status.CONVERGED.value for r in rows)

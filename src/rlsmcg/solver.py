@@ -68,6 +68,8 @@ class TraceRecord:
     accel_accepted: bool = False
     entered_rqn: bool = False
     exited_rqn: bool = False
+    # the entry test on a full SMCG memory; a False may be the Gram
+    # screen's proof (subspace_rqn.orthogonality_kept), not the QR's answer
     orth_lost_flag: Optional[bool] = None
     bhat: Optional[np.ndarray] = None  # updated reduced Hessian, RQN steps
     guard_fallback: bool = False
@@ -218,6 +220,10 @@ class Rlsmcg:
         self.iter_restart = self.iter_quad = 0
         self.prev_case: Optional[CaseTag] = None
         self.phase: Optional[Phase] = None
+        # the unit memory and its Gram matrix, for the monitor's screen; None
+        # when memory_m >= n, as that memory may span R^n, where the screen
+        # can never certify
+        self.memory: Optional[rqn.GramRing] = None
         self.gnorm2 = math.nan
         self.trace_fields: dict = {}
 
@@ -291,12 +297,17 @@ class Rlsmcg:
 
     def update(self, state: SolverState, record: DirectionRecord,
                line: LineFunction, result: StepResult, params: SolverParams):
-        """Advance the restart counters, open, advance or close the phase,
-        and take the closeness of the new iterate."""
+        """Advance the restart counters and the Gram ring, open, advance or
+        close the phase, and take the closeness of the new iterate."""
         self.iter_restart, self.iter_quad = update_restart_counters(
             self.iter_restart, self.iter_quad, self.t_k, self._restart_due(params),
             params)
         self.prev_case = record.case_tag
+        n = state.x.size
+        if params.memory_m < n:
+            if self.memory is None:
+                self.memory = rqn.GramRing.empty(params.memory_m, n)
+            self.memory.push(record.d)
         if self.phase is None:
             self._monitor(state, params)
         elif record.case_tag is CaseTag.RQN:
@@ -311,6 +322,12 @@ class Rlsmcg:
         """With a full memory, test whether g lost orthogonality to its span,
         and if so open a phase."""
         if len(state.dir_history) < params.memory_m:
+            return
+        # the Gram screen answers "not lost" where it can prove it; the QR
+        # and the exact predicate answer everything else
+        if self.memory is not None and rqn.orthogonality_kept(
+                self.memory.D, self.memory.G, state.g, params):
+            self.trace_fields["orth_lost_flag"] = False
             return
         Z = rqn.qr_update(state.dir_history)
         if Z is None:

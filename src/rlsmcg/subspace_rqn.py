@@ -7,6 +7,15 @@ when the memory spans it).  The machinery here provides the orthonormal basis
 Z of the span (a rank-revealing Householder QR that drops dependent columns),
 the enter/exit predicates on Z, the regularized BFGS update of the reduced
 Hessian, and the lift of the reduced direction back to full space.
+
+Most gradients stay well away from the span, so the entry test is screened
+first: ``GramRing`` keeps the memory's unit directions and their Gram matrix
+current at O(nm) a step, and ``orthogonality_kept`` answers "not lost" from
+the normal equations when a rounding bound proves that the exact test would.
+Where it cannot (G singular or not finite, the residual inside the bound, or
+a memory of n or more directions, which may span R^n and for which the
+driver keeps no ring), the QR and ``orthogonality_lost`` decide, so every
+decision is the exact test's.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ DROP_TOL = 1e-12
 # conjugate-gradient stall the recent directions cluster, so their core is a
 # proper subspace: the polluted span the gradient is trapped in.
 ENTRY_RANK_TOL = 1e-8
+
+_U = 2.0 ** -53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -115,6 +126,100 @@ def orthogonality_lost(Z: np.ndarray, g: Vector,
     if gTg <= 0.0:
         return False
     return _outside_norm2(Z, g) <= params.eta0_tilde ** 2 * gTg
+
+
+@dataclass
+class GramRing:
+    """The memory's directions scaled to unit length, one per row of the
+    m x n buffer ``D``, and their Gram matrix ``G = D D'``.
+
+    The rows are in ring order: a push overwrites the oldest row and its row
+    and column of G, at O(nm), and nothing is rolled, since the span does not
+    depend on the order.  A direction whose norm is zero or not finite leaves
+    a row of NaNs, which ``orthogonality_kept`` cannot certify.
+    """
+
+    D: np.ndarray
+    G: np.ndarray
+    pushes: int = 0
+
+    @classmethod
+    def empty(cls, m: int, n: int) -> "GramRing":
+        return cls(np.zeros((m, n)), np.zeros((m, m)))
+
+    def push(self, d: Vector) -> None:
+        i = self.pushes % len(self.D)
+        norm = math.sqrt(float(np.dot(d, d)))
+        self.D[i] = d / norm if 0.0 < norm < math.inf else math.nan
+        self.G[i] = self.G[:, i] = self.D @ self.D[i]
+        self.pushes += 1
+
+
+def orthogonality_kept(D: np.ndarray, G: np.ndarray, g: Vector,
+                       params: SolverParams) -> bool:
+    """True only when rounding analysis proves ``orthogonality_lost`` False
+    on the ``qr_update`` basis of the directions whose unit rows are ``D``,
+    with Gram matrix ``G``; False leaves the question to that exact test.
+
+    The Cholesky factor of the Gram matrix of [D; g'], whose leading block
+    is G's factor L, has as its last pivot r, the distance from g to the
+    span of the rows by the normal equations: r^2 = g'g - ||L^{-1} Dg||^2.
+    With u = 2^-53, kappa = m ||L^{-1}||_F^2 and lambda the least eigenvalue
+    of G, the test certifies when
+
+        r^2 > (2 eta0^2 + (8 (n + m + 2) + 1e4 m^3 n^2 u) u kappa) g'g.
+
+    Derivation, to first order in u with gamma_k = k u (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed.; ch. 20 analyses the
+    normal equations the same way).  The rows have unit norm, so trace G = m
+    and cond(G) <= m / lambda <= kappa, and kappa >= m^2.
+
+    1. The computed Gram matrix of [D; g'] is off by gamma_n |[D; g']||.|'
+       (Thm 3.5), and Cholesky adds gamma_{m+2} |L^||L^'| (Thm 10.3), whose
+       rows have the norms of the matrix's: 1 for D, ||g|| for g.  So r^2
+       is exactly the last pivot of a perturbation E of that matrix, and the
+       pivot moves by at most E_gg + 2 ||e|| ||x|| + ||E_G|| ||x||^2, where
+       x = G^{-1} Dg has ||x|| <= ||g|| / sqrt(lambda) and E is split into
+       its G block, its g column e and its corner.  That is at most
+       (gamma_n + gamma_{m+2}) (1 + sqrt(m / lambda))^2 g'g
+       <= 4 (n + m + 2) u kappa g'g.
+    2. The exact test measures g against the Householder basis of the
+       unscaled directions.  The columns ``qr_update`` drops only shrink the
+       span and raise the residual.  Rounding the unit scaling (u per row)
+       and the backward error of the QR (Thm 19.4, gamma~ = c n m u per
+       column, c a small constant) tilt the span by at most their size
+       times sqrt(m / lambda) (subsets of the columns have no smaller least
+       singular value), and the test's computed residual moves by
+       3 sqrt(m) gamma~ ||g|| more: by tau ||g|| in all, with
+       tau <= 5 sqrt(m) gamma~ sqrt(kappa), so 2 tau^2 <= 5e3 m^3 n^2 u^2
+       kappa for c <= 10.
+    3. The test's residual is then at least sqrt(r^2 / g'g - 4 (n + m + 2)
+       u kappa) - tau times ||g||, which exceeds eta0 ||g|| once the bound
+       above holds, since (eta0 + tau)^2 <= 2 eta0^2 + 2 tau^2.  The factor 2
+       on the rounding terms covers the second-order terms and lambda read
+       off the computed L: when the bound holds, r^2 <= g'g forces
+       8 (n + m + 2) u kappa < 1, so E moves lambda by less than 1/8 of it.
+
+    A NaN anywhere reaches r^2 or kappa, and every comparison with a NaN
+    is false, as is one against an infinite bound.
+    """
+    m, n = D.shape
+    A = np.empty((m + 1, m + 1))
+    A[:m, :m] = G
+    A[m, :m] = D @ g  # cholesky reads the lower triangle only
+    A[m, m] = gTg = float(np.dot(g, g))
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:  # G is singular, or g is in its span
+        return False
+    r2 = float(L[m, m]) ** 2
+    threshold = 2.0 * params.eta0_tilde ** 2 * gTg
+    if not r2 > threshold:  # lost, or too close to call: no need for kappa
+        return False
+    L_inv = np.linalg.inv(L[:m, :m])
+    kappa = m * float(np.vdot(L_inv, L_inv))
+    rounding = (8.0 * (n + m + 2) + 1e4 * m ** 3 * n * n * _U) * _U * kappa
+    return r2 > threshold + rounding * gTg
 
 
 def orthogonality_restored(Z: np.ndarray, g: Vector,

@@ -233,6 +233,41 @@ def test_cli_errors_give_nonzero_exit(tmp_path):
                  "--out", unwritable]) == 2
 
 
+@pytest.mark.parametrize("body", [
+    "hs,sphere(5),5,x,2,2,0.1,converged,1e-9\n",  # a value that does not parse
+    "hs,sphere(5),5,1,2\n",                       # a short row
+], ids=["malformed", "short"])
+def test_cli_profile_rejects_a_bad_results_csv(tmp_path, capsys, body):
+    bad = tmp_path / "r.csv"
+    bad.write_text(",".join(RESULT_HEADER) + "\n" + body)
+    with pytest.raises(ConfigError, match="line 2"):
+        read_results_csv(str(bad))
+    assert main(["profile", "--metric", "ng", "--in", str(bad),
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2" in err and "n_" in err
+    # a file without the count columns names the first one it lacks
+    bad.write_text("solver,problem,dim\nhs,sphere(5),5\n")
+    with pytest.raises(ConfigError, match="'n_iter'"):
+        read_results_csv(str(bad))
+
+
+def test_cli_run_checks_out_before_solving(tmp_path, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("run_matrix called with an unwritable out")
+    monkeypatch.setattr("rlsmcg.bench.run_matrix", no_run)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("solvers = hs\nproblems = sphere(5)\n"
+                   f"out = {tmp_path / 'missing_dir' / 'r.csv'}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    # the probe of a writable out leaves no file behind
+    out = tmp_path / "r.csv"
+    cfg.write_text(f"solvers = hs\nproblems = sphere(5)\nout = {out}\n")
+    with pytest.raises(AssertionError):
+        main(["run", "--config", str(cfg)])
+    assert not out.exists()
+
+
 def test_perfbench_patch_list_resolves(monkeypatch):
     # the traced benchmark run wraps each (module, attr) of this list where
     # the drivers look it up; a name deleted from the library breaks only

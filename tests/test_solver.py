@@ -10,6 +10,7 @@ from rlsmcg.problems import (ext_rosenbrock, get_problem, quad_diag, registry,
                              sphere)
 from rlsmcg.solver import (Phase, Rlsmcg, initial_state, policy_step, run,
                            run_with_trace, update_restart_counters)
+from rlsmcg import subspace_rqn as rqn
 from rlsmcg.subspace_rqn import (SubspaceHessian, orthogonality_restored,
                                  rqn_direction)
 
@@ -396,6 +397,39 @@ PINNED_COUNTS = {
     "broyden_tridiag(100)": ((30, 60, 31), (30, 60, 31)),
     "broyden_tridiag(1000)": ((32, 64, 33), (32, 64, 33)),
 }
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(rqn, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(rqn, name, counted)
+    return calls
+
+
+def test_gram_screen_spares_the_qr_on_quad_diag_200(monkeypatch):
+    # without the screen, the monitor runs one QR per full-memory SMCG
+    # iteration: 315 here
+    calls = _count_calls(monkeypatch, "qr_update", "orthogonality_lost",
+                         "orthogonality_kept")
+    report, trace = run_with_trace(get_problem("quad_diag(200)"))
+    assert report.n_g == PINNED_COUNTS["quad_diag(200)"][0][2]
+    assert calls["orthogonality_kept"] == 315
+    assert calls["qr_update"] <= 5 and calls["orthogonality_lost"] <= 5
+    assert sum(rec.orth_lost_flag is False for rec in trace) == 315
+
+
+def test_exact_predicate_runs_when_the_memory_spans_rn(monkeypatch):
+    # palmer_poly(8): memory_m = n = 8, so no screen runs and every
+    # full-memory SMCG iteration takes the QR and the exact predicate
+    calls = _count_calls(monkeypatch, "orthogonality_lost", "orthogonality_kept")
+    _, trace = run_with_trace(get_problem("palmer_poly(8)"))
+    monitored = [rec for rec in trace
+                 if rec.state_before is IterType.SMCG and rec.k + 1 >= 8]
+    assert calls == {"orthogonality_lost": len(monitored), "orthogonality_kept": 0}
+    assert all(rec.orth_lost_flag is not None for rec in monitored)
 
 
 @pytest.mark.parametrize("rqn_enabled", [True, False], ids=["rqn", "norqn"])

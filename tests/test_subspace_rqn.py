@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rlsmcg.core import SolverParams
-from rlsmcg.subspace_rqn import (DROP_TOL, ENTRY_RANK_TOL, SubspaceHessian,
+from rlsmcg.subspace_rqn import (DROP_TOL, ENTRY_RANK_TOL, GramRing,
+                                 SubspaceHessian, orthogonality_kept,
                                  orthogonality_lost, orthogonality_restored,
                                  qr_update, ratio, rbfgs_update, rqn_direction,
                                  update_mu)
@@ -170,6 +172,130 @@ def test_restored_switches_at_the_exit_threshold():
     Z = qr_update([e(0)])
     assert orthogonality_restored(Z, e(0) + 0.578 * e(1), P)
     assert not orthogonality_restored(Z, e(0) + 0.577 * e(1), P)
+
+
+# --- the Gram screen ----------------------------------------------------------------
+
+def _ring(dirs, n):
+    ring = GramRing.empty(len(dirs), n)
+    for d in dirs:
+        ring.push(d)
+    return ring
+
+
+def _kept(dirs, g):
+    ring = _ring(dirs, g.size)
+    return orthogonality_kept(ring.D, ring.G, g, P)
+
+
+def test_screen_certifies_a_gradient_well_outside_the_span():
+    dirs = [e(0, 6), 3.0 * (e(0, 6) + e(1, 6)), -e(2, 6)]
+    assert _kept(dirs, e(3, 6) + e(0, 6))
+    assert _kept(dirs, e(0, 6) + 1e-3 * e(4, 6))
+
+
+def test_screen_leaves_contained_and_near_threshold_gradients_open():
+    dirs = [e(0, 6), e(0, 6) + e(1, 6)]
+    for g in (2.0 * e(0, 6) - e(1, 6),         # in the span
+              e(0, 6) + 1e-8 * e(2, 6),        # outside, but too close to call
+              np.zeros(6)):
+        assert not _kept(dirs, g)
+    # the exact test says "not lost" to the second, so the screen only defers
+    assert not orthogonality_lost(qr_update(dirs), e(0, 6) + 1e-8 * e(2, 6), P)
+    # with a coarse entry threshold, a residual just below it is lost
+    coarse = replace(P, eta0_tilde=1e-3)
+    ring = _ring(dirs, 6)
+    for t, lost in ((0.9e-3, True), (2e-3, False)):
+        g = e(0, 6) + t * e(2, 6)
+        assert orthogonality_lost(qr_update(dirs), g, coarse) is lost
+        assert orthogonality_kept(ring.D, ring.G, g, coarse) is not lost
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_screen_leaves_singular_or_nonfinite_memories_open():
+    g = e(3, 6)
+    assert not _kept([e(0, 6), e(0, 6), e(1, 6)], g)          # repeated direction
+    assert not _kept([e(0, 6), np.zeros(6)], g)               # zero direction
+    assert not _kept([e(0, 6), np.full(6, math.nan)], g)      # NaN direction
+    assert not _kept([e(0, 6), np.full(6, 1e300)], g)         # norm overflows
+    assert not _kept([e(0, 6), e(1, 6)], np.full(6, math.inf))
+    # a memory that spans R^n holds every gradient
+    assert not _kept([e(i, 4) for i in range(4)], np.ones(4))
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def direction_sets(draw):
+    """Directions of scales 10^[-3, 3] in R^n, n in [4, 30], with columns
+    mixed in that are combinations of earlier ones plus noise of 1e-13 (dependent
+    at both QR tolerances), 1e-10 (kept at DROP_TOL only) or 1e-6 times their
+    norm, as in test_qr_invariants_on_random_sets."""
+    n = draw(st.integers(4, 30))
+    base = draw(st.integers(1, min(n, 8)))
+    rows = draw(arrays(np.float64, (base, n), elements=st.floats(-1.0, 1.0))
+                .filter(lambda a: np.all(np.abs(a).sum(axis=1) > 0.1)))
+    exps = draw(arrays(np.float64, base, elements=st.floats(-3.0, 3.0)))
+    dirs = list(rows * 10.0 ** exps[:, None])
+    for noise in draw(st.lists(st.sampled_from([1e-13, 1e-10, 1e-6]),
+                               max_size=3)):
+        coef = draw(arrays(np.float64, base, elements=st.floats(0.1, 1.0)))
+        c = coef @ np.array(dirs[:base])
+        u = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0))
+                 .filter(lambda a: np.abs(a).sum() > 0.1))
+        dirs.insert(draw(st.integers(base, len(dirs))),
+                    c + noise * np.linalg.norm(c) * _unit(u))
+    return dirs
+
+
+# relative out-of-span residuals, one decade at a time: 0, then 1e-12 to
+# 1e-6 around the entry threshold eta0 = 1e-9, then up to 1e-1, where the
+# screen starts to certify
+residuals = st.integers(-13, -1).flatmap(
+    lambda e: st.just(0.0) if e == -13 else st.floats(e, e + 1.0).map(lambda x: 10.0 ** x))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(dirs=direction_sets(), t=residuals, data=st.data())
+def test_screen_never_certifies_what_the_exact_test_calls_lost(dirs, t, data):
+    n, m = dirs[0].size, len(dirs)
+    Q = np.linalg.qr(np.array(dirs).T, mode="complete")[0]
+    k = min(m, n)
+    # along the whole span, ill-determined directions included, where the
+    # normal equations lose the most
+    inside = Q[:, :k] @ data.draw(arrays(np.float64, k, elements=st.floats(0.1, 1.0)))
+    g = _unit(inside)
+    if k < n:  # a prescribed residual t ||g|| along the complement
+        out = Q[:, k:] @ data.draw(arrays(np.float64, n - k,
+                                          elements=st.floats(0.1, 1.0)))
+        g = g + t * _unit(out)
+    g = g * 10.0 ** data.draw(st.floats(-3.0, 3.0))
+    if _kept(dirs, g):
+        Z = qr_update(dirs)
+        assert Z is not None and not orthogonality_lost(Z, g, P)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(data=st.data(), m=st.integers(1, 11), n=st.integers(1, 40),
+       extra=st.integers(0, 40))
+def test_ring_gram_is_the_gram_of_the_last_m_unit_directions(data, m, n, extra):
+    rows = data.draw(arrays(np.float64, (m + extra, n), elements=st.floats(-1.0, 1.0))
+                     .filter(lambda a: np.all(np.abs(a).sum(axis=1) > 0.1)))
+    exps = data.draw(arrays(np.float64, m + extra, elements=st.floats(-3.0, 3.0)))
+    pushed = list(rows * 10.0 ** exps[:, None])
+    ring = GramRing.empty(m, n)
+    for d in pushed:
+        ring.push(d)
+    # push k lives in row k mod m
+    for k in range(extra, m + extra):
+        np.testing.assert_allclose(ring.D[k % m], _unit(pushed[k]),
+                                   rtol=4e-16 * n, atol=0.0)
+    np.testing.assert_array_equal(ring.G, ring.G.T)
+    np.testing.assert_allclose(ring.G, ring.D @ ring.D.T, rtol=0.0,
+                               atol=4e-16 * n)
 
 
 # --- regularized BFGS update ----------------------------------------------------
