@@ -11,6 +11,7 @@ reported counters are directly comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
@@ -49,22 +50,22 @@ def lbfgs_two_loop(g: Vector, s_list: List[Vector], y_list: List[Vector]) -> Vec
 
     The seed matrix is (s'y / y'y) I from the newest pair, the usual scaling.
     """
-    q = np.array(g, dtype=float)
+    q = np.array(g, dtype=float)  # a copy, updated in place below
     if not s_list:
-        return -q
+        return np.negative(q, out=q)
     rho = [1.0 / dot(s, y) for s, y in zip(s_list, y_list)]
     alpha = []
     for r, s, y in zip(rho, s_list, y_list):
         a = r * dot(s, q)
         alpha.append(a)
-        q = q - a * y
+        q -= a * y
     s0, y0 = s_list[0], y_list[0]
-    q = (dot(s0, y0) / dot(y0, y0)) * q
+    q *= dot(s0, y0) / dot(y0, y0)
     for r, s, y, a in zip(reversed(rho), reversed(s_list), reversed(y_list),
                           reversed(alpha)):
         b = r * dot(y, q)
-        q = q + (a - b) * s
-    return -q
+        q += (a - b) * s
+    return np.negative(q, out=q)
 
 
 class _Policy:
@@ -117,7 +118,7 @@ class _Policy:
                line: LineFunction, result: StepResult, params: SolverParams) -> None:
         s, y = state.s_prev, state.y_prev
         if self.kind.tag is BaselineTag.LBFGS and \
-                dot(s, y) > LBFGS_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
+                dot(s, y) > LBFGS_SKIP * math.sqrt(dot(s, s)) * math.sqrt(dot(y, y)):
             self.s_mem.insert(0, s)
             self.y_mem.insert(0, y)
             del self.s_mem[LBFGS_MEMORY:], self.y_mem[LBFGS_MEMORY:]

@@ -10,8 +10,8 @@ Config files are flat key-value text (``key = value``, ``#`` comments).
 Recognized keys: ``solvers`` and ``problems`` (comma-separated lists),
 ``out``, ``repetitions``, and any solver parameter name as an override
 (e.g. ``grad_tol = 1e-8``).  A ``seed`` key is accepted and ignored: runs
-are deterministic, so the same config reproduces every column except wall
-time.
+are deterministic, so the same config reproduces every column except the
+two timings (``wall_time_s`` and ``us_per_iter``).
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .problems import get_problem
 
 RESULT_HEADER = ["solver", "problem", "dim", "n_iter", "n_f", "n_g",
                  "wall_time_s", "status", "final_gnorm_inf"]
+# ``bench run`` appends the wall time per iteration in microseconds; a
+# results file may carry it or not
+PER_ITER_COLUMN = "us_per_iter"
 TRACE_HEADER = ["k", "case", "alpha", "gnorm_inf", "Ck", "state", "mu"]
 
 # every solver, called as solve(problem, params, trace_hook=hook)
@@ -160,14 +163,20 @@ def run_matrix(cfg: BenchConfig) -> List[dict]:
     return rows
 
 
-def write_results_csv(rows: List[dict], path: str) -> None:
+def write_results_csv(rows: List[dict], path: str, per_iter: bool = False) -> None:
+    """The rows under RESULT_HEADER; ``per_iter`` appends the column
+    ``us_per_iter``, wall_time_s / max(n_iter, 1) in microseconds."""
+    header = RESULT_HEADER + [PER_ITER_COLUMN] if per_iter else RESULT_HEADER
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_HEADER)
+        writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         for row in rows:
             out = dict(row)
             out["wall_time_s"] = f"{row['wall_time_s']:.6f}"
             out["final_gnorm_inf"] = f"{row['final_gnorm_inf']:.6e}"
+            if per_iter:
+                us = 1e6 * row["wall_time_s"] / max(row["n_iter"], 1)
+                out[PER_ITER_COLUMN] = f"{us:.3f}"
             writer.writerow(out)
 
 
@@ -182,17 +191,22 @@ def _probe_writable(path: str) -> None:
 
 
 _NUMERIC_COLUMNS = {"dim": int, "n_iter": int, "n_f": int, "n_g": int,
-                    "wall_time_s": float, "final_gnorm_inf": float}
+                    "wall_time_s": float, "final_gnorm_inf": float,
+                    PER_ITER_COLUMN: float}
 
 
 def read_results_csv(path: str) -> List[dict]:
-    """The rows ``write_results_csv`` wrote; ConfigError naming the line and
-    column of a value that is missing or does not parse."""
+    """The rows ``write_results_csv`` wrote, with or without ``us_per_iter``;
+    ConfigError naming the line and column of a value that is missing or
+    does not parse."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        columns = list(RESULT_HEADER)
+        if PER_ITER_COLUMN in (reader.fieldnames or ()):
+            columns.append(PER_ITER_COLUMN)
         rows = []
         for row in reader:
-            for key in RESULT_HEADER:
+            for key in columns:
                 value = row.get(key)
                 try:
                     if value is None:  # a short row, or no such column
@@ -332,7 +346,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cfg = parse_config(fh.read())
             _probe_writable(cfg.out)
             rows = run_matrix(cfg)
-            write_results_csv(rows, cfg.out)
+            write_results_csv(rows, cfg.out, per_iter=True)
             n_conv = sum(r["status"] == Status.CONVERGED.value for r in rows)
             print(f"wrote {len(rows)} rows to {cfg.out} ({n_conv} converged)")
             return 0

@@ -47,11 +47,12 @@ class CaseTag(Enum):
 
 def dot(a: Vector, b: Vector) -> float:
     """Euclidean inner product of two equal-length vectors (ValueError if not)."""
-    return float(np.dot(a, b))
+    return float(a.dot(b))
 
 
 def norm_inf(v: Vector) -> float:
-    """Max-norm of a nonempty vector (ValueError if empty)."""
+    """Max-norm of a nonempty vector (ValueError if empty); finite exactly
+    when every entry of ``v`` is, as a NaN propagates through the max."""
     return float(np.abs(v).max())
 
 
@@ -86,13 +87,15 @@ class CountingProblem:
     """Evaluation-counting wrapper around a Problem.
 
     All solvers evaluate f and g only through this wrapper, so the reported
-    N_f / N_g are exact by construction.
+    N_f / N_g are exact by construction.  A gradient whose shape is not
+    ``(dim,)`` is rejected here, before any solver arithmetic broadcasts it.
     """
 
     def __init__(self, problem: Problem):
         self.problem = problem
         self.n_f = 0
         self.n_g = 0
+        self._shape = (problem.dim,)
 
     def f(self, x: Vector) -> float:
         self.n_f += 1
@@ -100,7 +103,11 @@ class CountingProblem:
 
     def g(self, x: Vector) -> Vector:
         self.n_g += 1
-        return np.asarray(self.problem.eval_g(x), dtype=float)
+        g = np.asarray(self.problem.eval_g(x), dtype=float)
+        if g.shape != self._shape:
+            raise ValueError(f"{self.problem.name}: eval_g returned shape "
+                             f"{g.shape}, expected {self._shape}")
+        return g
 
 
 def finite_diff_gradient(problem: Problem, x: Vector) -> Vector:
@@ -266,6 +273,8 @@ class SolverState:
     x: Vector
     f: float
     g: Vector
+    # ||g||_inf, advanced with g; it doubles as the finiteness test of g
+    gnorm_inf: float = math.nan
     # previous accepted step and its gradient difference
     s_prev: Optional[Vector] = None
     y_prev: Optional[Vector] = None

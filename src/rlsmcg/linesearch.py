@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -25,8 +25,7 @@ class AcceptKind(Enum):
     MAX_BACKTRACK = "max_backtrack"
 
 
-@dataclass(frozen=True)
-class NonmonotoneLedger:
+class NonmonotoneLedger(NamedTuple):
     """Reference value C_k and accumulated weight Q_k after k updates."""
 
     Ck: float
@@ -51,9 +50,11 @@ class StepResult:
 class LineFunction:
     """The 1-D restriction phi(a) = f(x + a d) with cached evaluations.
 
-    ``problem`` (a CountingProblem) counts the evaluations.  Seeding the
-    a = 0 slot with the already-known (f, g) keeps the evaluation accounting
-    honest: phi(0) and phi'(0) never re-evaluate.
+    ``problem`` (a CountingProblem) counts the evaluations.  Each step's
+    point x + a d is built once, and its f, its g and the caller's landing
+    point share it.  Seeding the a = 0 slot with the already-known (f, g)
+    keeps the evaluation accounting honest: phi(0) and phi'(0) never
+    re-evaluate.
     """
 
     def __init__(self, problem, x: Vector, d: Vector,
@@ -61,30 +62,30 @@ class LineFunction:
         self.problem = problem
         self.x = np.asarray(x, dtype=float)
         self.d = np.asarray(d, dtype=float)
-        self._f_cache = {}
-        self._g_cache = {}
-        if f0 is not None:
-            self._f_cache[0.0] = float(f0)
-        if g0 is not None:
-            self._g_cache[0.0] = np.asarray(g0, dtype=float)
+        self._points = {}
+        self._f_cache = {} if f0 is None else {0.0: float(f0)}
+        self._g_cache = {} if g0 is None else {0.0: np.asarray(g0, dtype=float)}
 
     def point(self, a: float) -> Vector:
-        return self.x + a * self.d
+        x_a = self._points.get(a)
+        if x_a is None:
+            x_a = self._points[a] = self.x + a * self.d
+        return x_a
 
     def value(self, a: float) -> float:
-        a = float(a)
-        if a not in self._f_cache:
-            self._f_cache[a] = self.problem.f(self.point(a))
-        return self._f_cache[a]
+        f_a = self._f_cache.get(a)
+        if f_a is None:
+            f_a = self._f_cache[a] = self.problem.f(self.point(a))
+        return f_a
 
     def gradient(self, a: float) -> Vector:
-        a = float(a)
-        if a not in self._g_cache:
-            self._g_cache[a] = self.problem.g(self.point(a))
-        return self._g_cache[a]
+        g_a = self._g_cache.get(a)
+        if g_a is None:
+            g_a = self._g_cache[a] = self.problem.g(self.point(a))
+        return g_a
 
     def slope(self, a: float) -> float:
-        return float(np.dot(self.gradient(a), self.d))
+        return float(self.gradient(a).dot(self.d))
 
 
 def quad_interp_min(phi0: float, dphi0: float, phi_a: float, a: float) -> Optional[float]:

@@ -156,8 +156,9 @@ def hs_direction(g_cur: Vector, y_prev: Vector, d_prev: Vector) -> Optional[Vect
     dTy = dot(d_prev, y_prev)
     if dTy == 0.0:
         return None
-    beta = dot(g_cur, y_prev) / dTy
-    return -g_cur + beta * d_prev
+    d = dot(g_cur, y_prev) / dTy * d_prev
+    d -= g_cur  # the same sum as -g_cur + beta * d_prev, in one vector
+    return d
 
 
 def sufficient_descent_coefficient(params: SolverParams) -> float:

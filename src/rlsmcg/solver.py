@@ -83,18 +83,20 @@ def accept(state: SolverState, record: DirectionRecord, x_next: Vector,
            f_next: float, g_next: Vector, params: SolverParams) -> Optional[Status]:
     """Move to ``x_next`` after a step along ``record.d``: advance C_k, push
     the direction onto the history (newest first, ``memory_m`` kept) and shift
-    (s, y) and the iterate.  Returns NUMERIC_FAIL, with ``state`` untouched,
-    when f or g is not finite there, else None.
+    (s, y), the iterate and its gradient max-norm.  Returns NUMERIC_FAIL, with
+    ``state`` untouched, when f or g is not finite there, else None.
     """
-    if not (math.isfinite(f_next) and bool(np.all(np.isfinite(g_next)))):
+    gnorm_inf = norm_inf(g_next)  # not finite exactly when g_next is not
+    if not (math.isfinite(f_next) and math.isfinite(gnorm_inf)):
         return Status.NUMERIC_FAIL
     state.ledger = ledger_update(state.ledger, f_next)
-    state.dir_history.insert(0, record.d)
-    del state.dir_history[params.memory_m:]
+    history = state.dir_history
+    history.insert(0, record.d)
+    del history[params.memory_m:]
     state.s_prev = x_next - state.x
     state.y_prev = g_next - state.g
     state.f_prev = state.f
-    state.x, state.f, state.g = x_next, f_next, g_next
+    state.x, state.f, state.g, state.gnorm_inf = x_next, f_next, g_next, gnorm_inf
     state.k += 1
     return None
 
@@ -103,7 +105,8 @@ def initial_state(cp: CountingProblem) -> SolverState:
     x0 = cp.problem.x0.copy()
     f0 = cp.f(x0)
     g0 = cp.g(x0)
-    return SolverState(k=0, x=x0, f=f0, g=g0, ledger=NonmonotoneLedger.start(f0))
+    return SolverState(k=0, x=x0, f=f0, g=g0, gnorm_inf=norm_inf(g0),
+                       ledger=NonmonotoneLedger.start(f0))
 
 
 def minimize(problem: Problem, params: Optional[SolverParams], policy,
@@ -114,13 +117,14 @@ def minimize(problem: Problem, params: Optional[SolverParams], policy,
     cp = CountingProblem(problem)
     t_start = time.perf_counter()
     state = initial_state(cp)
-    finite_start = math.isfinite(state.f) and bool(np.all(np.isfinite(state.g)))
+    finite_start = math.isfinite(state.f) and math.isfinite(state.gnorm_inf)
     status = None if finite_start else Status.NUMERIC_FAIL
     traced = trace_hook is not None
+    grad_tol, max_iter = p.grad_tol, p.max_iter
     while status is None:
-        if norm_inf(state.g) <= p.grad_tol:
+        if state.gnorm_inf <= grad_tol:
             status = Status.CONVERGED
-        elif state.k >= p.max_iter:
+        elif state.k >= max_iter:
             status = Status.ITER_CAP
         else:
             status, rec = policy_step(policy, state, cp, p, traced)
@@ -129,7 +133,7 @@ def minimize(problem: Problem, params: Optional[SolverParams], policy,
 
     return RunReport(n_iter=state.k, n_f=cp.n_f, n_g=cp.n_g,
                      wall_time=time.perf_counter() - t_start, status=status,
-                     final_gnorm_inf=norm_inf(state.g) if finite_start else math.nan,
+                     final_gnorm_inf=state.gnorm_inf if finite_start else math.nan,
                      x=state.x, f=state.f)
 
 
@@ -154,7 +158,10 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
     """
     phase = policy.phase
     record = policy.direction(state, params)
-    if record.gTd >= 0.0 or not np.all(np.isfinite(record.d)):
+    # every direction's g'd is the product g.d, and g is finite, so a d that
+    # is not finite makes g'd not finite: d is scanned only then
+    if record.gTd >= 0.0 or not (math.isfinite(record.gTd)
+                                 or np.isfinite(record.d).all()):
         record = smcg.neg_grad_record(state.g)
     ledger = state.ledger
     gnorm2 = dot(state.g, state.g) if traced else math.nan
@@ -182,7 +189,7 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
         return status, None
     return status, TraceRecord(
         k=state.k if status else state.k - 1, case_tag=record.case_tag,
-        alpha=math.nan if status else result.alpha, gnorm_inf=norm_inf(state.g),
+        alpha=math.nan if status else result.alpha, gnorm_inf=state.gnorm_inf,
         Ck=state.ledger.Ck, state=_iter_type(policy.phase),
         state_before=_iter_type(phase), gTd=record.gTd, gnorm2=gnorm2,
         dnorm=float(np.linalg.norm(record.d)), f=state.f, Ck_before=ledger.Ck,
@@ -245,7 +252,7 @@ class Rlsmcg:
         # every branch; -g always meets it, and in a phase it closes the phase
         c1 = smcg.sufficient_descent_coefficient(params)
         if (math.isfinite(record.gTd) and record.gTd <= -c1 * self.gnorm2
-                and np.all(np.isfinite(record.d))):
+                and np.isfinite(record.d).all()):
             return record
         return smcg.neg_grad_record(g)
 

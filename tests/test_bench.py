@@ -281,3 +281,94 @@ def test_perfbench_patch_list_resolves(monkeypatch):
     for module_name, attr, _ in spans.LAYER_FUNCTIONS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def _load_perfbench_spans(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+# (module, name) of each traced layer and the solvers that must reach it
+# through that module attribute; rlsmcg.baselines' wolfe_search and
+# ledger_update are exempt, as the shared driver in rlsmcg.solver calls them
+_DRIVER_PATH_LAYERS = {
+    ("rlsmcg.solver", "wolfe_search"): ("rlsmcg", "hs", "lbfgs"),
+    ("rlsmcg.solver", "ledger_update"): ("rlsmcg", "hs", "lbfgs"),
+    ("rlsmcg.solver", "initial_stepsize"): ("rlsmcg",),
+    ("rlsmcg.solver", "bb_fallback_stepsize"): ("rlsmcg",),
+    ("rlsmcg.baselines", "bb_fallback_stepsize"): ("hs", "lbfgs"),
+    ("rlsmcg.baselines", "lbfgs_two_loop"): ("lbfgs",),
+}
+
+
+def test_traced_layers_stay_on_the_driver_path(monkeypatch):
+    # the traced benchmark run times a layer by replacing its module
+    # attribute; a layer the driver stops calling through that attribute
+    # would read zero calls there without any error
+    from rlsmcg.baselines import BaselineKind, BaselineTag, run_baseline
+    from rlsmcg.problems import get_problem
+    from rlsmcg.solver import run
+    listed = {(m, a) for m, a, _ in _load_perfbench_spans(monkeypatch).LAYER_FUNCTIONS}
+    assert set(_DRIVER_PATH_LAYERS) <= listed
+    calls = {}
+    for module_name, attr in _DRIVER_PATH_LAYERS:
+        module = importlib.import_module(module_name)
+        fn = getattr(module, attr)
+
+        def counted(*args, _key=(module_name, attr), _fn=fn, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    solves = {
+        "rlsmcg": lambda: run(get_problem("quad_diag(200)")),
+        "hs": lambda: run_baseline(BaselineKind(BaselineTag.HS_CG),
+                                   get_problem("ext_rosenbrock(10)")),
+        "lbfgs": lambda: run_baseline(BaselineKind(BaselineTag.LBFGS),
+                                      get_problem("ext_rosenbrock(10)")),
+    }
+    for solver, solve in solves.items():
+        calls.clear()
+        solve()
+        for key, solvers in _DRIVER_PATH_LAYERS.items():
+            if solver in solvers:
+                assert calls.get(key, 0) >= 1, (solver, key)
+
+
+def test_cli_run_appends_us_per_iter_and_profile_reads_either(tmp_path):
+    out = tmp_path / "r.csv"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"solvers = hs, lbfgs\nproblems = sphere(5), quad_diag(10)\n"
+                   f"out = {out}\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    with open(out) as fh:
+        header = fh.readline().strip().split(",")
+    assert header == RESULT_HEADER + ["us_per_iter"]
+    rows = read_results_csv(str(out))
+    for row in rows:
+        us = row["us_per_iter"]
+        assert isinstance(us, float)
+        # wall_time_s is written to the microsecond, us_per_iter to 1e-3
+        n = max(row["n_iter"], 1)
+        assert us == pytest.approx(1e6 * row["wall_time_s"] / n,
+                                   rel=0, abs=1.0 / n + 1e-3)
+    # the same rows without the column read back with the same counts
+    plain = tmp_path / "plain.csv"
+    write_results_csv([{k: v for k, v in r.items() if k != "us_per_iter"}
+                       for r in rows], str(plain))
+    with open(plain) as fh:
+        assert fh.readline().strip() == ",".join(RESULT_HEADER)
+    back = read_results_csv(str(plain))
+    assert "us_per_iter" not in back[0]
+    assert [r["n_g"] for r in back] == [r["n_g"] for r in rows]
+    for path in (out, plain):
+        assert main(["profile", "--metric", "ng", "--in", str(path),
+                     "--out", str(tmp_path / "p.csv")]) == 0
+    # a malformed value in the column is named like any other
+    out.write_text(",".join(RESULT_HEADER + ["us_per_iter"]) + "\n"
+                   "hs,sphere(5),5,1,2,2,0.1,converged,1e-9,x\n")
+    with pytest.raises(ConfigError, match="us_per_iter"):
+        read_results_csv(str(out))

@@ -156,3 +156,33 @@ def test_run_report_holds_fields():
                     status=Status.CONVERGED, final_gnorm_inf=1e-8)
     assert rep.n_f >= rep.n_iter
     assert rep.n_g >= rep.n_iter
+
+
+# --- gradient shape ------------------------------------------------------------
+
+def _column_gradient_problem(n):
+    """A sphere whose eval_g returns an (n, 1) column instead of (n,)."""
+    return Problem("column_sphere", n, lambda x: 0.5 * float(x @ x),
+                   lambda x: x.reshape(-1, 1).copy(), np.ones(n))
+
+
+@pytest.mark.parametrize("n", [5, 1])
+def test_counting_problem_rejects_a_gradient_of_the_wrong_shape(n):
+    cp = CountingProblem(_column_gradient_problem(n))
+    with pytest.raises(ValueError) as info:
+        cp.g(np.ones(n))
+    msg = str(info.value)
+    assert "column_sphere" in msg and str((n, 1)) in msg and str((n,)) in msg
+
+
+@pytest.mark.parametrize("n", [5, 1])
+@pytest.mark.parametrize("solver", ["rlsmcg", "lbfgs"])
+def test_solvers_report_a_column_gradient_by_its_shape(n, solver):
+    from rlsmcg.baselines import BaselineKind, BaselineTag, run_baseline
+    from rlsmcg.solver import run
+    problem = _column_gradient_problem(n)
+    with pytest.raises(ValueError, match=r"column_sphere.*\(%d, 1\)" % n):
+        if solver == "rlsmcg":
+            run(problem)
+        else:
+            run_baseline(BaselineKind(BaselineTag.LBFGS), problem)

@@ -341,3 +341,75 @@ def test_clip_step_bounds():
     assert clip_step(1e20, P) == P.alpha_max
     assert clip_step(1e-20, P) == P.alpha_min
     assert clip_step(0.5, P) == 0.5
+
+
+# --- LineFunction caching and the ledger's value semantics -------------------
+
+class _Recorder:
+    """A CountingProblem stand-in that keeps every point f and g saw."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.f_points, self.g_points = [], []
+
+    def f(self, x):
+        self.f_points.append(x)
+        return float(self.problem.eval_f(x))
+
+    def g(self, x):
+        self.g_points.append(x)
+        return np.asarray(self.problem.eval_g(x), dtype=float)
+
+
+def test_line_function_evaluates_and_builds_each_step_once():
+    from rlsmcg.problems import ext_rosenbrock
+    prob = ext_rosenbrock(4)
+    rec = _Recorder(prob)
+    x, d = prob.x0, -prob.eval_g(prob.x0)
+    line = LineFunction(rec, x, d, f0=prob.eval_f(x), g0=prob.eval_g(x))
+    for a in (1e-3, 0.5, 1e-3, 0.5, 1e-3):
+        line.value(a)
+        line.slope(a)
+        line.gradient(a)
+        line.value(a)
+    assert len(rec.f_points) == 2 and len(rec.g_points) == 2
+    for a, xf, xg in zip((1e-3, 0.5), rec.f_points, rec.g_points):
+        # one array per step, shared by f, g and the landing point
+        assert xf is xg and line.point(a) is xf
+        assert xf.tobytes() == (x + a * d).tobytes()
+    # the seeded a = 0 slot never evaluates
+    line.value(0.0), line.gradient(0.0), line.slope(0.0)
+    assert len(rec.f_points) == 2 and len(rec.g_points) == 2
+
+
+@pytest.mark.parametrize("solver", ["rlsmcg", "hs"])
+def test_landing_point_is_the_evaluated_point(solver):
+    # every iterate the driver moves to is, bytewise, a point where both f
+    # and g were evaluated
+    from rlsmcg.baselines import BaselineKind, BaselineTag, _Policy
+    from rlsmcg.problems import ext_rosenbrock
+    from rlsmcg.solver import initial_state, policy_step
+    prob = ext_rosenbrock(10)
+    params = P.resolve(prob.dim)
+    rec = _Recorder(prob)
+    state = initial_state(CountingProblem(prob))
+    policy = Rlsmcg() if solver == "rlsmcg" else _Policy(
+        BaselineKind(BaselineTag.HS_CG))
+    for _ in range(40):
+        n_f, n_g = len(rec.f_points), len(rec.g_points)
+        status, _ = policy_step(policy, state, rec, params, traced=False)
+        assert status is None
+        f_new = {x.tobytes() for x in rec.f_points[n_f:]}
+        g_new = {x.tobytes() for x in rec.g_points[n_g:]}
+        assert state.x.tobytes() in f_new & g_new
+
+
+def test_ledger_is_an_immutable_value():
+    led = NonmonotoneLedger.start(2.0)
+    assert led == NonmonotoneLedger(Ck=2.0, Qk=1.0, k=0)
+    assert (led.Ck, led.Qk, led.k) == (2.0, 1.0, 0)
+    for name in ("Ck", "Qk", "k"):
+        with pytest.raises(AttributeError):
+            setattr(led, name, 0.0)
+    nxt = ledger_update(led, 1.5)
+    assert led == NonmonotoneLedger.start(2.0) and nxt.k == 1

@@ -439,3 +439,59 @@ def test_rlsmcg_counts_are_pinned(name, rqn_enabled):
     assert rep.status is Status.CONVERGED
     expected = PINNED_COUNTS[name][0 if rqn_enabled else 1]
     assert (rep.n_iter, rep.n_f, rep.n_g) == expected
+
+
+# --- the fused acceptance check ---------------------------------------------------
+
+def _state_after_steps(n_steps=3):
+    prob = ext_rosenbrock(10)
+    params = P.resolve(prob.dim)
+    cp = CountingProblem(prob)
+    state = initial_state(cp)
+    policy = Rlsmcg()
+    for _ in range(n_steps):
+        assert policy_step(policy, state, cp, params, traced=False)[0] is None
+    return state, params
+
+
+def _snapshot(state):
+    return (state.k, state.x.tobytes(), state.f, state.g.tobytes(),
+            state.gnorm_inf, state.ledger, state.s_prev.tobytes(),
+            state.y_prev.tobytes(), state.f_prev,
+            [d.tobytes() for d in state.dir_history])
+
+
+@pytest.mark.parametrize("bad", ["f_nan", "g_nan", "g_pinf", "g_ninf"])
+def test_accept_rejects_a_non_finite_trial_and_leaves_state_untouched(bad):
+    from rlsmcg.solver import accept
+    from rlsmcg.smcg_direction import neg_grad_record
+    state, params = _state_after_steps()
+    before = _snapshot(state)
+    x_next = state.x - 1e-3 * state.g
+    f_next, g_next = state.f - 1.0, state.g.copy()
+    if bad == "f_nan":
+        f_next = math.nan
+    else:
+        g_next[3] = {"g_nan": math.nan, "g_pinf": math.inf,
+                     "g_ninf": -math.inf}[bad]
+    status = accept(state, neg_grad_record(state.g), x_next, f_next, g_next,
+                    params)
+    assert status is Status.NUMERIC_FAIL
+    assert _snapshot(state) == before
+
+
+def test_accept_advances_the_gradient_max_norm_with_the_gradient():
+    state, _ = _state_after_steps()
+    assert state.gnorm_inf == float(np.max(np.abs(state.g)))
+
+
+@pytest.mark.parametrize("name", ["ext_rosenbrock(10)", "quad_hilbert(8)",
+                                  "quad_diag(200)"])
+def test_final_gnorm_is_the_max_norm_of_the_gradient_at_x(name):
+    from rlsmcg.baselines import BaselineKind, BaselineTag, run_baseline
+    prob = get_problem(name)
+    for report in (run(prob),
+                   run_baseline(BaselineKind(BaselineTag.HS_CG), prob)):
+        assert report.status is Status.CONVERGED
+        g = prob.eval_g(report.x)
+        assert report.final_gnorm_inf == float(np.max(np.abs(g)))
