@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import (CaseTag, DirectionRecord, Problem, RunReport, SolverParams,
-                   SolverState, Vector, dot)
+                   SolverState, Vector, dot, norm_inf)
 from .linesearch import (LineFunction, StepResult, bb_fallback_stepsize,
                          bb_stepsizes, clip_step, interp_step)
 # not called here; tools that time the layers patch these names in this module
@@ -45,24 +45,40 @@ LBFGS_MEMORY = 11
 LBFGS_SKIP = 1e-10
 
 
-def lbfgs_two_loop(g: Vector, s_list: List[Vector], y_list: List[Vector]) -> Vector:
-    """Standard two-loop recursion; newest pair first in both lists.
+class PairMemory:
+    """The L-BFGS (s, y) pairs, newest first, each with its 1 / s'y, and the
+    seed scale s'y / y'y of the newest pair, the usual scaling of the seed
+    matrix."""
 
-    The seed matrix is (s'y / y'y) I from the newest pair, the usual scaling.
-    """
+    def __init__(self):
+        self.s: List[Vector] = []
+        self.y: List[Vector] = []
+        self.rho: List[float] = []
+        self.seed_scale = 1.0
+
+    def push(self, s: Vector, y: Vector, sTy: float, yTy: float) -> None:
+        """Add the pair with s'y = ``sTy`` and y'y = ``yTy``, keeping the
+        newest ``LBFGS_MEMORY``."""
+        for pairs, new in ((self.s, s), (self.y, y), (self.rho, 1.0 / sTy)):
+            pairs.insert(0, new)
+            del pairs[LBFGS_MEMORY:]
+        self.seed_scale = sTy / yTy
+
+
+def lbfgs_two_loop(g: Vector, pairs: PairMemory) -> Vector:
+    """Standard two-loop recursion over ``pairs``, from the seed matrix
+    ``pairs.seed_scale`` I."""
     q = np.array(g, dtype=float)  # a copy, updated in place below
-    if not s_list:
+    if not pairs.s:
         return np.negative(q, out=q)
-    rho = [1.0 / dot(s, y) for s, y in zip(s_list, y_list)]
     alpha = []
-    for r, s, y in zip(rho, s_list, y_list):
+    for r, s, y in zip(pairs.rho, pairs.s, pairs.y):
         a = r * dot(s, q)
         alpha.append(a)
         q -= a * y
-    s0, y0 = s_list[0], y_list[0]
-    q *= dot(s0, y0) / dot(y0, y0)
-    for r, s, y, a in zip(reversed(rho), reversed(s_list), reversed(y_list),
-                          reversed(alpha)):
+    q *= pairs.seed_scale
+    for r, s, y, a in zip(reversed(pairs.rho), reversed(pairs.s),
+                          reversed(pairs.y), reversed(alpha)):
         b = r * dot(y, q)
         q += (a - b) * s
     return np.negative(q, out=q)
@@ -77,8 +93,7 @@ class _Policy:
 
     def __init__(self, kind: BaselineKind):
         self.kind = kind
-        self.s_mem: List[Vector] = []
-        self.y_mem: List[Vector] = []
+        self.pairs = PairMemory()
         self.trace_fields: dict = {}
 
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
@@ -87,8 +102,8 @@ class _Policy:
             d = hs_direction(g, state.y_prev, state.dir_history[0])
             if d is not None:
                 return DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(g, d))
-        elif self.kind.tag is BaselineTag.LBFGS and self.s_mem:
-            d = lbfgs_two_loop(g, self.s_mem, self.y_mem)
+        elif self.kind.tag is BaselineTag.LBFGS and self.pairs.s:
+            d = lbfgs_two_loop(g, self.pairs)
             return DirectionRecord(d=d, case_tag=CaseTag.LBFGS, gTd=dot(g, d))
         return neg_grad_record(g)
 
@@ -112,16 +127,17 @@ class _Policy:
 
     def land(self, cp, state: SolverState, record: DirectionRecord,
              line: LineFunction, result: StepResult, params: SolverParams):
-        return line.point(result.alpha), result.f_trial, result.g_trial
+        return (line.point(result.alpha), result.f_trial, result.g_trial,
+                norm_inf(result.g_trial))
 
     def update(self, state: SolverState, record: DirectionRecord,
                line: LineFunction, result: StepResult, params: SolverParams) -> None:
+        if self.kind.tag is not BaselineTag.LBFGS:
+            return
         s, y = state.s_prev, state.y_prev
-        if self.kind.tag is BaselineTag.LBFGS and \
-                dot(s, y) > LBFGS_SKIP * math.sqrt(dot(s, s)) * math.sqrt(dot(y, y)):
-            self.s_mem.insert(0, s)
-            self.y_mem.insert(0, y)
-            del self.s_mem[LBFGS_MEMORY:], self.y_mem[LBFGS_MEMORY:]
+        sTy, yTy = dot(s, y), dot(y, y)
+        if sTy > LBFGS_SKIP * math.sqrt(dot(s, s)) * math.sqrt(yTy):
+            self.pairs.push(s, y, sTy, yTy)
 
 
 def run_baseline(kind: BaselineKind, problem: Problem,

@@ -35,20 +35,21 @@ class CurvatureSnapshot:
     gTy: float
 
     def __post_init__(self):
-        for name in ("sTy", "sTs", "yTy", "gTg", "gTs", "gTy"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite snapshot field {name}")
+        if not all(map(math.isfinite, (self.sTy, self.sTs, self.yTy, self.gTg,
+                                       self.gTs, self.gTy))):
+            raise ValueError("non-finite curvature snapshot")
 
     @classmethod
-    def from_vectors(cls, g: Vector, s: Vector, y: Vector) -> "CurvatureSnapshot":
-        return cls(
-            sTy=dot(s, y),
-            sTs=dot(s, s),
-            yTy=dot(y, y),
-            gTg=dot(g, g),
-            gTs=dot(g, s),
-            gTy=dot(g, y),
-        )
+    def from_vectors(cls, g: Vector, s: Vector, y: Vector,
+                     shared: Optional[Tuple[float, float, float]] = None
+                     ) -> "CurvatureSnapshot":
+        """The snapshot of (g, s, y); ``shared`` is (g'g, g's, s'y) where the
+        caller already has them as ``dot(g, g), dot(g, s), dot(s, y)``, the
+        very products computed here otherwise, so either way the snapshot is
+        the same bit for bit."""
+        gTg, gTs, sTy = (dot(g, g), dot(g, s), dot(s, y)) if shared is None else shared
+        return cls(sTy=sTy, sTs=dot(s, s), yTy=dot(y, y), gTg=gTg, gTs=gTs,
+                   gTy=dot(g, y))
 
 
 def quadratic_closeness(f_prev: float, f_cur: float, gTs: float, sTy: float) -> float:
@@ -172,19 +173,15 @@ def sufficient_descent_coefficient(params: SolverParams) -> float:
     )
 
 
-def closeness_from_state(state: SolverState) -> float:
-    """Quadratic closeness of the last accepted step (one must have been
-    taken); inf when undefined."""
-    return quadratic_closeness(state.f_prev, state.f, dot(state.g, state.s_prev),
-                               dot(state.s_prev, state.y_prev))
-
-
 def smcg_direction(state: SolverState, params: SolverParams, t_k: float,
-                   quad_like: bool) -> DirectionRecord:
+                   quad_like: bool,
+                   shared: Optional[Tuple[float, float, float]] = None
+                   ) -> DirectionRecord:
     """Four-case direction selection for the conjugate-gradient-type iteration.
 
     ``quad_like`` is the quadratic-like test on the closeness ``t_k`` and the
-    one before it.
+    one before it; ``shared`` holds products the caller already took at
+    ``state``, as ``CurvatureSnapshot.from_vectors`` takes them.
 
     Case (i)  well-conditioned, not quadratic-like: cubic-regularized solve.
     Case (ii) well-conditioned and quadratic-like:  plain quadratic solve.
@@ -198,7 +195,7 @@ def smcg_direction(state: SolverState, params: SolverParams, t_k: float,
     if state.s_prev is None:
         return neg_grad_record(g)
     try:
-        snap = CurvatureSnapshot.from_vectors(g, state.s_prev, state.y_prev)
+        snap = CurvatureSnapshot.from_vectors(g, state.s_prev, state.y_prev, shared)
     except ValueError:
         return neg_grad_record(g)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -80,13 +80,15 @@ TraceHook = Callable[[TraceRecord], None]
 
 
 def accept(state: SolverState, record: DirectionRecord, x_next: Vector,
-           f_next: float, g_next: Vector, params: SolverParams) -> Optional[Status]:
+           f_next: float, g_next: Vector, gnorm_inf: float,
+           params: SolverParams) -> Optional[Status]:
     """Move to ``x_next`` after a step along ``record.d``: advance C_k, push
     the direction onto the history (newest first, ``memory_m`` kept) and shift
-    (s, y), the iterate and its gradient max-norm.  Returns NUMERIC_FAIL, with
-    ``state`` untouched, when f or g is not finite there, else None.
+    (s, y), the iterate and its gradient max-norm ``gnorm_inf``, which is
+    ``norm_inf(g_next)``.  Returns NUMERIC_FAIL, with ``state`` untouched, when
+    f or g is not finite there (g is not exactly when its max-norm is not),
+    else None.
     """
-    gnorm_inf = norm_inf(g_next)  # not finite exactly when g_next is not
     if not (math.isfinite(f_next) and math.isfinite(gnorm_inf)):
         return Status.NUMERIC_FAIL
     state.ledger = ledger_update(state.ledger, f_next)
@@ -148,13 +150,13 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
 
     The policy supplies the ``direction`` (-g if it is no descent direction),
     the ``trial_step`` and ``rescue_step`` of the search, the point to
-    ``land`` on from the search's result, and the ``update`` after a step is
-    taken.  Its ``phase`` (None outside an RQN phase) gives the state flags,
-    its ``trace_fields`` the rest of the record.  A search that hit its
-    backtracking cap is taken once; a second one in a row, or one with no
-    point below C_k, reruns along -g from the rescue step.  Returns the
-    failure status (None when the step was taken) and, when ``traced``, the
-    record.
+    ``land`` on from the search's result (x, f, g and the max-norm of g),
+    and the ``update`` after a step is taken.  Its ``phase`` (None outside an
+    RQN phase) gives the state flags, its ``trace_fields`` the rest of the
+    record.  A search that hit its backtracking cap is taken once; a second
+    one in a row, or one with no point below C_k, reruns along -g from the
+    rescue step.  Returns the failure status (None when the step was taken)
+    and, when ``traced``, the record.
     """
     phase = policy.phase
     record = policy.direction(state, params)
@@ -231,7 +233,10 @@ class Rlsmcg:
         # when memory_m >= n, as that memory may span R^n, where the screen
         # can never certify
         self.memory: Optional[rqn.GramRing] = None
-        self.gnorm2 = math.nan
+        # g'g, taken by ``direction``, and g's and s'y, taken by ``update``
+        # for the closeness test: the direction at that iterate shares them
+        self.gnorm2 = self.gTs = self.sTy = math.nan
+        self.descent_margin: Optional[float] = None
         self.trace_fields: dict = {}
 
     def _restart_due(self, params: SolverParams) -> bool:
@@ -247,12 +252,16 @@ class Rlsmcg:
         elif self._restart_due(params):
             return smcg.neg_grad_record(g)
         else:
-            record = smcg.smcg_direction(state, params, self.t_k, self.quad_like)
+            record = smcg.smcg_direction(state, params, self.t_k, self.quad_like,
+                                         (self.gnorm2, self.gTs, self.sTy))
         # floating-point backstop for the sufficient-descent guarantee of
-        # every branch; -g always meets it, and in a phase it closes the phase
-        c1 = smcg.sufficient_descent_coefficient(params)
-        if (math.isfinite(record.gTd) and record.gTd <= -c1 * self.gnorm2
-                and np.isfinite(record.d).all()):
+        # every branch; -g always meets it, and in a phase it closes the
+        # phase.  Every branch's g'd is the product g.d with g finite, so a d
+        # that is not finite gives a g'd that is not finite either.
+        if self.descent_margin is None:
+            self.descent_margin = smcg.sufficient_descent_coefficient(params)
+        if (math.isfinite(record.gTd)
+                and record.gTd <= -self.descent_margin * self.gnorm2):
             return record
         return smcg.neg_grad_record(g)
 
@@ -291,16 +300,19 @@ class Rlsmcg:
         opens before the trial point has converged."""
         trial = TrialPoint(z=line.point(result.alpha), f_z=result.f_trial,
                            g_z=result.g_trial, alpha=result.alpha, d=record.d)
-        early = norm_inf(trial.g_z) <= params.grad_tol
+        gnorm_z = norm_inf(trial.g_z)
+        early = gnorm_z <= params.grad_tol
         self.trace_fields["early_converged"] = early
         if early or not accel_criterion(state.f, self.gnorm2, record.gTd, trial,
                                         params):
-            return trial.z, trial.f_z, trial.g_z
+            return trial.z, trial.f_z, trial.g_z, gnorm_z
         accel = apply_acceleration(cp, state.x, record.gTd, trial, state.ledger,
                                    params)
         self.trace_fields.update(eta_bar=accel.eta_bar, accel_attempted=True,
                                  accel_accepted=accel.accepted)
-        return accel.x_next, accel.f_next, accel.g_next
+        # a rejected rescale hands back the trial point itself
+        gnorm = norm_inf(accel.g_next) if accel.accepted else gnorm_z
+        return accel.x_next, accel.f_next, accel.g_next, gnorm
 
     def update(self, state: SolverState, record: DirectionRecord,
                line: LineFunction, result: StepResult, params: SolverParams):
@@ -321,7 +333,9 @@ class Rlsmcg:
             self._advance(state, record, line, result, params)
         else:
             self.phase = None  # guard or rescue replaced the reduced step
-        t_next = smcg.closeness_from_state(state)
+        s = state.s_prev
+        self.gTs, self.sTy = dot(state.g, s), dot(s, state.y_prev)
+        t_next = smcg.quadratic_closeness(state.f_prev, state.f, self.gTs, self.sTy)
         self.quad_like = smcg.is_quadratic_like(t_next, self.t_k, params)
         self.t_k = t_next
 
@@ -333,7 +347,7 @@ class Rlsmcg:
         # the Gram screen answers "not lost" where it can prove it; the QR
         # and the exact predicate answer everything else
         if self.memory is not None and rqn.orthogonality_kept(
-                self.memory.D, self.memory.G, state.g, params):
+                self.memory, state.g, params):
             self.trace_fields["orth_lost_flag"] = False
             return
         Z = rqn.qr_update(state.dir_history)
@@ -365,19 +379,20 @@ class Rlsmcg:
                  line: LineFunction, result: StepResult, params: SolverParams):
         """One regularized BFGS update after an RQN step; the phase closes
         once the gradient is mostly orthogonal to the frozen core."""
-        Z, bhat = self.phase.basis, self.phase.bhat
-        # line's phi(0) and gradient are the pre-step f and g themselves
+        phase = self.phase
+        Z, bhat = phase.basis, phase.bhat
+        # line's phi(0) is the pre-step f, and the record holds Z'g there
         r = rqn.ratio(line.value(0.0), result.f_trial, result.alpha,
-                      Z.T @ line.gradient(0.0), Z.T @ record.d, bhat.B_hat)
+                      record.g_hat, Z.T @ record.d, bhat.B_hat)
         mu = rqn.update_mu(bhat.mu, r, dot(state.s_prev, state.s_prev), params)
-        iters = self.phase.iters + 1
+        iters = phase.iters + 1
         bhat = rqn.rbfgs_update(bhat, Z.T @ state.s_prev, Z.T @ state.y_prev,
                                 iters, mu, params)
         self.trace_fields["bhat"] = bhat.B_hat
-        if rqn.orthogonality_restored(self.phase.core, state.g, params):
+        if rqn.orthogonality_restored(phase.core, state.g, params):
             self.phase = None
         else:
-            self.phase = replace(self.phase, bhat=bhat, iters=iters)
+            self.phase = Phase(Z, phase.core, bhat, iters)
 
 
 def run(problem: Problem, params: Optional[SolverParams] = None, *,

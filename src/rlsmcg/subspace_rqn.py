@@ -60,7 +60,7 @@ class SubspaceHessian:
 
     def __post_init__(self):
         # cholesky returns NaN or inf for non-finite input instead of raising
-        if not np.all(np.isfinite(self.B_hat)):
+        if not np.isfinite(self.B_hat).all():
             raise np.linalg.LinAlgError("reduced Hessian is not finite")
         object.__setattr__(self, "L", np.linalg.cholesky(self.B_hat))
 
@@ -131,35 +131,51 @@ def orthogonality_lost(Z: np.ndarray, g: Vector,
 @dataclass
 class GramRing:
     """The memory's directions scaled to unit length, one per row of the
-    m x n buffer ``D``, and their Gram matrix ``G = D D'``.
+    m x n buffer ``D``, and their Gram matrix ``G = D D'``, held as the
+    leading block of the screen's (2m+1) x (2m+1) bordered matrix ``A``
+    (see ``orthogonality_kept``), whose constant blocks are written once.
 
     The rows are in ring order: a push overwrites the oldest row and its row
-    and column of G, at O(nm), and nothing is rolled, since the span does not
-    depend on the order.  A direction whose norm is zero or not finite leaves
-    a row of NaNs, which ``orthogonality_kept`` cannot certify.
+    and column of G in place, at O(nm), and nothing is rolled, since the
+    span does not depend on the order.  A direction whose norm is zero or
+    not finite leaves a row of NaNs, which ``orthogonality_kept`` cannot
+    certify.
     """
 
     D: np.ndarray
-    G: np.ndarray
+    A: np.ndarray
     pushes: int = 0
 
     @classmethod
     def empty(cls, m: int, n: int) -> "GramRing":
-        return cls(np.zeros((m, n)), np.zeros((m, m)))
+        A = np.zeros((2 * m + 1, 2 * m + 1))
+        A[m + 1:, :m] = np.eye(m)
+        A[m + 1:, m + 1:] = np.eye(m) / _U
+        return cls(np.zeros((m, n)), A)
+
+    @property
+    def G(self) -> np.ndarray:
+        m = len(self.D)
+        return self.A[:m, :m]
 
     def push(self, d: Vector) -> None:
-        i = self.pushes % len(self.D)
+        D, A, m = self.D, self.A, len(self.D)
+        i = self.pushes % m
         norm = math.sqrt(float(np.dot(d, d)))
-        self.D[i] = d / norm if 0.0 < norm < math.inf else math.nan
-        self.G[i] = self.G[:, i] = self.D @ self.D[i]
+        if 0.0 < norm < math.inf:
+            np.divide(d, norm, out=D[i])
+        else:
+            D[i] = math.nan
+        np.dot(D, D[i], out=A[i, :m])
+        A[:m, i] = A[i, :m]
         self.pushes += 1
 
 
-def orthogonality_kept(D: np.ndarray, G: np.ndarray, g: Vector,
-                       params: SolverParams) -> bool:
+def orthogonality_kept(ring: GramRing, g: Vector, params: SolverParams) -> bool:
     """True only when rounding analysis proves ``orthogonality_lost`` False
-    on the ``qr_update`` basis of the directions whose unit rows are ``D``,
-    with Gram matrix ``G``; False leaves the question to that exact test.
+    on the ``qr_update`` basis of the directions whose unit rows are
+    ``ring.D``, with Gram matrix ``ring.G``; False leaves the question to
+    that exact test.
 
     The Cholesky factor of the Gram matrix of [D; g'], whose leading block
     is G's factor L, has as its last pivot r, the distance from g to the
@@ -168,6 +184,15 @@ def orthogonality_kept(D: np.ndarray, G: np.ndarray, g: Vector,
     of G, the test certifies when
 
         r^2 > (2 eta0^2 + (8 (n + m + 2) + 1e4 m^3 n^2 u) u kappa) g'g.
+
+    Both r and kappa come from one Cholesky factorization, of the ring's
+    bordered matrix
+
+        A = [[G, Dg, I], [g'D, g'g, 0], [I, 0, cI]],  c = 1/u:
+
+    its factor holds L, the row (L^{-1} Dg)', the pivot r, and below L the
+    block L31 = L^{-T}, since I = L31 L'.  So kappa = m ||L31||_F^2, with
+    L^{-1} computed by substitution, as an explicit inverse would be.
 
     Derivation, to first order in u with gamma_k = k u (Higham, *Accuracy
     and Stability of Numerical Algorithms*, 2nd ed.; ch. 20 analyses the
@@ -199,25 +224,30 @@ def orthogonality_kept(D: np.ndarray, G: np.ndarray, g: Vector,
        on the rounding terms covers the second-order terms and lambda read
        off the computed L: when the bound holds, r^2 <= g'g forces
        8 (n + m + 2) u kappa < 1, so E moves lambda by less than 1/8 of it.
+    4. The border's constant c only has to keep A positive definite, and
+       soundness does not rest on it: a Cholesky failure anywhere, in the
+       trailing block as at G or at r, returns False and defers to the
+       exact test.  Nor does c cost a certification.  The trailing pivot
+       block is cI less the leading block of the inverse of the Gram matrix
+       of [D; g'], G^{-1} + x x' / r^2, whose trace kappa / m + ||x||^2 / r^2
+       is below 2 / (8 m (n + m + 2) u) <= c / 16 wherever the bound holds,
+       by step 3 and ||x||^2 <= (kappa / m) g'g.
 
     A NaN anywhere reaches r^2 or kappa, and every comparison with a NaN
     is false, as is one against an infinite bound.
     """
+    D, A = ring.D, ring.A
     m, n = D.shape
-    A = np.empty((m + 1, m + 1))
-    A[:m, :m] = G
-    A[m, :m] = D @ g  # cholesky reads the lower triangle only
+    np.dot(D, g, out=A[m, :m])  # cholesky reads the lower triangle only
     A[m, m] = gTg = float(np.dot(g, g))
     try:
         L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:  # G is singular, or g is in its span
+    except np.linalg.LinAlgError:  # G singular, g in its span, or step 4
         return False
     r2 = float(L[m, m]) ** 2
+    L31 = L[m + 1:, :m]
+    kappa = m * float(np.vdot(L31, L31))
     threshold = 2.0 * params.eta0_tilde ** 2 * gTg
-    if not r2 > threshold:  # lost, or too close to call: no need for kappa
-        return False
-    L_inv = np.linalg.inv(L[:m, :m])
-    kappa = m * float(np.vdot(L_inv, L_inv))
     rounding = (8.0 * (n + m + 2) + 1e4 * m ** 3 * n * n * _U) * _U * kappa
     return r2 > threshold + rounding * gTg
 
@@ -256,7 +286,7 @@ def rbfgs_update(H: SubspaceHessian, s_hat: Vector, y_hat: Vector, k: int,
     sBs = float(np.dot(s_hat, Bs))
     if sBs <= 0.0:
         return SubspaceHessian.identity(m, mu)
-    B_new = B - np.outer(Bs, Bs) / sBs + np.outer(y_mu, y_mu) / sTy_mu
+    B_new = B - Bs[:, None] * Bs / sBs + y_mu[:, None] * y_mu / sTy_mu
     try:
         return SubspaceHessian(B_hat=0.5 * (B_new + B_new.T),
                                updates_since_reset=H.updates_since_reset + 1,
@@ -296,8 +326,16 @@ def update_mu(mu: float, r: float, s_norm2: float,
     return min(params.mu_max, params.sigma2 * mu)
 
 
+class ReducedDirection(DirectionRecord):
+    """An RQN step, with the reduced gradient Z'g it was solved from."""
+
+    def __init__(self, d: Vector, gTd: float, g_hat: Vector):
+        super().__init__(d=d, case_tag=CaseTag.RQN, gTd=gTd)
+        self.g_hat = g_hat
+
+
 def rqn_direction(Z: np.ndarray, H: SubspaceHessian,
-                  g: Vector) -> DirectionRecord:
+                  g: Vector) -> ReducedDirection:
     """Lifted quasi-Newton step d = -Z B^{-1} Z'g, solved with the Cholesky
     factor ``H.L``.
 
@@ -308,4 +346,4 @@ def rqn_direction(Z: np.ndarray, H: SubspaceHessian,
     g_hat = Z.T @ g
     d_hat = -np.linalg.solve(H.L.T, np.linalg.solve(H.L, g_hat))
     d = Z @ d_hat
-    return DirectionRecord(d=d, case_tag=CaseTag.RQN, gTd=float(np.dot(g, d)))
+    return ReducedDirection(d, float(np.dot(g, d)), g_hat)

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from rlsmcg.baselines import BaselineKind, BaselineTag, lbfgs_two_loop, run_baseline
+from rlsmcg.baselines import (BaselineKind, BaselineTag, PairMemory, lbfgs_two_loop,
+                              run_baseline)
 from rlsmcg.bench import parse_config, run_matrix
 from rlsmcg.core import Problem, SolverParams, Status
 from rlsmcg.problems import get_problem, registry, verify_gradients
@@ -205,7 +206,7 @@ def test_criterion_8_baseline_sanity():
     for _ in range(30):
         n = int(rng.integers(3, 11))
         m = int(rng.integers(1, 6))
-        s_list, y_list = [], []
+        s_list, y_list, pairs = [], [], PairMemory()
         for _ in range(m):
             s = rng.standard_normal(n)
             y = rng.standard_normal(n)
@@ -213,6 +214,7 @@ def test_criterion_8_baseline_sanity():
                 y = -y
             s_list.insert(0, s)
             y_list.insert(0, y)
+            pairs.push(s, y, float(s @ y), float(y @ y))
         g = rng.standard_normal(n)
         H = (float(s_list[0] @ y_list[0]) / float(y_list[0] @ y_list[0])) * np.eye(n)
         for s, y in zip(reversed(s_list), reversed(y_list)):
@@ -220,7 +222,7 @@ def test_criterion_8_baseline_sanity():
             V = np.eye(n) - rho * np.outer(y, s)
             H = V.T @ H @ V + rho * np.outer(s, s)
         d_oracle = -H @ g
-        diff = lbfgs_two_loop(g, s_list, y_list) - d_oracle
+        diff = lbfgs_two_loop(g, pairs) - d_oracle
         # 1e-10 relative to the direction scale (random low-curvature pairs
         # can make the inverse, and hence both outputs, arbitrarily large)
         worst = max(worst, float(np.max(np.abs(diff)))

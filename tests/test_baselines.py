@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rlsmcg.baselines import (BaselineKind, BaselineTag, lbfgs_two_loop,
+from rlsmcg.baselines import (BaselineKind, BaselineTag, PairMemory, lbfgs_two_loop,
                               run_baseline)
 from rlsmcg.core import IterType, Problem, SolverParams, Status
 from rlsmcg.problems import get_problem, sphere
@@ -32,7 +32,7 @@ def test_two_loop_equals_dense_inverse_oracle():
     for _ in range(25):
         n = int(rng.integers(3, 11))
         m = int(rng.integers(1, 6))
-        s_list, y_list = [], []
+        s_list, y_list, pairs = [], [], PairMemory()
         for _ in range(m):
             s = rng.standard_normal(n)
             y = rng.standard_normal(n)
@@ -40,15 +40,35 @@ def test_two_loop_equals_dense_inverse_oracle():
                 y = -y
             s_list.insert(0, s)  # newest first
             y_list.insert(0, y)
+            pairs.push(s, y, float(s @ y), float(y @ y))
         g = rng.standard_normal(n)
-        d = lbfgs_two_loop(g, s_list, y_list)
+        d = lbfgs_two_loop(g, pairs)
         d_oracle = dense_inverse_direction(g, s_list, y_list)
         assert np.max(np.abs(d - d_oracle)) <= 1e-10 * max(1.0, np.max(np.abs(d_oracle)))
 
 
 def test_two_loop_without_pairs_is_steepest_descent():
     g = np.array([1.0, -2.0])
-    np.testing.assert_array_equal(lbfgs_two_loop(g, [], []), -g)
+    np.testing.assert_array_equal(lbfgs_two_loop(g, PairMemory()), -g)
+
+
+def test_pair_memory_keeps_the_products_the_two_loop_used_to_take():
+    # each stored 1/s'y and the seed scale equal what the recursion computed
+    # on every call before it kept them with the pairs
+    from rlsmcg.core import CountingProblem, dot
+    from rlsmcg.baselines import LBFGS_MEMORY, _Policy
+    from rlsmcg.solver import initial_state, policy_step
+    prob = get_problem("ext_rosenbrock(1000)")
+    params = SolverParams().resolve(prob.dim)
+    cp = CountingProblem(prob)
+    state = initial_state(cp)
+    policy = _Policy(BaselineKind(BaselineTag.LBFGS))
+    for _ in range(20):
+        assert policy_step(policy, state, cp, params, traced=False)[0] is None
+    pairs = policy.pairs
+    assert len(pairs.s) == len(pairs.y) == len(pairs.rho) == LBFGS_MEMORY
+    assert pairs.rho == [1.0 / dot(s, y) for s, y in zip(pairs.s, pairs.y)]
+    assert pairs.seed_scale == dot(pairs.s[0], pairs.y[0]) / dot(pairs.y[0], pairs.y[0])
 
 
 def test_hs_finite_termination_on_strictly_convex_quadratics():

@@ -327,12 +327,52 @@ def test_dispatch_sufficient_descent_margin():
 def test_dispatch_falls_back_when_all_gates_closed():
     # negative curvature pair closes both the model and the HS gates
     from rlsmcg.core import SolverState
-    from rlsmcg.smcg_direction import closeness_from_state
     g = np.array([1.0, 1.0])
     state = SolverState(k=3, x=np.zeros(2), f=1.0, g=g,
                         s_prev=np.array([1.0, 0.0]),
                         y_prev=np.array([-1.0, 0.0]),
                         f_prev=2.0, dir_history=[np.array([0.0, -1.0])])
-    rec = smcg_direction_op(state, P, closeness_from_state(state), False)
+    t_k = quadratic_closeness(state.f_prev, state.f, float(g @ state.s_prev),
+                              float(state.s_prev @ state.y_prev))
+    rec = smcg_direction_op(state, P, t_k, False)
     assert rec.case_tag is CaseTag.NEG_GRAD
     assert rec.d == pytest.approx(-g)
+
+
+def test_direction_from_shared_products_is_bit_identical():
+    # g'g, g's and s'y handed in as dot products give the direction that
+    # CurvatureSnapshot.from_vectors gives, in every branch
+    from rlsmcg.core import SolverState, dot
+    rng = np.random.default_rng(5)
+    tags = set()
+    for trial in range(400):
+        n = int(rng.integers(2, 9))
+        g, s, d_prev = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+                        for _ in range(3))
+        kind = trial % 3
+        if kind == 0:    # curvature pair of an SPD matrix: a model branch
+            y = 10.0 ** rng.uniform(-2.0, 2.0, n) * s
+        elif kind == 1:  # ill-conditioned pair, g orthogonal to s: HS
+            y = s + 1e4 * np.linalg.norm(s) * _unit_orth(rng.standard_normal(n), s)
+            g = g - (g @ s) / (s @ s) * s
+        else:            # negative curvature: -g
+            y = -s
+        f_prev, f = rng.standard_normal(2)
+        state = SolverState(k=1, x=np.zeros(n), f=f, g=g, s_prev=s, y_prev=y,
+                            f_prev=f_prev, dir_history=[d_prev])
+        shared = (dot(g, g), dot(g, s), dot(s, y))
+        t_k = quadratic_closeness(f_prev, f, shared[1], shared[2])
+        quad_like = bool(trial % 2)
+        ref = smcg_direction_op(state, P, t_k, quad_like)
+        rec = smcg_direction_op(state, P, t_k, quad_like, shared)
+        assert rec.case_tag is ref.case_tag
+        assert rec.d.tobytes() == ref.d.tobytes()
+        assert np.float64(rec.gTd).tobytes() == np.float64(ref.gTd).tobytes()
+        tags.add(rec.case_tag)
+    assert tags == {CaseTag.REG_SUBPROBLEM, CaseTag.QUAD_SUBPROBLEM, CaseTag.HS,
+                    CaseTag.NEG_GRAD}
+
+
+def _unit_orth(v, s):
+    v = v - (v @ s) / (s @ s) * s
+    return v / np.linalg.norm(v)

@@ -463,6 +463,7 @@ def _snapshot(state):
 
 @pytest.mark.parametrize("bad", ["f_nan", "g_nan", "g_pinf", "g_ninf"])
 def test_accept_rejects_a_non_finite_trial_and_leaves_state_untouched(bad):
+    from rlsmcg.core import norm_inf
     from rlsmcg.solver import accept
     from rlsmcg.smcg_direction import neg_grad_record
     state, params = _state_after_steps()
@@ -475,7 +476,7 @@ def test_accept_rejects_a_non_finite_trial_and_leaves_state_untouched(bad):
         g_next[3] = {"g_nan": math.nan, "g_pinf": math.inf,
                      "g_ninf": -math.inf}[bad]
     status = accept(state, neg_grad_record(state.g), x_next, f_next, g_next,
-                    params)
+                    norm_inf(g_next), params)
     assert status is Status.NUMERIC_FAIL
     assert _snapshot(state) == before
 
@@ -495,3 +496,72 @@ def test_final_gnorm_is_the_max_norm_of_the_gradient_at_x(name):
         assert report.status is Status.CONVERGED
         g = prob.eval_g(report.x)
         assert report.final_gnorm_inf == float(np.max(np.abs(g)))
+
+
+# --- products and checks the iteration shares --------------------------------------
+
+def test_smcg_direction_gets_the_products_of_its_own_iterate(monkeypatch):
+    # the policy hands smcg_direction the g'g, g's and s'y it took at the
+    # same iterate, so the direction is the one from the vectors themselves
+    from rlsmcg import smcg_direction as smcg
+    from rlsmcg.core import dot
+    real, tags = smcg.smcg_direction, set()
+
+    def checked(state, params, t_k, quad_like, shared):
+        g, s, y = state.g, state.s_prev, state.y_prev
+        if s is not None:
+            assert shared == (dot(g, g), dot(g, s), dot(s, y))
+        rec = real(state, params, t_k, quad_like, shared)
+        ref = real(state, params, t_k, quad_like)
+        assert rec.case_tag is ref.case_tag and rec.d.tobytes() == ref.d.tobytes()
+        tags.add(rec.case_tag)
+        return rec
+
+    monkeypatch.setattr(smcg, "smcg_direction", checked)
+    for name in ("ext_rosenbrock(10)", "quad_hilbert(8)", "trigonometric(10)"):
+        assert run(get_problem(name)).status is Status.CONVERGED
+    assert {CaseTag.REG_SUBPROBLEM, CaseTag.QUAD_SUBPROBLEM,
+            CaseTag.NEG_GRAD} <= tags
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in dot")
+@pytest.mark.parametrize("d", [[math.inf, -1.0], [-math.inf, -1.0],
+                               [math.nan, -1.0], [0.0, -math.inf]])
+def test_a_non_finite_direction_falls_back_to_steepest_descent(monkeypatch, d):
+    # g = e1: a bad entry that meets g_i = 0 shows only as g'd = NaN, one
+    # along g as g'd = -inf, which passes the margin and fails the finiteness
+    from rlsmcg import smcg_direction as smcg
+    from rlsmcg.core import DirectionRecord, SolverState, dot
+    g, d = np.array([0.0, 1.0]), np.array(d)
+    monkeypatch.setattr(smcg, "smcg_direction", lambda *args: DirectionRecord(
+        d=d, case_tag=CaseTag.HS, gTd=dot(g, d)))
+    state = SolverState(k=1, x=np.zeros(2), f=1.0, g=g, s_prev=np.ones(2),
+                        y_prev=np.ones(2), f_prev=2.0, dir_history=[-g])
+    rec = Rlsmcg().direction(state, P.resolve(2))
+    assert rec.case_tag is CaseTag.NEG_GRAD
+    np.testing.assert_array_equal(rec.d, -g)
+
+
+def test_descent_margin_and_gradient_norms_are_taken_once(monkeypatch):
+    # one descent margin per run; one max-norm per taken step (land's, which
+    # accept reuses), plus the start's and one per accepted acceleration
+    from rlsmcg import smcg_direction as smcg
+    from rlsmcg import solver
+    calls = {"margin": 0, "norm": 0}
+    margin, norm = smcg.sufficient_descent_coefficient, solver.norm_inf
+
+    def counted_margin(params):
+        calls["margin"] += 1
+        return margin(params)
+
+    def counted_norm(v):
+        calls["norm"] += 1
+        return norm(v)
+
+    monkeypatch.setattr(smcg, "sufficient_descent_coefficient", counted_margin)
+    monkeypatch.setattr(solver, "norm_inf", counted_norm)
+    for name in ("ext_rosenbrock(10)", "quad_hilbert(8)"):
+        calls.update(margin=0, norm=0)
+        report, trace = run_with_trace(get_problem(name))
+        accels = sum(rec.accel_accepted for rec in trace)
+        assert calls == {"margin": 1, "norm": 1 + report.n_iter + accels}

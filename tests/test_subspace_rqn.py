@@ -185,7 +185,7 @@ def _ring(dirs, n):
 
 def _kept(dirs, g):
     ring = _ring(dirs, g.size)
-    return orthogonality_kept(ring.D, ring.G, g, P)
+    return orthogonality_kept(ring, g, P)
 
 
 def test_screen_certifies_a_gradient_well_outside_the_span():
@@ -208,7 +208,7 @@ def test_screen_leaves_contained_and_near_threshold_gradients_open():
     for t, lost in ((0.9e-3, True), (2e-3, False)):
         g = e(0, 6) + t * e(2, 6)
         assert orthogonality_lost(qr_update(dirs), g, coarse) is lost
-        assert orthogonality_kept(ring.D, ring.G, g, coarse) is not lost
+        assert orthogonality_kept(ring, g, coarse) is not lost
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -222,6 +222,85 @@ def test_screen_leaves_singular_or_nonfinite_memories_open():
     assert not _kept([e(0, 6), e(1, 6)], np.full(6, math.inf))
     # a memory that spans R^n holds every gradient
     assert not _kept([e(i, 4) for i in range(4)], np.ones(4))
+
+
+def _screened(ring, g):
+    """``orthogonality_kept`` on ``ring`` and ``g``, and the number of
+    ``np.linalg.cholesky`` and ``np.linalg.inv`` calls it made, with the
+    factors the calls that succeeded returned."""
+    calls = {"cholesky": 0, "inv": 0}
+    factors = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counted(a, _name=name, _fn=getattr(np.linalg, name)):
+                calls[_name] += 1
+                out = _fn(a)
+                factors.append(out)
+                return out
+            mp.setattr(np.linalg, name, counted)
+        kept = orthogonality_kept(ring, g, P)
+    return kept, calls, factors
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_screen_factors_once_and_inverts_nothing():
+    cases = [([e(0, 6), e(1, 6)], e(3, 6) + e(0, 6), True),       # certified
+             ([e(0, 6), e(1, 6)], e(0, 6) - e(1, 6), False),       # in the span
+             ([e(0, 6), e(0, 6) + e(1, 6)], e(0, 6) + 1e-8 * e(2, 6), False),
+             ([e(0, 6), e(0, 6), e(1, 6)], e(3, 6), False),        # G singular
+             ([e(0, 6), np.full(6, math.nan)], e(3, 6), False)]
+    for dirs, g, certified in cases:
+        kept, calls, _ = _screened(_ring(dirs, 6), g)
+        assert kept is certified
+        assert calls == {"cholesky": 1, "inv": 0}
+
+
+def test_screen_defers_inside_its_rounding_bound():
+    # two unit directions 1e-4 apart: kappa = m tr(G^{-1}) is about 4e8, so
+    # the bound's rounding term (about 80 u kappa) dwarfs 2 eta0^2; the
+    # screen certifies a residual share of twice the bound, not one of half
+    n, m = 6, 2
+    dirs = [e(0, n), math.cos(1e-4) * e(0, n) + math.sin(1e-4) * e(1, n)]
+    ring = _ring(dirs, n)
+    L_inv = np.linalg.inv(np.linalg.cholesky(ring.G))
+    kappa = m * float(np.vdot(L_inv, L_inv))
+    u = 2.0 ** -53
+    share = (2.0 * P.eta0_tilde ** 2
+             + (8.0 * (n + m + 2) + 1e4 * m ** 3 * n * n * u) * u * kappa)
+    for factor, certified in ((0.5, False), (2.0, True)):
+        g = e(0, n) + math.sqrt(factor * share) * e(2, n)
+        assert not orthogonality_lost(qr_update(dirs), g, P)
+        assert orthogonality_kept(ring, g, P) is certified
+
+
+def test_screen_kappa_from_the_border_is_the_inverse_factor_norm():
+    # the block below L in the bordered factor is L^{-T}; on memories with
+    # near-dependent directions (kappa up to ~1e16), m ||L31||_F^2 stays within
+    # 1e-12 of m ||inv(L)||_F^2 for the same computed L
+    rng = np.random.default_rng(11)
+    checked = 0
+    for noise in (1e-2, 1e-4, 1e-6, 1e-7):
+        for _ in range(40):
+            n, m = int(rng.integers(12, 60)), int(rng.integers(2, 12))
+            base = (rng.standard_normal((m // 2, n))
+                    * 10.0 ** rng.uniform(-3.0, 3.0, (m // 2, 1)))
+            dirs = list(base)
+            while len(dirs) < m:
+                c = rng.uniform(0.1, 1.0, m // 2) @ base
+                dirs.append(c + noise * np.linalg.norm(c)
+                            * _unit(rng.standard_normal(n)))
+            _, calls, factors = _screened(_ring(dirs, n), rng.standard_normal(n))
+            if not factors:  # the factorization failed: nothing to read
+                continue
+            L = factors[0]
+            L31 = L[m + 1:, :m]
+            L_inv = np.linalg.inv(L[:m, :m])
+            kappa_border = m * float(np.vdot(L31, L31))
+            kappa_inv = m * float(np.vdot(L_inv, L_inv))
+            assert abs(kappa_border - kappa_inv) <= 1e-12 * kappa_inv
+            checked += 1
+    assert checked >= 120
 
 
 def _unit(v):
