@@ -10,13 +10,10 @@ from rlsmcg.bench import (BenchConfig, gnuplot_script, performance_profile,
                           run_matrix, write_profile_csv, write_results_csv)
 
 cfg = BenchConfig(
-    solvers=["rlsmcg", "rlsmcg_norqn", "hs", "lbfgs", "bbsd"],
+    solvers=["rlsmcg", "rlsmcg_norqn", "hs", "lbfgs"],
     problems=["sphere(100)", "quad_diag(50)", "quad_hilbert(8)",
               "palmer_poly(8)", "ext_rosenbrock(100)", "powell_singular(40)",
               "trigonometric(10)", "broyden_tridiag(100)"],
-    # keep the demo quick; steepest descent needs far more than this on the
-    # ill-conditioned quadratics and is reported as iter_cap
-    param_overrides={"max_iter": 20000},
 )
 
 rows = run_matrix(cfg)

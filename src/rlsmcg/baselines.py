@@ -1,12 +1,11 @@
 """Reference solvers, run on the main solver's driver.
 
-Three classics for comparison runs: Hestenes-Stiefel conjugate gradients,
-limited-memory BFGS (two-loop recursion), and Barzilai-Borwein steepest
-descent.  Each supplies only a search direction, a trial step, the BB
-rescue step and, for L-BFGS, its pair memory.  Everything else (the
-evaluation counting, the nonmonotone Wolfe search with its rescue, the
-termination tests and the trace records) is the main solver's own, so
-reported counters are directly comparable.
+Two classics for comparison runs: Hestenes-Stiefel conjugate gradients and
+limited-memory BFGS (two-loop recursion).  Each supplies only a search
+direction, a trial step, the BB rescue step and, for L-BFGS, its pair
+memory.  Everything else (the evaluation counting, the nonmonotone Wolfe
+search with its rescue, the termination tests and the trace records) is the
+main solver's own, so reported counters are directly comparable.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from .core import (CaseTag, DirectionRecord, Problem, RunReport, SolverParams,
                    SolverState, Vector, dot, norm_inf)
 from .linesearch import (LineFunction, StepResult, bb_fallback_stepsize,
-                         bb_stepsizes, clip_step, interp_step)
+                         interp_step)
 # not called here; tools that time the layers patch these names in this module
 from .linesearch import ledger_update, wolfe_search  # noqa: F401
 from .smcg_direction import hs_direction, neg_grad_record
@@ -31,7 +30,6 @@ from .solver import TraceHook, minimize
 class BaselineTag(Enum):
     HS_CG = "hs"
     LBFGS = "lbfgs"
-    BB_SD = "bbsd"
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,8 @@ class _Policy:
 
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
         g = state.g
-        if self.kind.tag is BaselineTag.HS_CG and state.dir_history:
-            d = hs_direction(g, state.y_prev, state.dir_history[0])
+        if self.kind.tag is BaselineTag.HS_CG and state.d_prev is not None:
+            d = hs_direction(g, state.y_prev, state.d_prev)
             if d is not None:
                 return DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(g, d))
         elif self.kind.tag is BaselineTag.LBFGS and self.pairs.s:
@@ -109,7 +107,6 @@ class _Policy:
 
     def trial_step(self, line: LineFunction, state: SolverState,
                    record: DirectionRecord, params: SolverParams) -> float:
-        s, y = state.s_prev, state.y_prev
         if record.case_tag is CaseTag.LBFGS:
             return 1.0
         if record.case_tag is CaseTag.HS:
@@ -117,9 +114,6 @@ class _Policy:
             # quadratics), fall back to the BB scale
             return (interp_step(line, 1.0, record.gTd, params)
                     or self.rescue_step(state, params))
-        if self.kind.tag is BaselineTag.BB_SD and s is not None and dot(s, y) > 0.0:
-            bb1, bb2 = bb_stepsizes(s, y)
-            return clip_step(bb1 if state.k % 2 == 1 else bb2, params)
         return self.rescue_step(state, params)
 
     def rescue_step(self, state: SolverState, params: SolverParams) -> float:

@@ -45,7 +45,6 @@ SOLVERS = {
     "rlsmcg_norqn": partial(solver.run, rqn_enabled=False),
     "hs": partial(run_baseline, BaselineKind(BaselineTag.HS_CG)),
     "lbfgs": partial(run_baseline, BaselineKind(BaselineTag.LBFGS)),
-    "bbsd": partial(run_baseline, BaselineKind(BaselineTag.BB_SD)),
 }
 
 _METRICS = {"niter": "n_iter", "nf": "n_f", "ng": "n_g", "time": "wall_time_s",

@@ -9,7 +9,8 @@ baselines and the bench harness) builds on the types defined here.  A
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -50,6 +51,14 @@ def dot(a: Vector, b: Vector) -> float:
     return float(a.dot(b))
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer (``operator.index`` takes it) >= 1."""
+    try:
+        return operator.index(value) >= 1
+    except TypeError:
+        return False
+
+
 def norm_inf(v: Vector) -> float:
     """Max-norm of a nonempty vector (ValueError if empty); finite exactly
     when every entry of ``v`` is, as a NaN propagates through the max."""
@@ -75,8 +84,8 @@ class Problem:
     x0: Vector
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not _is_count(self.dim):
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.dim,):
             raise ValueError(f"x0 has shape {x0.shape}, expected ({self.dim},)")
@@ -191,6 +200,12 @@ class SolverParams:
             if not cond:
                 raise ValueError(f"SolverParams: {msg}")
 
+        # a float count would fail mid-solve as a slice index, or never
+        # equal the integer counter it is compared with
+        for name in ("memory_m", "l_reset", "max_iter", "min_quad"):
+            value = getattr(self, name)
+            require(value is None or _is_count(value),
+                    f"{name} must be an integer >= 1, got {value!r}")
         for name in ("xi1", "xi2", "xi5"):
             require(getattr(self, name) > 0, f"{name} must be positive")
         # xi3 >= 1 would make the descent margin 1 - xi3 nonpositive
@@ -202,14 +217,10 @@ class SolverParams:
         # 0 it fires only on an exactly zero residual
         require(self.eta0_tilde ** 2 > 0, "eta0_tilde**2 underflows to 0")
         require(self.upsilon > 0, "upsilon must be positive")
-        if self.memory_m is not None:
-            require(self.memory_m >= 1, "memory_m must be >= 1")
         require(0 < self.sigma1 <= 1, "sigma1 must be in (0, 1]")
         require(self.sigma2 > 1, "sigma2 must be > 1")
         require(0 < self.sigma3 <= 1, "sigma3 must be in (0, 1]")
         require(0 < self.mu_min <= self.mu_max, "need 0 < mu_min <= mu_max")
-        if self.l_reset is not None:
-            require(self.l_reset >= 1, "l_reset must be >= 1")
         for name in ("tau_hat", "tau_bar", "c_bar", "varsigma_bar", "eps_bar",
                      "tau1", "tau2"):
             require(getattr(self, name) > 0, f"{name} must be positive")
@@ -222,8 +233,6 @@ class SolverParams:
             require(0 < self.zh_delta < 1, "zh_delta must be in (0, 1)")
         require(0 < self.sigma_wolfe < 1, "sigma_wolfe must be in (0, 1)")
         require(self.grad_tol > 0, "grad_tol must be positive")
-        require(self.max_iter >= 1, "max_iter must be >= 1")
-        require(self.min_quad >= 1, "min_quad must be >= 1")
 
     def resolve(self, dim: int) -> "SolverParams":
         """Concrete parameters for a problem of the given dimension."""
@@ -266,7 +275,8 @@ class RunReport:
 @dataclass
 class SolverState:
     """What the driver (``solver.minimize`` and ``solver.accept``) advances
-    for every solver, confined to one run; a solver's own state lives in its
+    for every solver, confined to one run; a solver's own state, such as
+    rlsmcg's memory of its last ``memory_m`` directions, lives in its
     policy."""
 
     k: int
@@ -275,13 +285,11 @@ class SolverState:
     g: Vector
     # ||g||_inf, advanced with g; it doubles as the finiteness test of g
     gnorm_inf: float = math.nan
-    # previous accepted step and its gradient difference
+    # previous accepted step, its gradient difference and its direction
     s_prev: Optional[Vector] = None
     y_prev: Optional[Vector] = None
-    f_prev: Optional[float] = None
+    d_prev: Optional[Vector] = None
     # nonmonotone reference value and weight (a linesearch.NonmonotoneLedger)
     ledger: Optional[object] = None
-    # ring buffer of the last memory_m search directions, newest first
-    dir_history: list = field(default_factory=list)
     # consecutive line-search fallbacks, for the failure escalation rule
     backtrack_strikes: int = 0

@@ -212,8 +212,8 @@ def smcg_direction(state: SolverState, params: SolverParams, t_k: float,
             if sol is not None:
                 u, v = sol
                 record = _combine(g, state.s_prev, u, v, CaseTag.REG_SUBPROBLEM)
-    elif hs_fallback_ok(snap, params) and state.dir_history:
-        d = hs_direction(g, state.y_prev, state.dir_history[0])
+    elif hs_fallback_ok(snap, params):
+        d = hs_direction(g, state.y_prev, state.d_prev)
         if d is not None:
             record = DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(g, d))
 

@@ -1,4 +1,4 @@
-"""Driver: one iteration loop for all five solvers, and the rlsmcg policy.
+"""Driver: one iteration loop for every solver, and the rlsmcg policy.
 
 ``minimize`` runs the loop, its termination tests and the trace hook; every
 iteration is one ``policy_step``: the policy's direction, the nonmonotone
@@ -80,24 +80,19 @@ TraceHook = Callable[[TraceRecord], None]
 
 
 def accept(state: SolverState, record: DirectionRecord, x_next: Vector,
-           f_next: float, g_next: Vector, gnorm_inf: float,
-           params: SolverParams) -> Optional[Status]:
-    """Move to ``x_next`` after a step along ``record.d``: advance C_k, push
-    the direction onto the history (newest first, ``memory_m`` kept) and shift
-    (s, y), the iterate and its gradient max-norm ``gnorm_inf``, which is
-    ``norm_inf(g_next)``.  Returns NUMERIC_FAIL, with ``state`` untouched, when
-    f or g is not finite there (g is not exactly when its max-norm is not),
-    else None.
+           f_next: float, g_next: Vector, gnorm_inf: float) -> Optional[Status]:
+    """Move to ``x_next`` after a step along ``record.d``: advance C_k, keep
+    the direction as ``d_prev`` and shift (s, y), the iterate and its
+    gradient max-norm ``gnorm_inf``, which is ``norm_inf(g_next)``.  Returns
+    NUMERIC_FAIL, with ``state`` untouched, when f or g is not finite there
+    (g is not exactly when its max-norm is not), else None.
     """
     if not (math.isfinite(f_next) and math.isfinite(gnorm_inf)):
         return Status.NUMERIC_FAIL
     state.ledger = ledger_update(state.ledger, f_next)
-    history = state.dir_history
-    history.insert(0, record.d)
-    del history[params.memory_m:]
+    state.d_prev = record.d
     state.s_prev = x_next - state.x
     state.y_prev = g_next - state.g
-    state.f_prev = state.f
     state.x, state.f, state.g, state.gnorm_inf = x_next, f_next, g_next, gnorm_inf
     state.k += 1
     return None
@@ -183,8 +178,7 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
         else:
             result = None
     status = Status.LINESEARCH_FAIL if result is None else accept(
-        state, record, *policy.land(cp, state, record, line, result, params),
-        params)
+        state, record, *policy.land(cp, state, record, line, result, params))
     if status is None:
         policy.update(state, record, line, result, params)
     if not traced:
@@ -229,10 +223,11 @@ class Rlsmcg:
         self.iter_restart = self.iter_quad = 0
         self.prev_case: Optional[CaseTag] = None
         self.phase: Optional[Phase] = None
-        # the unit memory and its Gram matrix, for the monitor's screen; None
-        # when memory_m >= n, as that memory may span R^n, where the screen
-        # can never certify
-        self.memory: Optional[rqn.GramRing] = None
+        # the last memory_m directions, newest first, and, for the monitor's
+        # screen, their unit rows and Gram matrix (none when memory_m >= n:
+        # a memory that may span R^n, where the screen can never certify)
+        self.memory: List[Vector] = []
+        self.gram: Optional[rqn.GramRing] = None
         # g'g, taken by ``direction``, and g's and s'y, taken by ``update``
         # for the closeness test: the direction at that iterate shares them
         self.gnorm2 = self.gTs = self.sTy = math.nan
@@ -316,17 +311,19 @@ class Rlsmcg:
 
     def update(self, state: SolverState, record: DirectionRecord,
                line: LineFunction, result: StepResult, params: SolverParams):
-        """Advance the restart counters and the Gram ring, open, advance or
+        """Advance the counters and the direction memory, open, advance or
         close the phase, and take the closeness of the new iterate."""
         self.iter_restart, self.iter_quad = update_restart_counters(
             self.iter_restart, self.iter_quad, self.t_k, self._restart_due(params),
             params)
         self.prev_case = record.case_tag
-        n = state.x.size
-        if params.memory_m < n:
-            if self.memory is None:
-                self.memory = rqn.GramRing.empty(params.memory_m, n)
-            self.memory.push(record.d)
+        memory, m, n = self.memory, params.memory_m, state.x.size
+        memory.insert(0, record.d)
+        del memory[m:]
+        if m < n:
+            if self.gram is None:
+                self.gram = rqn.GramRing.empty(m, n)
+            self.gram.push(record.d)
         if self.phase is None:
             self._monitor(state, params)
         elif record.case_tag is CaseTag.RQN:
@@ -335,22 +332,23 @@ class Rlsmcg:
             self.phase = None  # guard or rescue replaced the reduced step
         s = state.s_prev
         self.gTs, self.sTy = dot(state.g, s), dot(s, state.y_prev)
-        t_next = smcg.quadratic_closeness(state.f_prev, state.f, self.gTs, self.sTy)
+        t_next = smcg.quadratic_closeness(  # line's phi(0) is the pre-step f
+            line.value(0.0), state.f, self.gTs, self.sTy)
         self.quad_like = smcg.is_quadratic_like(t_next, self.t_k, params)
         self.t_k = t_next
 
     def _monitor(self, state: SolverState, params: SolverParams) -> None:
         """With a full memory, test whether g lost orthogonality to its span,
         and if so open a phase."""
-        if len(state.dir_history) < params.memory_m:
+        if len(self.memory) < params.memory_m:
             return
         # the Gram screen answers "not lost" where it can prove it; the QR
         # and the exact predicate answer everything else
-        if self.memory is not None and rqn.orthogonality_kept(
-                self.memory, state.g, params):
+        if self.gram is not None and rqn.orthogonality_kept(
+                self.gram, state.g, params):
             self.trace_fields["orth_lost_flag"] = False
             return
-        Z = rqn.qr_update(state.dir_history)
+        Z = rqn.qr_update(self.memory)
         if Z is None:
             return
         lost = rqn.orthogonality_lost(Z, state.g, params)
@@ -361,7 +359,7 @@ class Rlsmcg:
         # entered only when the core is a proper subspace (else the exit
         # predicate could never hold), left once the gradient points out of it
         n = state.x.size
-        core = rqn.qr_update(state.dir_history, rqn.ENTRY_RANK_TOL)
+        core = rqn.qr_update(self.memory, rqn.ENTRY_RANK_TOL)
         if core is None or core.shape[1] >= n:
             return
         # the model lives on the core, unless the memory spans R^n and f is

@@ -4,7 +4,7 @@ import pytest
 from rlsmcg.baselines import (BaselineKind, BaselineTag, PairMemory, lbfgs_two_loop,
                               run_baseline)
 from rlsmcg.core import IterType, Problem, SolverParams, Status
-from rlsmcg.problems import get_problem, sphere
+from rlsmcg.problems import get_problem
 from rlsmcg.solver import TraceRecord
 
 
@@ -89,12 +89,6 @@ def test_hs_two_dimensional_quadratic_three_iterations():
     assert rep.n_iter <= 3
 
 
-def test_bbsd_identity_hessian_two_iterations():
-    rep = run_baseline(BaselineKind(BaselineTag.BB_SD), sphere(20))
-    assert rep.status is Status.CONVERGED
-    assert rep.n_iter <= 2
-
-
 def test_lbfgs_converges_on_hilbert_6():
     rep = run_baseline(BaselineKind(BaselineTag.LBFGS),
                        get_problem("quad_hilbert(6)"))
@@ -147,18 +141,12 @@ def test_failed_baseline_step_reaches_the_hook():
 
 # exact (n_iter, n_f, n_g) of each baseline; the shared driver must keep them
 PINNED_COUNTS = {
-    "broyden_tridiag(100)": {"hs": (39, 78, 40), "lbfgs": (29, 30, 30),
-                             "bbsd": (32, 34, 33)},
-    "ext_rosenbrock(1000)": {"hs": (471, 1042, 510), "lbfgs": (62, 72, 65),
-                             "bbsd": (82, 94, 87)},
-    "powell_singular(4)": {"hs": (226, 458, 227), "lbfgs": (47, 48, 48),
-                           "bbsd": (137, 147, 144)},
-    "quad_diag(10)": {"hs": (65, 130, 66), "lbfgs": (114, 115, 115),
-                      "bbsd": (353, 374, 354)},
-    "quad_hilbert(6)": {"hs": (38, 76, 39), "lbfgs": (46, 47, 47),
-                        "bbsd": (615, 820, 660)},
-    "trigonometric(10)": {"hs": (29, 62, 30), "lbfgs": (29, 36, 30),
-                          "bbsd": (65, 72, 66)},
+    "broyden_tridiag(100)": {"hs": (39, 78, 40), "lbfgs": (29, 30, 30)},
+    "ext_rosenbrock(1000)": {"hs": (471, 1042, 510), "lbfgs": (62, 72, 65)},
+    "powell_singular(4)": {"hs": (226, 458, 227), "lbfgs": (47, 48, 48)},
+    "quad_diag(10)": {"hs": (65, 130, 66), "lbfgs": (114, 115, 115)},
+    "quad_hilbert(6)": {"hs": (38, 76, 39), "lbfgs": (46, 47, 47)},
+    "trigonometric(10)": {"hs": (29, 62, 30), "lbfgs": (29, 36, 30)},
 }
 
 

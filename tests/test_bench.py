@@ -59,7 +59,7 @@ def test_run_matrix_rejects_unknown_problem_before_running():
 
 
 def test_failed_runs_still_produce_rows():
-    cfg = parse_config("solvers = bbsd\nproblems = ext_rosenbrock(10)\n"
+    cfg = parse_config("solvers = hs\nproblems = ext_rosenbrock(10)\n"
                        "max_iter = 3\n")
     rows = run_matrix(cfg)
     assert len(rows) == 1
@@ -213,7 +213,7 @@ def test_cli_errors_give_nonzero_exit(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
     ok_results = tmp_path / "r.csv"
     cfg = tmp_path / "ok.cfg"
-    cfg.write_text(f"solvers = bbsd\nproblems = sphere(5)\nout = {ok_results}\n")
+    cfg.write_text(f"solvers = hs\nproblems = sphere(5)\nout = {ok_results}\n")
     assert main(["run", "--config", str(cfg)]) == 0
     assert main(["profile", "--metric", "warp", "--in", str(ok_results),
                  "--out", str(tmp_path / "p.csv")]) == 2

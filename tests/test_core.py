@@ -132,6 +132,18 @@ def test_params_validation_rejects(bad):
         SolverParams(**bad)
 
 
+@pytest.mark.parametrize("name", ["dim", "memory_m", "l_reset", "max_iter",
+                                  "min_quad"])
+def test_integer_inputs_reject_non_integers(name):
+    # a float count would fail mid-solve (a slice index) or never fire (a
+    # counter compared with ==), so it is refused where it is given
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        if name == "dim":
+            Problem("sq", 2.0, lambda x: 0.0, lambda x: x, np.zeros(2))
+        else:
+            SolverParams(**{name: 2.5})
+
+
 def test_problem_validates_dimension_and_start():
     with pytest.raises(ValueError):
         Problem("p", 0, lambda x: 0.0, lambda x: x, np.zeros(0))

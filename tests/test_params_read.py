@@ -1,16 +1,18 @@
-"""Every solver setting is read somewhere outside the module that defines it.
+"""Every solver setting and every run-state field is read outside core.py.
 
 A ``SolverParams`` field that no code reads is a setting a user can change
-to no effect.  The check walks the syntax tree of every library module but
-``core.py`` (which defines and validates the fields) and collects the names
-read as attributes, of any object: a field whose name is read nowhere fails.
+to no effect, and a ``SolverState`` field that no code reads is bookkeeping
+the driver pays for on every step.  The check walks the syntax tree of every
+library module but ``core.py`` (which defines the fields) and collects the
+names read as attributes, of any object: a field whose name is read nowhere
+fails.
 """
 
 import ast
 from dataclasses import fields
 from pathlib import Path
 
-from rlsmcg.core import SolverParams
+from rlsmcg.core import SolverParams, SolverState
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rlsmcg"
 
@@ -22,9 +24,18 @@ def unread_fields(names, sources):
     return sorted(set(names) - read)
 
 
+def _library_sources():
+    return [p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "core.py"]
+
+
 def test_every_solver_param_is_read():
-    sources = [p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "core.py"]
-    assert unread_fields([f.name for f in fields(SolverParams)], sources) == []
+    assert unread_fields([f.name for f in fields(SolverParams)],
+                         _library_sources()) == []
+
+
+def test_every_solver_state_field_is_read():
+    assert unread_fields([f.name for f in fields(SolverState)],
+                         _library_sources()) == []
 
 
 def test_checker_flags_a_field_only_written():

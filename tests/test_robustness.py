@@ -108,8 +108,8 @@ def test_memory_cap_respected_in_trace():
     policy = Rlsmcg()
     for _ in range(15):
         policy_step(policy, state, cp, params)
-        assert len(state.dir_history) <= params.memory_m
-        for d in state.dir_history:
+        assert len(policy.memory) <= params.memory_m
+        for d in policy.memory:
             assert d.shape == (100,)
 
 

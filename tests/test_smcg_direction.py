@@ -331,8 +331,9 @@ def test_dispatch_falls_back_when_all_gates_closed():
     state = SolverState(k=3, x=np.zeros(2), f=1.0, g=g,
                         s_prev=np.array([1.0, 0.0]),
                         y_prev=np.array([-1.0, 0.0]),
-                        f_prev=2.0, dir_history=[np.array([0.0, -1.0])])
-    t_k = quadratic_closeness(state.f_prev, state.f, float(g @ state.s_prev),
+                        d_prev=np.array([0.0, -1.0]))
+    f_prev = 2.0
+    t_k = quadratic_closeness(f_prev, state.f, float(g @ state.s_prev),
                               float(state.s_prev @ state.y_prev))
     rec = smcg_direction_op(state, P, t_k, False)
     assert rec.case_tag is CaseTag.NEG_GRAD
@@ -359,7 +360,7 @@ def test_direction_from_shared_products_is_bit_identical():
             y = -s
         f_prev, f = rng.standard_normal(2)
         state = SolverState(k=1, x=np.zeros(n), f=f, g=g, s_prev=s, y_prev=y,
-                            f_prev=f_prev, dir_history=[d_prev])
+                            d_prev=d_prev)
         shared = (dot(g, g), dot(g, s), dot(s, y))
         t_k = quadratic_closeness(f_prev, f, shared[1], shared[2])
         quad_like = bool(trial % 2)

@@ -451,14 +451,13 @@ def _state_after_steps(n_steps=3):
     policy = Rlsmcg()
     for _ in range(n_steps):
         assert policy_step(policy, state, cp, params, traced=False)[0] is None
-    return state, params
+    return state
 
 
 def _snapshot(state):
     return (state.k, state.x.tobytes(), state.f, state.g.tobytes(),
             state.gnorm_inf, state.ledger, state.s_prev.tobytes(),
-            state.y_prev.tobytes(), state.f_prev,
-            [d.tobytes() for d in state.dir_history])
+            state.y_prev.tobytes(), state.d_prev.tobytes())
 
 
 @pytest.mark.parametrize("bad", ["f_nan", "g_nan", "g_pinf", "g_ninf"])
@@ -466,7 +465,7 @@ def test_accept_rejects_a_non_finite_trial_and_leaves_state_untouched(bad):
     from rlsmcg.core import norm_inf
     from rlsmcg.solver import accept
     from rlsmcg.smcg_direction import neg_grad_record
-    state, params = _state_after_steps()
+    state = _state_after_steps()
     before = _snapshot(state)
     x_next = state.x - 1e-3 * state.g
     f_next, g_next = state.f - 1.0, state.g.copy()
@@ -476,14 +475,29 @@ def test_accept_rejects_a_non_finite_trial_and_leaves_state_untouched(bad):
         g_next[3] = {"g_nan": math.nan, "g_pinf": math.inf,
                      "g_ninf": -math.inf}[bad]
     status = accept(state, neg_grad_record(state.g), x_next, f_next, g_next,
-                    norm_inf(g_next), params)
+                    norm_inf(g_next))
     assert status is Status.NUMERIC_FAIL
     assert _snapshot(state) == before
 
 
 def test_accept_advances_the_gradient_max_norm_with_the_gradient():
-    state, _ = _state_after_steps()
+    state = _state_after_steps()
     assert state.gnorm_inf == float(np.max(np.abs(state.g)))
+
+
+def test_policy_memory_holds_the_last_directions_taken():
+    # the driver keeps one direction; rlsmcg's memory of the last memory_m
+    # is its own, and holds the very arrays the driver took, newest first
+    prob = ext_rosenbrock(10)
+    params = SolverParams(memory_m=3).resolve(prob.dim)
+    cp = CountingProblem(prob)
+    state = initial_state(cp)
+    policy = Rlsmcg()
+    taken = []
+    for _ in range(5):
+        assert policy_step(policy, state, cp, params)[0] is None
+        taken.insert(0, state.d_prev)
+        assert [id(d) for d in policy.memory] == [id(d) for d in taken[:3]]
 
 
 @pytest.mark.parametrize("name", ["ext_rosenbrock(10)", "quad_hilbert(8)",
@@ -536,7 +550,7 @@ def test_a_non_finite_direction_falls_back_to_steepest_descent(monkeypatch, d):
     monkeypatch.setattr(smcg, "smcg_direction", lambda *args: DirectionRecord(
         d=d, case_tag=CaseTag.HS, gTd=dot(g, d)))
     state = SolverState(k=1, x=np.zeros(2), f=1.0, g=g, s_prev=np.ones(2),
-                        y_prev=np.ones(2), f_prev=2.0, dir_history=[-g])
+                        y_prev=np.ones(2), d_prev=-g)
     rec = Rlsmcg().direction(state, P.resolve(2))
     assert rec.case_tag is CaseTag.NEG_GRAD
     np.testing.assert_array_equal(rec.d, -g)
