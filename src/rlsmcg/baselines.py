@@ -85,14 +85,11 @@ def lbfgs_two_loop(g: Vector, pairs: PairMemory) -> Vector:
 class _Policy:
     """A baseline as ``solver.policy_step`` runs it: its direction, its trial
     step, the BB rescue step, and the L-BFGS pair memory.  It lands on the
-    search's point, never opens a phase and adds nothing to the record."""
-
-    phase = None
+    search's point and adds no field to the record."""
 
     def __init__(self, kind: BaselineKind):
         self.kind = kind
         self.pairs = PairMemory()
-        self.trace_fields: dict = {}
 
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
         g = state.g
@@ -123,6 +120,9 @@ class _Policy:
              line: LineFunction, result: StepResult, params: SolverParams):
         return (line.point(result.alpha), result.f_trial, result.g_trial,
                 norm_inf(result.g_trial))
+
+    def trace_fields(self, record: DirectionRecord) -> dict:
+        return {}
 
     def update(self, state: SolverState, record: DirectionRecord,
                line: LineFunction, result: StepResult, params: SolverParams) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import solver
 from .baselines import BaselineKind, BaselineTag, run_baseline
-from .core import Problem, RunReport, SolverParams, Status
+from .core import INT_PARAMS, Problem, RunReport, SolverParams, Status
 from .problems import get_problem
 
 RESULT_HEADER = ["solver", "problem", "dim", "n_iter", "n_f", "n_g",
@@ -96,7 +96,6 @@ def _resolve_problem(name: str) -> Problem:
 
 
 _PARAM_FIELDS = {f.name: f for f in dc_fields(SolverParams)}
-_INT_PARAMS = {"memory_m", "l_reset", "max_iter", "min_quad"}
 
 
 def _number(convert, key: str, value: str, lineno: int):
@@ -131,7 +130,7 @@ def parse_config(text: str) -> BenchConfig:
         elif key == "seed":
             pass  # runs are deterministic; older configs still carry the key
         elif key in _PARAM_FIELDS:
-            overrides[key] = _number(int if key in _INT_PARAMS else float,
+            overrides[key] = _number(int if key in INT_PARAMS else float,
                                      key, value, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
@@ -189,15 +188,26 @@ def _probe_writable(path: str) -> None:
         os.remove(path)
 
 
-_NUMERIC_COLUMNS = {"dim": int, "n_iter": int, "n_f": int, "n_g": int,
-                    "wall_time_s": float, "final_gnorm_inf": float,
-                    PER_ITER_COLUMN: float}
+# each numeric column's type and least value; a value must be finite, but
+# a run whose start is not finite writes a ``final_gnorm_inf`` of nan
+_NUMERIC_COLUMNS = {"dim": (int, 1), "n_iter": (int, 0), "n_f": (int, 0),
+                    "n_g": (int, 0), "wall_time_s": (float, 0.0),
+                    "final_gnorm_inf": (float, 0.0), PER_ITER_COLUMN: (float, 0.0)}
+
+
+def _column_value(key: str, value: str):
+    convert, least = _NUMERIC_COLUMNS[key]
+    number = convert(value)
+    if least <= number < math.inf or (key == "final_gnorm_inf" and math.isnan(number)):
+        return number
+    raise ValueError
 
 
 def read_results_csv(path: str) -> List[dict]:
     """The rows ``write_results_csv`` wrote, with or without ``us_per_iter``;
-    ConfigError naming the line and column of a value that is missing or
-    does not parse."""
+    ConfigError naming the line and column of a value that is missing, does
+    not parse, or is out of range: a count below 0, a ``dim`` below 1, or a
+    time or gradient norm that is negative or not finite."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         columns = list(RESULT_HEADER)
@@ -211,7 +221,7 @@ def read_results_csv(path: str) -> List[dict]:
                     if value is None:  # a short row, or no such column
                         raise ValueError
                     if key in _NUMERIC_COLUMNS:
-                        row[key] = _NUMERIC_COLUMNS[key](value)
+                        row[key] = _column_value(key, value)
                 except ValueError:
                     raise ConfigError(f"{path}, line {reader.line_num}: "
                                       f"missing or malformed {key!r}: "
@@ -296,25 +306,13 @@ def gnuplot_script(profile_csv: str, metric: str, solvers: List[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_rows(solver_name: str, problem: Problem,
-               params: SolverParams) -> List[dict]:
-    rows: List[dict] = []
-
-    def hook(rec: solver.TraceRecord):
-        rows.append({"k": rec.k, "case": rec.case_tag.value,
-                     "alpha": rec.alpha, "gnorm_inf": rec.gnorm_inf,
-                     "Ck": rec.Ck, "state": rec.state.value, "mu": rec.mu})
-    SOLVERS[solver_name](problem, params, trace_hook=hook)
-    return rows
-
-
-def write_trace_csv(rows: List[dict], fh) -> None:
+def write_trace_csv(records: List[solver.TraceRecord], fh) -> None:
     writer = csv.writer(fh)
     writer.writerow(TRACE_HEADER)
-    for row in rows:
-        writer.writerow([row["k"], row["case"], f"{row['alpha']:.10g}",
-                         f"{row['gnorm_inf']:.6e}", f"{row['Ck']:.10g}",
-                         row["state"], f"{row['mu']:.6g}"])
+    for rec in records:
+        writer.writerow([rec.k, rec.case_tag.value, f"{rec.alpha:.10g}",
+                         f"{rec.gnorm_inf:.6e}", f"{rec.Ck:.10g}",
+                         rec.state.value, f"{rec.mu:.6g}"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -362,13 +360,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             problem = _resolve_problem(args.problem)
             params = _solver_params({} if args.max_iter is None else
                                    {"max_iter": args.max_iter})
-            rows = trace_rows(args.solver, problem, params)
+            records: List[solver.TraceRecord] = []
+            SOLVERS[args.solver](problem, params, trace_hook=records.append)
             if args.out:
                 with open(args.out, "w", newline="") as fh:
-                    write_trace_csv(rows, fh)
-                print(f"wrote {len(rows)} trace rows to {args.out}")
+                    write_trace_csv(records, fh)
+                print(f"wrote {len(records)} trace rows to {args.out}")
             else:
-                write_trace_csv(rows, sys.stdout)
+                write_trace_csv(records, sys.stdout)
             return 0
     except (ConfigError, OSError) as exc:  # OSError: a file read or written
         print(f"error: {exc}", file=sys.stderr)

@@ -141,6 +141,10 @@ def finite_diff_gradient(problem: Problem, x: Vector) -> Vector:
     return grad
 
 
+# the ``SolverParams`` fields that count, and so take integers only
+INT_PARAMS = ("memory_m", "l_reset", "max_iter", "min_quad")
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Every tunable of the solver, with protocol defaults.
@@ -202,7 +206,7 @@ class SolverParams:
 
         # a float count would fail mid-solve as a slice index, or never
         # equal the integer counter it is compared with
-        for name in ("memory_m", "l_reset", "max_iter", "min_quad"):
+        for name in INT_PARAMS:
             value = getattr(self, name)
             require(value is None or _is_count(value),
                     f"{name} must be an integer >= 1, got {value!r}")

@@ -43,15 +43,14 @@ def update_restart_counters(iter_restart: int, iter_quad: int, t_k: float,
 class TraceRecord:
     """Everything observable about one iteration, of any solver.
 
-    The defaulted fields are rlsmcg's own; a baseline leaves the defaults."""
+    The defaulted fields are the policy's ``trace_fields``; a baseline's
+    are the defaults (an SMCG state flag, no RQN phase)."""
 
     k: int
     case_tag: CaseTag
     alpha: float
     gnorm_inf: float          # of the new gradient
     Ck: float                 # reference value after the update
-    state: IterType           # state flag after the transition
-    state_before: IterType    # state flag the iteration ran under
     # diagnostics for the property suites
     gTd: float
     gnorm2: float             # ||g_k||^2 at direction time
@@ -61,6 +60,8 @@ class TraceRecord:
     accepted_by: AcceptKind
     rescued: bool
     failure: Optional[Status]
+    state: IterType = IterType.SMCG         # state flag after the transition
+    state_before: IterType = IterType.SMCG  # state flag the iteration ran under
     mu: float = 0.0
     t_k: float = math.inf
     eta_bar: float = 1.0
@@ -134,10 +135,6 @@ def minimize(problem: Problem, params: Optional[SolverParams], policy,
                      x=state.x, f=state.f)
 
 
-def _iter_type(phase) -> IterType:
-    return IterType.SMCG if phase is None else IterType.RQN
-
-
 def policy_step(policy, state: SolverState, cp: CountingProblem,
                 params: SolverParams, traced: bool = True
                 ) -> Tuple[Optional[Status], Optional[TraceRecord]]:
@@ -146,14 +143,13 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
     The policy supplies the ``direction`` (-g if it is no descent direction),
     the ``trial_step`` and ``rescue_step`` of the search, the point to
     ``land`` on from the search's result (x, f, g and the max-norm of g),
-    and the ``update`` after a step is taken.  Its ``phase`` (None outside an
-    RQN phase) gives the state flags, its ``trace_fields`` the rest of the
-    record.  A search that hit its backtracking cap is taken once; a second
-    one in a row, or one with no point below C_k, reruns along -g from the
-    rescue step.  Returns the failure status (None when the step was taken)
-    and, when ``traced``, the record.
+    the ``update`` after a step is taken, and for a traced step the record
+    fields it owns (``trace_fields`` of the direction taken).  A search
+    that hit its backtracking cap is taken once; a second one in a row, or
+    one with no point below C_k, reruns along -g from the rescue step.
+    Returns the failure status (None when the step was taken) and, when
+    ``traced``, the record.
     """
-    phase = policy.phase
     record = policy.direction(state, params)
     # every direction's g'd is the product g.d, and g is finite, so a d that
     # is not finite makes g'd not finite: d is scanned only then
@@ -186,17 +182,10 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
     return status, TraceRecord(
         k=state.k if status else state.k - 1, case_tag=record.case_tag,
         alpha=math.nan if status else result.alpha, gnorm_inf=state.gnorm_inf,
-        Ck=state.ledger.Ck, state=_iter_type(policy.phase),
-        state_before=_iter_type(phase), gTd=record.gTd, gnorm2=gnorm2,
+        Ck=state.ledger.Ck, gTd=record.gTd, gnorm2=gnorm2,
         dnorm=float(np.linalg.norm(record.d)), f=state.f, Ck_before=ledger.Ck,
         accepted_by=AcceptKind.MAX_BACKTRACK if status else result.accepted_by,
-        rescued=rescued, failure=status,
-        mu=0.0 if policy.phase is None else policy.phase.bhat.mu,
-        entered_rqn=phase is None and policy.phase is not None,
-        exited_rqn=phase is not None and policy.phase is None,
-        # the guard or the rescue replaced the reduced step of an open phase
-        guard_fallback=phase is not None and record.case_tag is not CaseTag.RQN,
-        **policy.trace_fields)
+        rescued=rescued, failure=status, **policy.trace_fields(record))
 
 
 @dataclass(frozen=True)
@@ -232,7 +221,9 @@ class Rlsmcg:
         # for the closeness test: the direction at that iterate shares them
         self.gnorm2 = self.gTs = self.sTy = math.nan
         self.descent_margin: Optional[float] = None
-        self.trace_fields: dict = {}
+        # the phase the step's direction ran under, and its record fields
+        self.phase_seen: Optional[Phase] = None
+        self.step_fields: dict = {}
 
     def _restart_due(self, params: SolverParams) -> bool:
         return (self.phase is None and self.iter_quad == params.min_quad
@@ -241,7 +232,8 @@ class Rlsmcg:
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
         g = state.g
         self.gnorm2 = dot(g, g)
-        self.trace_fields = {"t_k": self.t_k}
+        self.phase_seen = self.phase
+        self.step_fields = {"t_k": self.t_k}
         if self.phase is not None:
             record = rqn.rqn_direction(self.phase.basis, self.phase.bhat, g)
         elif self._restart_due(params):
@@ -259,6 +251,20 @@ class Rlsmcg:
                 and record.gTd <= -self.descent_margin * self.gnorm2):
             return record
         return smcg.neg_grad_record(g)
+
+    def trace_fields(self, record: DirectionRecord) -> dict:
+        """The step's own record fields, and its state flags, shift and phase
+        moves, from the phase ``direction`` saw to the one the step left."""
+        before, after = self.phase_seen, self.phase
+        return dict(
+            self.step_fields,
+            state_before=IterType.SMCG if before is None else IterType.RQN,
+            state=IterType.SMCG if after is None else IterType.RQN,
+            mu=0.0 if after is None else after.bhat.mu,
+            entered_rqn=before is None and after is not None,
+            exited_rqn=before is not None and after is None,
+            # the guard or the rescue replaced the reduced step of an open phase
+            guard_fallback=before is not None and record.case_tag is not CaseTag.RQN)
 
     def trial_step(self, line: LineFunction, state: SolverState,
                    record: DirectionRecord, params: SolverParams) -> float:
@@ -297,14 +303,14 @@ class Rlsmcg:
                            g_z=result.g_trial, alpha=result.alpha, d=record.d)
         gnorm_z = norm_inf(trial.g_z)
         early = gnorm_z <= params.grad_tol
-        self.trace_fields["early_converged"] = early
+        self.step_fields["early_converged"] = early
         if early or not accel_criterion(state.f, self.gnorm2, record.gTd, trial,
                                         params):
             return trial.z, trial.f_z, trial.g_z, gnorm_z
         accel = apply_acceleration(cp, state.x, record.gTd, trial, state.ledger,
                                    params)
-        self.trace_fields.update(eta_bar=accel.eta_bar, accel_attempted=True,
-                                 accel_accepted=accel.accepted)
+        self.step_fields.update(eta_bar=accel.eta_bar, accel_attempted=True,
+                                accel_accepted=accel.accepted)
         # a rejected rescale hands back the trial point itself
         gnorm = norm_inf(accel.g_next) if accel.accepted else gnorm_z
         return accel.x_next, accel.f_next, accel.g_next, gnorm
@@ -346,13 +352,13 @@ class Rlsmcg:
         # and the exact predicate answer everything else
         if self.gram is not None and rqn.orthogonality_kept(
                 self.gram, state.g, params):
-            self.trace_fields["orth_lost_flag"] = False
+            self.step_fields["orth_lost_flag"] = False
             return
         Z = rqn.qr_update(self.memory)
         if Z is None:
             return
         lost = rqn.orthogonality_lost(Z, state.g, params)
-        self.trace_fields["orth_lost_flag"] = lost
+        self.step_fields["orth_lost_flag"] = lost
         if not (lost and self.rqn_enabled):
             return
         # the phase is judged on the well-conditioned core of the span:
@@ -386,7 +392,7 @@ class Rlsmcg:
         iters = phase.iters + 1
         bhat = rqn.rbfgs_update(bhat, Z.T @ state.s_prev, Z.T @ state.y_prev,
                                 iters, mu, params)
-        self.trace_fields["bhat"] = bhat.B_hat
+        self.step_fields["bhat"] = bhat.B_hat
         if rqn.orthogonality_restored(phase.core, state.g, params):
             self.phase = None
         else:

@@ -252,6 +252,35 @@ def test_cli_profile_rejects_a_bad_results_csv(tmp_path, capsys, body):
         read_results_csv(str(bad))
 
 
+_GOOD_ROW = {"solver": "hs", "problem": "sphere(5)", "dim": "5", "n_iter": "1",
+             "n_f": "2", "n_g": "2", "wall_time_s": "0.1", "status": "converged",
+             "final_gnorm_inf": "1e-9", "us_per_iter": "1e5"}
+
+
+@pytest.mark.parametrize("key, value, ok", [
+    ("wall_time_s", "nan", False), ("wall_time_s", "inf", False),
+    ("wall_time_s", "-0.1", False), ("us_per_iter", "nan", False),
+    ("us_per_iter", "-inf", False), ("us_per_iter", "-1", False),
+    ("n_iter", "-1", False), ("n_f", "-1", False), ("n_g", "-5", False),
+    ("dim", "0", False), ("final_gnorm_inf", "-1e-9", False),
+    ("final_gnorm_inf", "inf", False),
+    # what a run from a start that is not finite writes, a run that starts
+    # at the tolerance, and one timed below a microsecond
+    ("final_gnorm_inf", "nan", True), ("n_iter", "0", True),
+    ("wall_time_s", "0.000000", True),
+])
+def test_results_csv_rejects_numbers_out_of_range(tmp_path, key, value, ok):
+    # a nan time or a negative count would win the profile's ratio test
+    path = tmp_path / "r.csv"
+    path.write_text(",".join(_GOOD_ROW) + "\n"
+                    + ",".join({**_GOOD_ROW, key: value}.values()) + "\n")
+    if ok:
+        read_results_csv(str(path))
+    else:
+        with pytest.raises(ConfigError, match=f"line 2: .*'{key}'"):
+            read_results_csv(str(path))
+
+
 def test_cli_run_checks_out_before_solving(tmp_path, monkeypatch):
     def no_run(cfg):
         raise AssertionError("run_matrix called with an unwritable out")

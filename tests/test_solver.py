@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from rlsmcg.core import (CaseTag, CountingProblem, IterType, Problem,
-                         SolverParams, Status)
+                         SolverParams, Status, norm_inf)
 from rlsmcg.problems import (ext_rosenbrock, get_problem, quad_diag, registry,
                              sphere)
-from rlsmcg.solver import (Phase, Rlsmcg, initial_state, policy_step, run,
-                           run_with_trace, update_restart_counters)
+from rlsmcg.smcg_direction import neg_grad_record
+from rlsmcg.solver import (Phase, Rlsmcg, initial_state, minimize, policy_step,
+                           run, run_with_trace, update_restart_counters)
 from rlsmcg import subspace_rqn as rqn
 from rlsmcg.subspace_rqn import (SubspaceHessian, orthogonality_restored,
                                  rqn_direction)
@@ -68,6 +69,42 @@ def test_step_keeps_objective_and_gradient_consistent():
         policy_step(policy, state, cp, params)
         assert state.f == pytest.approx(prob.eval_f(state.x))
         np.testing.assert_allclose(state.g, prob.eval_g(state.x))
+
+
+class _HalfStepDescent:
+    """Steepest descent with a trial step of 1/2: exactly the protocol
+    ``policy_step`` runs, with no attribute beyond it."""
+
+    __slots__ = ()
+
+    def direction(self, state, params):
+        return neg_grad_record(state.g)
+
+    def trial_step(self, line, state, record, params):
+        return 0.5
+
+    def rescue_step(self, state, params):
+        return 0.5
+
+    def land(self, cp, state, record, line, result, params):
+        return (line.point(result.alpha), result.f_trial, result.g_trial,
+                norm_inf(result.g_trial))
+
+    def update(self, state, record, line, result, params):
+        pass
+
+    def trace_fields(self, record):
+        return {}
+
+
+def test_driver_runs_a_policy_with_only_the_protocol():
+    records = []
+    report = minimize(sphere(10), None, _HalfStepDescent(), records.append)
+    assert report.status is Status.CONVERGED
+    assert len(records) == report.n_iter > 1
+    assert all(rec.state is rec.state_before is IterType.SMCG
+               and not (rec.entered_rqn or rec.exited_rqn or rec.guard_fallback)
+               for rec in records)
 
 
 # --- full runs --------------------------------------------------------------------
