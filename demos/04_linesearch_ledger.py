@@ -32,5 +32,5 @@ ledger = NonmonotoneLedger.start(0.5)
 result = wolfe_search(line, 1.0, ledger, -1.0, SolverParams())
 print(f"  accepted alpha = {result.alpha} by {result.accepted_by.value} "
       f"using {cp.n_f} f-evals and {cp.n_g} g-evals")
-ledger = ledger_update(ledger, result.f_trial)
+ledger = ledger_update(ledger, line.value(result.alpha))
 print(f"  ledger after the step: C = {ledger.Ck}, Q = {ledger.Qk}")

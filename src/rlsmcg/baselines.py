@@ -116,10 +116,11 @@ class _Policy:
     def rescue_step(self, state: SolverState, params: SolverParams) -> float:
         return bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
 
-    def land(self, cp, state: SolverState, record: DirectionRecord,
+    def land(self, state: SolverState, record: DirectionRecord,
              line: LineFunction, result: StepResult, params: SolverParams):
-        return (line.point(result.alpha), result.f_trial, result.g_trial,
-                norm_inf(result.g_trial))
+        a = result.alpha
+        g = line.gradient(a)
+        return line.point(a), line.value(a), g, norm_inf(g)
 
     def trace_fields(self, record: DirectionRecord) -> dict:
         return {}

@@ -34,8 +34,8 @@ from .problems import get_problem
 
 RESULT_HEADER = ["solver", "problem", "dim", "n_iter", "n_f", "n_g",
                  "wall_time_s", "status", "final_gnorm_inf"]
-# ``bench run`` appends the wall time per iteration in microseconds; a
-# results file may carry it or not
+# the wall time per iteration in microseconds, which ``write_results_csv``
+# appends; a results file from elsewhere may carry it or not
 PER_ITER_COLUMN = "us_per_iter"
 TRACE_HEADER = ["k", "case", "alpha", "gnorm_inf", "Ck", "state", "mu"]
 
@@ -161,20 +161,19 @@ def run_matrix(cfg: BenchConfig) -> List[dict]:
     return rows
 
 
-def write_results_csv(rows: List[dict], path: str, per_iter: bool = False) -> None:
-    """The rows under RESULT_HEADER; ``per_iter`` appends the column
-    ``us_per_iter``, wall_time_s / max(n_iter, 1) in microseconds."""
-    header = RESULT_HEADER + [PER_ITER_COLUMN] if per_iter else RESULT_HEADER
+def write_results_csv(rows: List[dict], path: str) -> None:
+    """The rows under RESULT_HEADER and the column ``us_per_iter``,
+    wall_time_s / max(n_iter, 1) in microseconds."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
+        writer = csv.DictWriter(fh,
+                                fieldnames=RESULT_HEADER + [PER_ITER_COLUMN])
         writer.writeheader()
         for row in rows:
             out = dict(row)
             out["wall_time_s"] = f"{row['wall_time_s']:.6f}"
             out["final_gnorm_inf"] = f"{row['final_gnorm_inf']:.6e}"
-            if per_iter:
-                us = 1e6 * row["wall_time_s"] / max(row["n_iter"], 1)
-                out[PER_ITER_COLUMN] = f"{us:.3f}"
+            us = 1e6 * row["wall_time_s"] / max(row["n_iter"], 1)
+            out[PER_ITER_COLUMN] = f"{us:.3f}"
             writer.writerow(out)
 
 
@@ -343,7 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cfg = parse_config(fh.read())
             _probe_writable(cfg.out)
             rows = run_matrix(cfg)
-            write_results_csv(rows, cfg.out, per_iter=True)
+            write_results_csv(rows, cfg.out)
             n_conv = sum(r["status"] == Status.CONVERGED.value for r in rows)
             print(f"wrote {len(rows)} rows to {cfg.out} ({n_conv} converged)")
             return 0

@@ -253,8 +253,9 @@ class SolverParams:
 class DirectionRecord:
     """A chosen search direction plus the branch that produced it.
 
-    Producers guarantee gTd < 0: a -g fallback in the rlsmcg policy and in
-    ``solver.policy_step`` enforces it.
+    ``solver.policy_step`` searches only along a direction whose gTd is
+    finite and negative, and replaces any other by -g; the rlsmcg policy
+    asks for sufficient descent before that.
     """
 
     d: Vector

@@ -39,11 +39,11 @@ class NonmonotoneLedger(NamedTuple):
 
 @dataclass
 class StepResult:
-    """Outcome of one line search."""
+    """Outcome of one line search: the step on its line (None when the
+    search found no point below C_k) and how it was accepted.  f and g at
+    the step are in the line's cache."""
 
     alpha: Optional[float]
-    f_trial: Optional[float]
-    g_trial: Optional[Vector]
     accepted_by: AcceptKind
 
 
@@ -228,6 +228,7 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
     at points that already pass the decrease test.  If no acceptable point is
     found in MAX_ROUNDS rounds, the best trial that at least stayed below C_k
     is returned, flagged MAX_BACKTRACK (alpha None when not even that exists).
+    f and g at a returned step are evaluated, so ``line`` holds both.
     """
     if gTd >= 0.0:
         raise ValueError("wolfe_search requires a descent direction (g'd < 0)")
@@ -246,9 +247,7 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
         if sufficient_decrease_ok(phi_a, ledger, 1.0, alpha, gTd, params):
             slope_a = line.slope(alpha)
             if math.isfinite(slope_a) and curvature_ok(slope_a, gTd, params):
-                return StepResult(alpha=alpha, f_trial=phi_a,
-                                  g_trial=line.gradient(alpha),
-                                  accepted_by=AcceptKind.WOLFE)
+                return StepResult(alpha, AcceptKind.WOLFE)
             # decrease fine but still descending steeply: move right
             lo, phi_lo, slope_lo = alpha, phi_a, slope_a
         else:
@@ -269,9 +268,6 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
                 cand = lo + 0.5 * span
             alpha = cand
 
-    if best_alpha is None:
-        return StepResult(alpha=None, f_trial=None, g_trial=None,
-                          accepted_by=AcceptKind.MAX_BACKTRACK)
-    return StepResult(alpha=best_alpha, f_trial=line.value(best_alpha),
-                      g_trial=line.gradient(best_alpha),
-                      accepted_by=AcceptKind.MAX_BACKTRACK)
+    if best_alpha is not None:
+        line.gradient(best_alpha)
+    return StepResult(best_alpha, AcceptKind.MAX_BACKTRACK)

@@ -120,15 +120,17 @@ def palmer_poly(n: int = 8) -> Problem:
     iterations stall.
     """
     A = _palmer_design(n)
-    c_star = np.array([(-0.5) ** j for j in range(n)]) + 1.0
+    c_star = palmer_minimizer(n)
     y = A @ c_star
     # the residual form evaluates cleanly, so every mode can carry energy
     x0 = c_star + _spectral_start(A.T @ A, cut=1e-10)
-    return Problem(
-        name=f"palmer_poly({n})", dim=n,
-        eval_f=lambda c: 0.5 * float(np.dot(A @ c - y, A @ c - y)),
-        eval_g=lambda c: A.T @ (A @ c - y),
-        x0=x0)
+
+    def f(c):
+        r = A @ c - y
+        return 0.5 * float(np.dot(r, r))
+
+    return Problem(name=f"palmer_poly({n})", dim=n, eval_f=f,
+                   eval_g=lambda c: A.T @ (A @ c - y), x0=x0)
 
 
 def palmer_minimizer(n: int = 8) -> np.ndarray:

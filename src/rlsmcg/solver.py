@@ -80,18 +80,18 @@ class TraceRecord:
 TraceHook = Callable[[TraceRecord], None]
 
 
-def accept(state: SolverState, record: DirectionRecord, x_next: Vector,
-           f_next: float, g_next: Vector, gnorm_inf: float) -> Optional[Status]:
-    """Move to ``x_next`` after a step along ``record.d``: advance C_k, keep
-    the direction as ``d_prev`` and shift (s, y), the iterate and its
-    gradient max-norm ``gnorm_inf``, which is ``norm_inf(g_next)``.  Returns
+def accept(state: SolverState, d: Vector, x_next: Vector, f_next: float,
+           g_next: Vector, gnorm_inf: float) -> Optional[Status]:
+    """Move to ``x_next`` after a step along ``d``: advance C_k, keep the
+    direction as ``d_prev`` and shift (s, y), the iterate and its gradient
+    max-norm ``gnorm_inf``, which is ``norm_inf(g_next)``.  Returns
     NUMERIC_FAIL, with ``state`` untouched, when f or g is not finite there
     (g is not exactly when its max-norm is not), else None.
     """
     if not (math.isfinite(f_next) and math.isfinite(gnorm_inf)):
         return Status.NUMERIC_FAIL
     state.ledger = ledger_update(state.ledger, f_next)
-    state.d_prev = record.d
+    state.d_prev = d
     state.s_prev = x_next - state.x
     state.y_prev = g_next - state.g
     state.x, state.f, state.g, state.gnorm_inf = x_next, f_next, g_next, gnorm_inf
@@ -140,21 +140,19 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
                 ) -> Tuple[Optional[Status], Optional[TraceRecord]]:
     """One iteration of the solver given by ``policy``; mutates ``state``.
 
-    The policy supplies the ``direction`` (-g if it is no descent direction),
-    the ``trial_step`` and ``rescue_step`` of the search, the point to
-    ``land`` on from the search's result (x, f, g and the max-norm of g),
-    the ``update`` after a step is taken, and for a traced step the record
-    fields it owns (``trace_fields`` of the direction taken).  A search
-    that hit its backtracking cap is taken once; a second one in a row, or
-    one with no point below C_k, reruns along -g from the rescue step.
+    The policy supplies the ``direction``, replaced by -g unless its g'd is
+    finite and negative, the ``trial_step`` and ``rescue_step`` of the
+    search, the point to ``land`` on from the search's step on its line (x,
+    f, g and the max-norm of g), the ``update`` after a step is taken, and
+    for a traced step the record fields it owns (``trace_fields`` of the
+    direction taken).  A search that hit its backtracking cap is taken
+    once; a second one in a row, or one with no point below C_k, reruns
+    along -g from the rescue step.
     Returns the failure status (None when the step was taken) and, when
     ``traced``, the record.
     """
     record = policy.direction(state, params)
-    # every direction's g'd is the product g.d, and g is finite, so a d that
-    # is not finite makes g'd not finite: d is scanned only then
-    if record.gTd >= 0.0 or not (math.isfinite(record.gTd)
-                                 or np.isfinite(record.d).all()):
+    if not -math.inf < record.gTd < 0.0:
         record = smcg.neg_grad_record(state.g)
     ledger = state.ledger
     gnorm2 = dot(state.g, state.g) if traced else math.nan
@@ -174,7 +172,7 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
         else:
             result = None
     status = Status.LINESEARCH_FAIL if result is None else accept(
-        state, record, *policy.land(cp, state, record, line, result, params))
+        state, record.d, *policy.land(state, record, line, result, params))
     if status is None:
         policy.update(state, record, line, result, params)
     if not traced:
@@ -295,20 +293,21 @@ class Rlsmcg:
             return clip_step(bb_stepsizes(s, y)[0], params)
         return gradient_scale_step(state.g, params)
 
-    def land(self, cp: CountingProblem, state: SolverState, record: DirectionRecord,
+    def land(self, state: SolverState, record: DirectionRecord,
              line: LineFunction, result: StepResult, params: SolverParams):
         """The trial point, or its secant rescale when the acceleration gate
         opens before the trial point has converged."""
-        trial = TrialPoint(z=line.point(result.alpha), f_z=result.f_trial,
-                           g_z=result.g_trial, alpha=result.alpha, d=record.d)
+        a = result.alpha
+        trial = TrialPoint(z=line.point(a), f_z=line.value(a),
+                           g_z=line.gradient(a), alpha=a, d=record.d)
         gnorm_z = norm_inf(trial.g_z)
         early = gnorm_z <= params.grad_tol
         self.step_fields["early_converged"] = early
         if early or not accel_criterion(state.f, self.gnorm2, record.gTd, trial,
                                         params):
             return trial.z, trial.f_z, trial.g_z, gnorm_z
-        accel = apply_acceleration(cp, state.x, record.gTd, trial, state.ledger,
-                                   params)
+        accel = apply_acceleration(line.problem, state.x, record.gTd, trial,
+                                   state.ledger, params)
         self.step_fields.update(eta_bar=accel.eta_bar, accel_attempted=True,
                                 accel_accepted=accel.accepted)
         # a rejected rescale hands back the trial point itself
@@ -386,7 +385,7 @@ class Rlsmcg:
         phase = self.phase
         Z, bhat = phase.basis, phase.bhat
         # line's phi(0) is the pre-step f, and the record holds Z'g there
-        r = rqn.ratio(line.value(0.0), result.f_trial, result.alpha,
+        r = rqn.ratio(line.value(0.0), line.value(result.alpha), result.alpha,
                       record.g_hat, Z.T @ record.d, bhat.B_hat)
         mu = rqn.update_mu(bhat.mu, r, dot(state.s_prev, state.s_prev), params)
         iters = phase.iters + 1

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlsmcg.core import (CaseTag, CountingProblem, IterType, Problem,
-                         SolverParams, Status, norm_inf)
+from rlsmcg.core import (CaseTag, CountingProblem, DirectionRecord, IterType,
+                         Problem, SolverParams, Status, dot, norm_inf)
+from rlsmcg.linesearch import AcceptKind
 from rlsmcg.problems import (ext_rosenbrock, get_problem, quad_diag, registry,
                              sphere)
 from rlsmcg.smcg_direction import neg_grad_record
@@ -86,15 +87,43 @@ class _HalfStepDescent:
     def rescue_step(self, state, params):
         return 0.5
 
-    def land(self, cp, state, record, line, result, params):
-        return (line.point(result.alpha), result.f_trial, result.g_trial,
-                norm_inf(result.g_trial))
+    def land(self, state, record, line, result, params):
+        a = result.alpha
+        g = line.gradient(a)
+        return line.point(a), line.value(a), g, norm_inf(g)
 
     def update(self, state, record, line, result, params):
         pass
 
     def trace_fields(self, record):
         return {}
+
+
+class _OverflowingDirection(_HalfStepDescent):
+    """The protocol with a finite direction of entries -1e308, whose g'd
+    overflows to -inf wherever g's entries sum to more than 1."""
+
+    __slots__ = ()
+
+    def direction(self, state, params):
+        d = np.full_like(state.g, -1e308)
+        with np.errstate(over="ignore"):
+            gTd = dot(state.g, d)
+        return DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=gTd)
+
+
+def test_a_direction_with_no_finite_slope_is_replaced_by_steepest_descent():
+    # no point of the line but x itself has a finite f, so a search along d
+    # only backtracks; the driver searches along -g from the start instead
+    cp = CountingProblem(sphere(2))
+    state = initial_state(cp)
+    policy = _OverflowingDirection()
+    assert policy.direction(state, P).gTd == -math.inf
+    status, rec = policy_step(policy, state, cp, P.resolve(2))
+    assert status is None
+    assert rec.case_tag is CaseTag.NEG_GRAD
+    assert rec.accepted_by is AcceptKind.WOLFE and not rec.rescued
+    assert cp.n_f == 2
 
 
 def test_driver_runs_a_policy_with_only_the_protocol():
@@ -511,7 +540,7 @@ def test_accept_rejects_a_non_finite_trial_and_leaves_state_untouched(bad):
     else:
         g_next[3] = {"g_nan": math.nan, "g_pinf": math.inf,
                      "g_ninf": -math.inf}[bad]
-    status = accept(state, neg_grad_record(state.g), x_next, f_next, g_next,
+    status = accept(state, neg_grad_record(state.g).d, x_next, f_next, g_next,
                     norm_inf(g_next))
     assert status is Status.NUMERIC_FAIL
     assert _snapshot(state) == before
