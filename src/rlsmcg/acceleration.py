@@ -40,34 +40,35 @@ class AccelResult:
     accepted: bool
 
 
-def _interp_scalars(gTd: float, trial: TrialPoint):
-    slope_z = float(np.dot(trial.g_z, trial.d))
-    a_bar = trial.alpha * gTd
-    b_bar = trial.alpha * (slope_z - gTd)
-    sTg_z = trial.alpha * slope_z  # s_z'g_z with s_z = alpha*d
+def _interp_scalars(gTd: float, alpha: float, slope_z: float):
+    a_bar = alpha * gTd
+    b_bar = alpha * (slope_z - gTd)
+    sTg_z = alpha * slope_z  # s_z'g_z with s_z = alpha*d
     return a_bar, b_bar, sTg_z
 
 
-def accel_criterion(f_cur: float, gnorm2: float, gTd: float, trial: TrialPoint,
+def accel_criterion(f_cur: float, gnorm2: float, gTd: float, alpha: float,
+                    f_z: float, slope_z: float, dTd: float,
                     params: SolverParams) -> bool:
-    """Five-clause gate for attempting the rescale.
+    """Five-clause gate for attempting the rescale, on the scalars of the
+    step: at x, f_cur, ||g||^2 = gnorm2 and g'd; at the trial point z =
+    x + alpha*d, f_z and the slope g_z'd = slope_z; and d'd.
 
     Requires a convex local slope gap (b_bar >= eps_bar), a short step, a
     small gradient, a near-quadratic interpolation residual |t_bar| < c_bar,
     and a floor on |s_z'g_z| so the residual itself is trustworthy.  An exact
     zero s_z'g_z leaves t_bar undefined and fails the gate.
     """
-    a_bar, b_bar, sTg_z = _interp_scalars(gTd, trial)
+    a_bar, b_bar, sTg_z = _interp_scalars(gTd, alpha, slope_z)
     if not (math.isfinite(b_bar) and b_bar >= params.eps_bar):
         return False
-    s_norm2 = trial.alpha ** 2 * float(np.dot(trial.d, trial.d))
-    if s_norm2 > params.tau_bar:
+    if alpha ** 2 * dTd > params.tau_bar:
         return False
     if gnorm2 > params.tau_hat:
         return False
     if sTg_z == 0.0:
         return False
-    t_bar = abs(2.0 * (f_cur - trial.f_z + sTg_z) / sTg_z - 1.0)
+    t_bar = abs(2.0 * (f_cur - f_z + sTg_z) / sTg_z - 1.0)
     if not (math.isfinite(t_bar) and t_bar < params.c_bar):
         return False
     return abs(sTg_z) >= max(params.varsigma, params.varsigma_bar * b_bar)
@@ -88,7 +89,8 @@ def apply_acceleration(problem, x: Vector, gTd: float, trial: TrialPoint,
     candidate is accepted; rejection returns the unaccelerated trial point
     unchanged.
     """
-    a_bar, b_bar, _ = _interp_scalars(gTd, trial)
+    a_bar, b_bar, _ = _interp_scalars(gTd, trial.alpha,
+                                      float(np.dot(trial.g_z, trial.d)))
     eta = accel_parameter(a_bar, b_bar, params)
     x_cand = x + eta * trial.alpha * trial.d
     f_cand = problem.f(x_cand)

@@ -48,7 +48,8 @@ class StepResult:
 
 
 class LineFunction:
-    """The 1-D restriction phi(a) = f(x + a d) with cached evaluations.
+    """The 1-D restriction phi(a) = f(x + a d) with cached evaluations and
+    slopes phi'(a).
 
     ``problem`` (a CountingProblem) counts the evaluations.  Each step's
     point x + a d is built once, and its f, its g and the caller's landing
@@ -65,6 +66,7 @@ class LineFunction:
         self._points = {}
         self._f_cache = {} if f0 is None else {0.0: float(f0)}
         self._g_cache = {} if g0 is None else {0.0: np.asarray(g0, dtype=float)}
+        self._slope_cache = {}
 
     def point(self, a: float) -> Vector:
         x_a = self._points.get(a)
@@ -85,7 +87,10 @@ class LineFunction:
         return g_a
 
     def slope(self, a: float) -> float:
-        return float(self.gradient(a).dot(self.d))
+        s_a = self._slope_cache.get(a)
+        if s_a is None:
+            s_a = self._slope_cache[a] = float(self.gradient(a).dot(self.d))
+        return s_a
 
 
 def quad_interp_min(phi0: float, dphi0: float, phi_a: float, a: float) -> Optional[float]:
@@ -202,15 +207,16 @@ def initial_stepsize(line: LineFunction, gTd: float, params: SolverParams, *,
 
     The interpolated step is taken when f is quadratic-like or phi(1) stays
     within tau2 relative changes of phi(0), measured as
-    |phi(1) - phi(0)| / (tau1 + |phi(0)|).  None when the fit or the gate
-    fails; the caller then picks its own fallback step.
+    |phi(1) - phi(0)| / (tau1 + |phi(0)|), which is taken only when f is
+    not quadratic-like.  None when the fit or the gate fails; the caller
+    then picks its own fallback step.
     """
     alpha = interp_step(line, 1.0, gTd, params)
-    if alpha is None:
-        return None
+    if alpha is None or quad_like:
+        return alpha
     phi0 = line.value(0.0)
     varpi = abs(line.value(1.0) - phi0) / (params.tau1 + abs(phi0))
-    return alpha if quad_like or varpi <= params.tau2 else None
+    return alpha if varpi <= params.tau2 else None
 
 
 # --- the search itself ------------------------------------------------------

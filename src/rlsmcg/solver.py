@@ -147,32 +147,42 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
     for a traced step the record fields it owns (``trace_fields`` of the
     direction taken).  A search that hit its backtracking cap is taken
     once; a second one in a row, or one with no point below C_k, reruns
-    along -g from the rescue step.
+    along -g from the rescue step.  Where -g is needed but its g'd = -g'g
+    is not negative, as when g'g underflows to zero, float64 cannot certify
+    descent along it and the step fails with NUMERIC_FAIL.
     Returns the failure status (None when the step was taken) and, when
     ``traced``, the record.
     """
+    status, result, rescued = None, None, False
     record = policy.direction(state, params)
     if not -math.inf < record.gTd < 0.0:
         record = smcg.neg_grad_record(state.g)
+        if not record.gTd < 0.0:
+            status = Status.NUMERIC_FAIL
     ledger = state.ledger
     gnorm2 = dot(state.g, state.g) if traced else math.nan
-    line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
-    alpha0 = policy.trial_step(line, state, record, params)
-    result = wolfe_search(line, alpha0, ledger, record.gTd, params)
-    wolfe = result.accepted_by is AcceptKind.WOLFE
-    state.backtrack_strikes = 0 if wolfe else state.backtrack_strikes + 1
-    rescued = state.backtrack_strikes >= 2 or result.alpha is None
-    if rescued:
-        record = smcg.neg_grad_record(state.g)
+    if status is None:
         line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
-        result = wolfe_search(line, policy.rescue_step(state, params), ledger,
-                              record.gTd, params)
-        if result.accepted_by is AcceptKind.WOLFE:
-            state.backtrack_strikes = 0
+        alpha0 = policy.trial_step(line, state, record, params)
+        result = wolfe_search(line, alpha0, ledger, record.gTd, params)
+        wolfe = result.accepted_by is AcceptKind.WOLFE
+        state.backtrack_strikes = 0 if wolfe else state.backtrack_strikes + 1
+        rescued = state.backtrack_strikes >= 2 or result.alpha is None
+    if rescued:
+        record, result = smcg.neg_grad_record(state.g), None
+        if not record.gTd < 0.0:
+            status = Status.NUMERIC_FAIL
         else:
-            result = None
-    status = Status.LINESEARCH_FAIL if result is None else accept(
-        state, record.d, *policy.land(state, record, line, result, params))
+            line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
+            result = wolfe_search(line, policy.rescue_step(state, params),
+                                  ledger, record.gTd, params)
+            if result.accepted_by is AcceptKind.WOLFE:
+                state.backtrack_strikes = 0
+            else:
+                result = None
+    if status is None:
+        status = Status.LINESEARCH_FAIL if result is None else accept(
+            state, record.d, *policy.land(state, record, line, result, params))
     if status is None:
         policy.update(state, record, line, result, params)
     if not traced:
@@ -189,11 +199,12 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
 @dataclass(frozen=True)
 class Phase:
     """An open RQN phase: the reduced model ``bhat`` lives in the orthonormal
-    ``basis``, and the phase is left once the gradient points out of
-    ``core``, the well-conditioned part of the memory's span at entry.
-    ``iters`` counts the RQN iterations taken."""
+    ``basis``, or on all of R^n when ``basis`` is None (the whole-space
+    phase, which multiplies by no basis), and the phase is left once the
+    gradient points out of ``core``, the well-conditioned part of the
+    memory's span at entry.  ``iters`` counts the RQN iterations taken."""
 
-    basis: np.ndarray
+    basis: Optional[np.ndarray]
     core: np.ndarray
     bhat: rqn.SubspaceHessian
     iters: int = 0
@@ -215,9 +226,14 @@ class Rlsmcg:
         # a memory that may span R^n, where the screen can never certify)
         self.memory: List[Vector] = []
         self.gram: Optional[rqn.GramRing] = None
-        # g'g, taken by ``direction``, and g's and s'y, taken by ``update``
-        # for the closeness test: the direction at that iterate shares them
+        # g'g, g's and s'y of the current iterate, taken by ``update`` (g'g
+        # of the start by the first ``direction``; g is finite, so g'g is
+        # never NaN) for the monitor and the closeness test: the direction
+        # at that iterate shares them
         self.gnorm2 = self.gTs = self.sTy = math.nan
+        # d'd of the step's direction, taken by ``land`` for the acceleration
+        # gate and pushed with d into the screen's ring by ``update``
+        self.dTd = math.nan
         self.descent_margin: Optional[float] = None
         # the phase the step's direction ran under, and its record fields
         self.phase_seen: Optional[Phase] = None
@@ -229,7 +245,8 @@ class Rlsmcg:
 
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
         g = state.g
-        self.gnorm2 = dot(g, g)
+        if math.isnan(self.gnorm2):  # the start: no update has taken it
+            self.gnorm2 = dot(g, g)
         self.phase_seen = self.phase
         self.step_fields = {"t_k": self.t_k}
         if self.phase is not None:
@@ -298,14 +315,15 @@ class Rlsmcg:
         """The trial point, or its secant rescale when the acceleration gate
         opens before the trial point has converged."""
         a = result.alpha
-        trial = TrialPoint(z=line.point(a), f_z=line.value(a),
-                           g_z=line.gradient(a), alpha=a, d=record.d)
-        gnorm_z = norm_inf(trial.g_z)
+        z, f_z, g_z = line.point(a), line.value(a), line.gradient(a)
+        gnorm_z = norm_inf(g_z)
         early = gnorm_z <= params.grad_tol
         self.step_fields["early_converged"] = early
-        if early or not accel_criterion(state.f, self.gnorm2, record.gTd, trial,
-                                        params):
-            return trial.z, trial.f_z, trial.g_z, gnorm_z
+        self.dTd = dot(record.d, record.d)
+        if early or not accel_criterion(state.f, self.gnorm2, record.gTd, a, f_z,
+                                        line.slope(a), self.dTd, params):
+            return z, f_z, g_z, gnorm_z
+        trial = TrialPoint(z=z, f_z=f_z, g_z=g_z, alpha=a, d=record.d)
         accel = apply_acceleration(line.problem, state.x, record.gTd, trial,
                                    state.ledger, params)
         self.step_fields.update(eta_bar=accel.eta_bar, accel_attempted=True,
@@ -328,7 +346,8 @@ class Rlsmcg:
         if m < n:
             if self.gram is None:
                 self.gram = rqn.GramRing.empty(m, n)
-            self.gram.push(record.d)
+            self.gram.push(record.d, self.dTd)
+        self.gnorm2 = dot(state.g, state.g)
         if self.phase is None:
             self._monitor(state, params)
         elif record.case_tag is CaseTag.RQN:
@@ -349,23 +368,28 @@ class Rlsmcg:
             return
         # the Gram screen answers "not lost" where it can prove it; the QR
         # and the exact predicate answer everything else
+        g, gTg = state.g, self.gnorm2
         if self.gram is not None and rqn.orthogonality_kept(
-                self.gram, state.g, params):
+                self.gram, g, gTg, params):
             self.step_fields["orth_lost_flag"] = False
-            return
-        Z = rqn.qr_update(self.memory)
-        if Z is None:
-            return
-        lost = rqn.orthogonality_lost(Z, state.g, params)
-        self.step_fields["orth_lost_flag"] = lost
-        if not (lost and self.rqn_enabled):
             return
         # the phase is judged on the well-conditioned core of the span:
         # entered only when the core is a proper subspace (else the exit
-        # predicate could never hold), left once the gradient points out of it
+        # predicate could never hold), left once the gradient points out of
+        # it.  With RQN on, the QR that gives the test's basis gives the core.
+        if self.rqn_enabled:
+            Z, core = rqn.qr_update(self.memory, rqn.DROP_TOL,
+                                    rqn.ENTRY_RANK_TOL)
+        else:
+            Z = rqn.qr_update(self.memory)
+        if Z is None:
+            return
+        lost = rqn.orthogonality_lost(Z, g, gTg, params)
+        self.step_fields["orth_lost_flag"] = lost
+        if not (lost and self.rqn_enabled):
+            return
         n = state.x.size
-        core = rqn.qr_update(self.memory, rqn.ENTRY_RANK_TOL)
-        if core is None or core.shape[1] >= n:
+        if core.shape[1] >= n:
             return
         # the model lives on the core, unless the memory spans R^n and f is
         # locally quadratic.  Then the model takes all of R^n: the core's
@@ -374,9 +398,10 @@ class Rlsmcg:
         # iterates do not depend on the scale of the identity it starts from
         # there.  Off that regime the scale matters, so the phase keeps to
         # the core.
-        basis = np.eye(n) if params.memory_m >= n and self.quad_like else core
-        self.phase = Phase(basis, core, rqn.SubspaceHessian.identity(
-            basis.shape[1], params.mu_min))
+        whole = params.memory_m >= n and self.quad_like
+        self.phase = Phase(None if whole else core, core,
+                           rqn.SubspaceHessian.identity(
+                               n if whole else core.shape[1], params.mu_min))
 
     def _advance(self, state: SolverState, record: DirectionRecord,
                  line: LineFunction, result: StepResult, params: SolverParams):
@@ -384,15 +409,17 @@ class Rlsmcg:
         once the gradient is mostly orthogonal to the frozen core."""
         phase = self.phase
         Z, bhat = phase.basis, phase.bhat
+        s, y, d = state.s_prev, state.y_prev, record.d
+        if Z is not None:  # else the model is on all of R^n: Z = I
+            s, y, d = Z.T @ s, Z.T @ y, Z.T @ d
         # line's phi(0) is the pre-step f, and the record holds Z'g there
         r = rqn.ratio(line.value(0.0), line.value(result.alpha), result.alpha,
-                      record.g_hat, Z.T @ record.d, bhat.B_hat)
+                      record.g_hat, d, bhat.B_hat)
         mu = rqn.update_mu(bhat.mu, r, dot(state.s_prev, state.s_prev), params)
         iters = phase.iters + 1
-        bhat = rqn.rbfgs_update(bhat, Z.T @ state.s_prev, Z.T @ state.y_prev,
-                                iters, mu, params)
+        bhat = rqn.rbfgs_update(bhat, s, y, iters, mu, params)
         self.step_fields["bhat"] = bhat.B_hat
-        if rqn.orthogonality_restored(phase.core, state.g, params):
+        if rqn.orthogonality_restored(phase.core, state.g, self.gnorm2, params):
             self.phase = None
         else:
             self.phase = Phase(Z, phase.core, bhat, iters)

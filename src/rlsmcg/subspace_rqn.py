@@ -48,17 +48,20 @@ class SubspaceHessian:
 
     Building one factors ``B_hat`` and keeps its lower Cholesky factor in
     ``L``; a ``B_hat`` that is not finite or not positive definite raises
-    ``np.linalg.LinAlgError``.  ``mu`` is the regularization weight folded
-    into the update through the shifted gradient difference y + mu*s;
+    ``np.linalg.LinAlgError``.  The identity is built with L = I, which is
+    its factor exactly.  ``mu`` is the regularization weight folded into the
+    update through the shifted gradient difference y + mu*s;
     ``updates_since_reset == 0`` means the matrix is the identity.
     """
 
     B_hat: np.ndarray
     updates_since_reset: int
     mu: float
-    L: np.ndarray = field(init=False, repr=False, compare=False)
+    L: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.L is not None:
+            return
         # cholesky returns NaN or inf for non-finite input instead of raising
         if not np.isfinite(self.B_hat).all():
             raise np.linalg.LinAlgError("reduced Hessian is not finite")
@@ -66,17 +69,20 @@ class SubspaceHessian:
 
     @classmethod
     def identity(cls, m: int, mu: float) -> "SubspaceHessian":
-        return cls(B_hat=np.eye(m), updates_since_reset=0, mu=mu)
+        eye = np.eye(m)
+        return cls(B_hat=eye, updates_since_reset=0, mu=mu, L=eye)
 
     @property
     def is_identity(self) -> bool:
         return self.updates_since_reset == 0
 
 
-def qr_update(dirs: List[Vector],
-              drop_tol: float = DROP_TOL) -> Optional[np.ndarray]:
+def qr_update(dirs: List[Vector], drop_tol: float = DROP_TOL,
+              core_tol: Optional[float] = None):
     """Orthonormal basis Z of the independent direction columns, by LAPACK
-    Householder QR; None when no column survives.
+    Householder QR; None when no column survives.  Given ``core_tol``, the
+    pair (Z, core) instead, where core is the basis of the same directions
+    at ``core_tol``.
 
     Columns are judged in order: one is dependent, and dropped, when its
     residual against the columns kept before it is at most drop_tol times its
@@ -89,23 +95,40 @@ def qr_update(dirs: List[Vector],
     columns are dropped first.  Column i of Z is the i-th kept direction
     orthogonalized against the kept ones before it, scaled to unit length,
     so it has a positive component along that direction.
+
+    Both tolerances start from one factorization of the nonzero finite
+    columns, which is the first round of each; past it, each refactors only
+    the columns it keeps.
     """
     kept = [d for d in dirs if 0.0 < np.dot(d, d) < math.inf]
-    while kept:
-        Z, R = np.linalg.qr(np.array(kept).T)
-        norms = np.linalg.norm(R, axis=0)  # ||d_k||, as Z is orthonormal
+    if not kept:
+        return None if core_tol is None else (None, None)
+    Q, R = np.linalg.qr(np.array(kept).T)
+    Z = _drop_dependent(kept, Q, R, drop_tol)
+    if core_tol is None:
+        return Z
+    return Z, _drop_dependent(kept, Q, R, core_tol)
+
+
+def _drop_dependent(kept: List[Vector], Q: np.ndarray, R: np.ndarray,
+                    drop_tol: float) -> np.ndarray:
+    """The rounds of ``qr_update`` at ``drop_tol`` from the factorization
+    Q R of ``kept``, up to the signed basis of a round with no dependent
+    column.  Column 0 is never dependent, as its residual is its norm."""
+    while True:
+        norms = np.linalg.norm(R, axis=0)  # ||d_k||, as Q is orthonormal
         # R has no diagonal past its n-th column: such a column lies in the
         # span of the n before it
         resid = np.zeros(len(kept))
         resid[:len(R)] = np.abs(np.diag(R))
         dependent = np.flatnonzero(resid <= drop_tol * norms)
         if dependent.size == 0:
-            return Z * np.sign(np.diag(R))
+            return Q * np.sign(np.diag(R))
         j = dependent[0]
         tail = np.linalg.norm(R[j:, j:], axis=0)
         kept = kept[:j] + [d for d, t, nrm in zip(kept[j:], tail, norms[j:])
                            if t > drop_tol * nrm]
-    return None
+        Q, R = np.linalg.qr(np.array(kept).T)
 
 
 def _outside_norm2(Z: np.ndarray, g: Vector) -> float:
@@ -114,15 +137,15 @@ def _outside_norm2(Z: np.ndarray, g: Vector) -> float:
     return float(np.dot(r, r))
 
 
-def orthogonality_lost(Z: np.ndarray, g: Vector,
+def orthogonality_lost(Z: np.ndarray, g: Vector, gTg: float,
                        params: SolverParams) -> bool:
-    """True when g lies (almost) inside the span: ||g - ZZ'g||^2 <= eta0^2 ||g||^2.
+    """True when g lies (almost) inside the span: ||g - ZZ'g||^2 <= eta0^2 ||g||^2,
+    with ``gTg`` = g'g.
 
     The test is written on the residual, not as ||Z'g||^2 >= (1 - eta0^2)
     ||g||^2: with the default eta0 = 1e-9 the factor 1 - eta0^2 rounds to
     exactly 1.0 in float64, which would leave the decision to rounding.
     """
-    gTg = float(np.dot(g, g))
     if gTg <= 0.0:
         return False
     return _outside_norm2(Z, g) <= params.eta0_tilde ** 2 * gTg
@@ -137,7 +160,8 @@ class GramRing:
 
     The rows are in ring order: a push overwrites the oldest row and its row
     and column of G in place, at O(nm), and nothing is rolled, since the
-    span does not depend on the order.  A direction whose norm is zero or
+    span does not depend on the order.  A push takes the direction with its
+    d'd, which the caller has already.  A direction whose norm is zero or
     not finite leaves a row of NaNs, which ``orthogonality_kept`` cannot
     certify.
     """
@@ -158,10 +182,10 @@ class GramRing:
         m = len(self.D)
         return self.A[:m, :m]
 
-    def push(self, d: Vector) -> None:
+    def push(self, d: Vector, dTd: float) -> None:
         D, A, m = self.D, self.A, len(self.D)
         i = self.pushes % m
-        norm = math.sqrt(float(np.dot(d, d)))
+        norm = math.sqrt(dTd)
         if 0.0 < norm < math.inf:
             np.divide(d, norm, out=D[i])
         else:
@@ -171,11 +195,12 @@ class GramRing:
         self.pushes += 1
 
 
-def orthogonality_kept(ring: GramRing, g: Vector, params: SolverParams) -> bool:
+def orthogonality_kept(ring: GramRing, g: Vector, gTg: float,
+                       params: SolverParams) -> bool:
     """True only when rounding analysis proves ``orthogonality_lost`` False
     on the ``qr_update`` basis of the directions whose unit rows are
     ``ring.D``, with Gram matrix ``ring.G``; False leaves the question to
-    that exact test.
+    that exact test.  ``gTg`` is g'g.
 
     The Cholesky factor of the Gram matrix of [D; g'], whose leading block
     is G's factor L, has as its last pivot r, the distance from g to the
@@ -239,7 +264,7 @@ def orthogonality_kept(ring: GramRing, g: Vector, params: SolverParams) -> bool:
     D, A = ring.D, ring.A
     m, n = D.shape
     np.dot(D, g, out=A[m, :m])  # cholesky reads the lower triangle only
-    A[m, m] = gTg = float(np.dot(g, g))
+    A[m, m] = gTg
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:  # G singular, g in its span, or step 4
@@ -252,14 +277,14 @@ def orthogonality_kept(ring: GramRing, g: Vector, params: SolverParams) -> bool:
     return r2 > threshold + rounding * gTg
 
 
-def orthogonality_restored(Z: np.ndarray, g: Vector,
+def orthogonality_restored(Z: np.ndarray, g: Vector, gTg: float,
                            params: SolverParams) -> bool:
-    """True when g points back out of the span: ||g - ZZ'g||^2 >= eta1^2 ||g||^2.
+    """True when g points back out of the span: ||g - ZZ'g||^2 >= eta1^2 ||g||^2,
+    with ``gTg`` = g'g.
 
     By Pythagoras this is ||Z'g||^2 <= (1 - eta1^2) ||g||^2, but computed on
     the residual so that it keeps its meaning for any eta1 in (0, 1).
     """
-    gTg = float(np.dot(g, g))
     if gTg <= 0.0:
         return True
     return _outside_norm2(Z, g) >= params.eta1_tilde ** 2 * gTg
@@ -334,16 +359,18 @@ class ReducedDirection(DirectionRecord):
         self.g_hat = g_hat
 
 
-def rqn_direction(Z: np.ndarray, H: SubspaceHessian,
+def rqn_direction(Z: Optional[np.ndarray], H: SubspaceHessian,
                   g: Vector) -> ReducedDirection:
     """Lifted quasi-Newton step d = -Z B^{-1} Z'g, solved with the Cholesky
-    factor ``H.L``.
+    factor ``H.L``; Z None stands for the whole space, where Z = I and the
+    step is -B^{-1} g with no product by a basis.
 
     H is positive definite by construction, so the solve cannot fail; one
     that overflows gives a non-finite d, which the policy's descent backstop
     replaces by -g.
     """
-    g_hat = Z.T @ g
-    d_hat = -np.linalg.solve(H.L.T, np.linalg.solve(H.L, g_hat))
-    d = Z @ d_hat
+    g_hat = g if Z is None else Z.T @ g
+    d = d_hat = -np.linalg.solve(H.L.T, np.linalg.solve(H.L, g_hat))
+    if Z is not None:
+        d = Z @ d_hat
     return ReducedDirection(d, float(np.dot(g, d)), g_hat)

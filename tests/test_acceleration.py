@@ -22,12 +22,18 @@ def make_trial(prob, x, d, alpha):
                       alpha=alpha, d=d)
 
 
+def gate_scalars(trial):
+    """alpha, f_z, the slope g_z'd and d'd: what the gate reads of a trial."""
+    return (trial.alpha, trial.f_z, float(trial.g_z @ trial.d),
+            float(trial.d @ trial.d))
+
+
 def test_criterion_rejects_large_gradient():
     prob = halfsq_1d()
     x = np.array([2.0])  # ||g||^2 = 4 > tau_hat
     trial = make_trial(prob, x, [-1.0], 0.1)
     gTd = float(prob.eval_g(x) @ trial.d)
-    assert not accel_criterion(prob.eval_f(x), 4.0, gTd, trial, P)
+    assert not accel_criterion(prob.eval_f(x), 4.0, gTd, *gate_scalars(trial), P)
 
 
 def test_criterion_rejects_concave_slope_gap():
@@ -38,7 +44,7 @@ def test_criterion_rejects_concave_slope_gap():
     trial = make_trial(prob, x, [1.0], 0.1)
     gTd = float(prob.eval_g(x) @ trial.d)
     assert gTd < 0
-    assert not accel_criterion(prob.eval_f(x), 0.25, gTd, trial, P)
+    assert not accel_criterion(prob.eval_f(x), 0.25, gTd, *gate_scalars(trial), P)
 
 
 def test_criterion_rejects_long_step():
@@ -51,7 +57,7 @@ def test_criterion_rejects_long_step():
     assert b_bar == pytest.approx(0.25)
     assert b_bar >= P.eps_bar
     assert 0.81 <= P.tau_hat
-    assert not accel_criterion(prob.eval_f(x), 0.81, gTd, trial, P)
+    assert not accel_criterion(prob.eval_f(x), 0.81, gTd, *gate_scalars(trial), P)
 
 
 def test_criterion_accepts_overshot_quadratic_step():
@@ -61,7 +67,7 @@ def test_criterion_accepts_overshot_quadratic_step():
     x = np.array([0.02])
     trial = make_trial(prob, x, [-1.0], 0.4)
     gTd = float(prob.eval_g(x) @ trial.d)
-    assert accel_criterion(prob.eval_f(x), 4e-4, gTd, trial, P)
+    assert accel_criterion(prob.eval_f(x), 4e-4, gTd, *gate_scalars(trial), P)
 
 
 def test_parameter_secant_step_on_quadratic():

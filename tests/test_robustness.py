@@ -6,8 +6,21 @@ import numpy as np
 import pytest
 
 from rlsmcg.baselines import BaselineKind, BaselineTag, run_baseline
+from rlsmcg.bench import SOLVERS
 from rlsmcg.core import Problem, SolverParams, Status
 from rlsmcg.solver import run, run_with_trace
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_a_gradient_whose_square_underflows_gives_a_status(solver):
+    # g = 1e-300 x from (1, 1): g'g underflows to 0, so -g's g'd is -0.0 and
+    # float64 cannot certify it as a descent direction; the run stops with
+    # a status before any evaluation beyond the start's
+    prob = Problem("underflow", 2, lambda x: 1e-300 * float(x @ x) / 2,
+                   lambda x: 1e-300 * x, np.ones(2))
+    rep = SOLVERS[solver](prob, SolverParams(grad_tol=1e-320))
+    assert rep.status is Status.NUMERIC_FAIL
+    assert rep.n_iter == 0 and rep.n_f == rep.n_g == 1
 
 
 def test_one_dimensional_problem():

@@ -112,6 +112,34 @@ class _OverflowingDirection(_HalfStepDescent):
         return DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=gTd)
 
 
+class _SteepAlongTinyGradient(_HalfStepDescent):
+    """The protocol with d = -1e300 g, a descent direction certified by
+    its g'd wherever g'g underflows and -g's is not."""
+
+    __slots__ = ()
+
+    def direction(self, state, params):
+        d = -1e300 * state.g
+        return DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(state.g, d))
+
+
+def test_a_rescue_along_an_uncertified_steepest_descent_gives_a_status():
+    # g = 1e-300 x, so g'g underflows to 0, and f is NaN off the start: the
+    # search along d finds no point below C_k, and the rescue's -g has
+    # g'd = -0.0, along which float64 cannot certify descent
+    x0 = np.ones(2)
+    tiny = Problem("tiny_nan", 2,
+                   lambda x: 1e-300 if np.array_equal(x, x0) else math.nan,
+                   lambda x: 1e-300 * x, x0)
+    cp = CountingProblem(tiny)
+    state = initial_state(cp)
+    status, rec = policy_step(_SteepAlongTinyGradient(), state, cp,
+                              SolverParams(grad_tol=1e-320).resolve(2))
+    assert status is Status.NUMERIC_FAIL and rec.failure is Status.NUMERIC_FAIL
+    assert rec.rescued and rec.case_tag is CaseTag.NEG_GRAD and rec.gTd == 0.0
+    assert state.k == 0 and cp.n_g == 1
+
+
 def test_a_direction_with_no_finite_slope_is_replaced_by_steepest_descent():
     # no point of the line but x itself has a finite f, so a search along d
     # only backtracks; the driver searches along -g from the start instead
@@ -235,18 +263,19 @@ def test_full_memory_phase_models_all_of_rn_and_leaves_the_core():
     state, cp, params, policy, quad_like = _step_into_phase(
         get_problem("quad_hilbert(8)"))
     assert params.memory_m == cp.problem.dim and quad_like
-    np.testing.assert_array_equal(policy.phase.basis, np.eye(cp.problem.dim))
+    assert policy.phase.basis is None  # the whole-space marker: R^n, Z = I
     assert policy.phase.bhat.B_hat.shape == (cp.problem.dim, cp.problem.dim)
     core = policy.phase.core
     assert core.shape[1] < cp.problem.dim
-    assert not orthogonality_restored(policy.phase.basis, state.g, params)
+    assert not orthogonality_restored(np.eye(cp.problem.dim), state.g,
+                                      dot(state.g, state.g), params)
     for _ in range(200):
         _, rec = policy_step(policy, state, cp, params)
         if rec.exited_rqn or rec.early_converged:
             break
     # the phase ends because the gradient points out of the core, not by a guard
     assert rec.exited_rqn and not rec.guard_fallback and not rec.rescued
-    assert orthogonality_restored(core, state.g, params)
+    assert orthogonality_restored(core, state.g, dot(state.g, state.g), params)
     assert rec.state is IterType.SMCG and policy.phase is None
 
 
@@ -496,6 +525,33 @@ def test_exact_predicate_runs_when_the_memory_spans_rn(monkeypatch):
                  if rec.state_before is IterType.SMCG and rec.k + 1 >= 8]
     assert calls == {"orthogonality_lost": len(monitored), "orthogonality_kept": 0}
     assert all(rec.orth_lost_flag is not None for rec in monitored)
+
+
+def test_the_monitor_factors_each_memory_once_on_palmer_poly_8(monkeypatch):
+    # the entry test's basis and the phase's core come from one first QR
+    # round: 14 LAPACK QRs, where a second factorization of the same memory
+    # for the core took 24; each runs inside a call of rqn.qr_update
+    counts = {"qr": 0, "outside": 0}
+    depth = [0]
+    qr, qr_update = np.linalg.qr, rqn.qr_update
+
+    def counted_qr(*args, **kwargs):
+        counts["qr"] += 1
+        counts["outside"] += depth[0] == 0
+        return qr(*args, **kwargs)
+
+    def inside_qr_update(*args):
+        depth[0] += 1
+        try:
+            return qr_update(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(rqn, "qr_update", inside_qr_update)
+    report = run(get_problem("palmer_poly(8)"))
+    assert (report.n_iter, report.n_f, report.n_g) == PINNED_COUNTS["palmer_poly(8)"][0]
+    assert counts == {"qr": 14, "outside": 0}
 
 
 @pytest.mark.parametrize("rqn_enabled", [True, False], ids=["rqn", "norqn"])

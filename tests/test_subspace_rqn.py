@@ -23,6 +23,11 @@ def e(i, n=4):
     return v
 
 
+def gtg(v):
+    """v'v, as the predicates take it."""
+    return float(np.dot(v, v))
+
+
 # --- QR -------------------------------------------------------------------------
 
 def test_qr_single_unit_vector():
@@ -122,34 +127,35 @@ def test_qr_empty_subspace_signal():
 
 def test_lost_fires_for_contained_gradient():
     Z = qr_update([e(0), e(1)])
-    assert orthogonality_lost(Z, 2.0 * e(0) - e(1), P)
+    g = 2.0 * e(0) - e(1)
+    assert orthogonality_lost(Z, g, gtg(g), P)
 
 
 def test_lost_quiet_for_orthogonal_gradient():
     Z = qr_update([e(0), e(1)])
-    assert not orthogonality_lost(Z, e(2), P)
+    assert not orthogonality_lost(Z, e(2), gtg(e(2)), P)
 
 
 def test_lost_quiet_for_small_outside_component():
     Z = qr_update([e(0)])
     g = e(0) + 1e-3 * e(1)
-    assert not orthogonality_lost(Z, g, P)
+    assert not orthogonality_lost(Z, g, gtg(g), P)
 
 
 def test_restored_for_orthogonal_gradient():
     Z = qr_update([e(0)])
-    assert orthogonality_restored(Z, e(1), P)
+    assert orthogonality_restored(Z, e(1), gtg(e(1)), P)
 
 
 def test_restored_rejects_contained_gradient():
     Z = qr_update([e(0)])
-    assert not orthogonality_restored(Z, e(0), P)
+    assert not orthogonality_restored(Z, e(0), gtg(e(0)), P)
 
 
 def test_restored_at_seventy_percent_ratio():
     Z = qr_update([e(0)])
     g = np.sqrt(0.7) * e(0) + np.sqrt(0.3) * e(1)
-    assert orthogonality_restored(Z, g, P)  # 0.7 <= 0.75
+    assert orthogonality_restored(Z, g, gtg(g), P)  # 0.7 <= 0.75
 
 
 # the default thresholds must keep their meaning in float64: 1 - eta0^2
@@ -158,20 +164,91 @@ def test_restored_at_seventy_percent_ratio():
 def test_lost_quiet_at_ten_times_the_entry_threshold():
     assert 1.0 - P.eta0_tilde ** 2 == 1.0  # why the residual form is needed
     Z = qr_update([e(0)])
-    assert not orthogonality_lost(Z, e(0) + 1e-8 * e(1), P)
+    g = e(0) + 1e-8 * e(1)
+    assert not orthogonality_lost(Z, g, gtg(g), P)
 
 
 def test_lost_fires_below_the_entry_threshold():
     Z = qr_update([e(0)])
-    assert orthogonality_lost(Z, e(0) + 1e-10 * e(1), P)
+    g = e(0) + 1e-10 * e(1)
+    assert orthogonality_lost(Z, g, gtg(g), P)
 
 
 def test_restored_switches_at_the_exit_threshold():
     # g = e0 + t e1 has the share t^2 / (1 + t^2) of its square outside
     # span{e0}; eta1 = 0.5 puts the switch at t = 1/sqrt(3) = 0.57735...
     Z = qr_update([e(0)])
-    assert orthogonality_restored(Z, e(0) + 0.578 * e(1), P)
-    assert not orthogonality_restored(Z, e(0) + 0.577 * e(1), P)
+    g = e(0) + 0.578 * e(1)
+    assert orthogonality_restored(Z, g, gtg(g), P)
+    g = e(0) + 0.577 * e(1)
+    assert not orthogonality_restored(Z, g, gtg(g), P)
+
+
+def _qr_update_alone(dirs, drop_tol):
+    """The single-tolerance ``qr_update`` that factors every round itself,
+    the first included: the oracle the shared first round must match."""
+    kept = [d for d in dirs if 0.0 < np.dot(d, d) < math.inf]
+    while kept:
+        Z, R = np.linalg.qr(np.array(kept).T)
+        norms = np.linalg.norm(R, axis=0)
+        resid = np.zeros(len(kept))
+        resid[:len(R)] = np.abs(np.diag(R))
+        dependent = np.flatnonzero(resid <= drop_tol * norms)
+        if dependent.size == 0:
+            return Z * np.sign(np.diag(R))
+        j = dependent[0]
+        tail = np.linalg.norm(R[j:, j:], axis=0)
+        kept = kept[:j] + [d for d, t, nrm in zip(kept[j:], tail, norms[j:])
+                           if t > drop_tol * nrm]
+    return None
+
+
+def _same_basis(a, b):
+    return a is None and b is None or (
+        a is not None and b is not None and np.array_equal(a, b))
+
+
+@st.composite
+def memories(draw):
+    """Directions in R^n with columns mixed in that are combinations of
+    earlier ones plus noise of 1e-13 (dependent at DROP_TOL, so at both
+    tolerances), 1e-10 (dependent at ENTRY_RANK_TOL only), both kinds or
+    neither, each set with or without columns of noise 1e-6 (dependent at
+    neither), and zero and non-finite columns anywhere."""
+    kinds = draw(st.sampled_from([[], [1e-13], [1e-10], [1e-13, 1e-10]]))
+    loose = draw(st.lists(st.just(1e-6), max_size=2))
+    noises = draw(st.permutations(kinds + loose))
+    dirs = draw(direction_sets(noises=st.just(noises)))
+    n = dirs[0].size
+    for bad in draw(st.lists(st.sampled_from(
+            [0.0, math.inf, -math.inf, math.nan, 1e300]), max_size=3)):
+        col = np.zeros(n)
+        col[draw(st.integers(0, n - 1))] = bad
+        if bad == 1e300:  # finite entries whose norm overflows
+            col[:] = bad
+        dirs.insert(draw(st.integers(0, len(dirs))), col)
+    return dirs
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(dirs=memories())
+def test_one_first_round_gives_both_bases_bit_for_bit(dirs):
+    fine = _qr_update_alone(dirs, DROP_TOL)
+    core = _qr_update_alone(dirs, ENTRY_RANK_TOL)
+    assert fine is not None and core is not None
+    Z, C = qr_update(dirs, DROP_TOL, ENTRY_RANK_TOL)
+    assert _same_basis(Z, fine) and _same_basis(C, core)
+    assert _same_basis(qr_update(dirs), fine)
+    assert _same_basis(qr_update(dirs, ENTRY_RANK_TOL), core)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_no_usable_column_gives_no_basis_at_either_tolerance():
+    bad = [np.zeros(4), np.full(4, math.nan), np.full(4, 1e300),
+           np.full(4, -math.inf)]
+    assert qr_update(bad, DROP_TOL, ENTRY_RANK_TOL) == (None, None)
+    assert qr_update([], DROP_TOL, ENTRY_RANK_TOL) == (None, None)
 
 
 # --- the Gram screen ----------------------------------------------------------------
@@ -179,13 +256,13 @@ def test_restored_switches_at_the_exit_threshold():
 def _ring(dirs, n):
     ring = GramRing.empty(len(dirs), n)
     for d in dirs:
-        ring.push(d)
+        ring.push(d, gtg(d))
     return ring
 
 
 def _kept(dirs, g):
     ring = _ring(dirs, g.size)
-    return orthogonality_kept(ring, g, P)
+    return orthogonality_kept(ring, g, gtg(g), P)
 
 
 def test_screen_certifies_a_gradient_well_outside_the_span():
@@ -201,14 +278,15 @@ def test_screen_leaves_contained_and_near_threshold_gradients_open():
               np.zeros(6)):
         assert not _kept(dirs, g)
     # the exact test says "not lost" to the second, so the screen only defers
-    assert not orthogonality_lost(qr_update(dirs), e(0, 6) + 1e-8 * e(2, 6), P)
+    g = e(0, 6) + 1e-8 * e(2, 6)
+    assert not orthogonality_lost(qr_update(dirs), g, gtg(g), P)
     # with a coarse entry threshold, a residual just below it is lost
     coarse = replace(P, eta0_tilde=1e-3)
     ring = _ring(dirs, 6)
     for t, lost in ((0.9e-3, True), (2e-3, False)):
         g = e(0, 6) + t * e(2, 6)
-        assert orthogonality_lost(qr_update(dirs), g, coarse) is lost
-        assert orthogonality_kept(ring, g, coarse) is not lost
+        assert orthogonality_lost(qr_update(dirs), g, gtg(g), coarse) is lost
+        assert orthogonality_kept(ring, g, gtg(g), coarse) is not lost
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -238,7 +316,7 @@ def _screened(ring, g):
                 factors.append(out)
                 return out
             mp.setattr(np.linalg, name, counted)
-        kept = orthogonality_kept(ring, g, P)
+        kept = orthogonality_kept(ring, g, gtg(g), P)
     return kept, calls, factors
 
 
@@ -270,8 +348,8 @@ def test_screen_defers_inside_its_rounding_bound():
              + (8.0 * (n + m + 2) + 1e4 * m ** 3 * n * n * u) * u * kappa)
     for factor, certified in ((0.5, False), (2.0, True)):
         g = e(0, n) + math.sqrt(factor * share) * e(2, n)
-        assert not orthogonality_lost(qr_update(dirs), g, P)
-        assert orthogonality_kept(ring, g, P) is certified
+        assert not orthogonality_lost(qr_update(dirs), g, gtg(g), P)
+        assert orthogonality_kept(ring, g, gtg(g), P) is certified
 
 
 def test_screen_kappa_from_the_border_is_the_inverse_factor_norm():
@@ -308,19 +386,20 @@ def _unit(v):
 
 
 @st.composite
-def direction_sets(draw):
+def direction_sets(draw, noises=st.lists(st.sampled_from([1e-13, 1e-10, 1e-6]),
+                                         max_size=3)):
     """Directions of scales 10^[-3, 3] in R^n, n in [4, 30], with columns
     mixed in that are combinations of earlier ones plus noise of 1e-13 (dependent
     at both QR tolerances), 1e-10 (kept at DROP_TOL only) or 1e-6 times their
-    norm, as in test_qr_invariants_on_random_sets."""
+    norm, as in test_qr_invariants_on_random_sets; ``noises`` draws the list
+    of noise levels."""
     n = draw(st.integers(4, 30))
     base = draw(st.integers(1, min(n, 8)))
     rows = draw(arrays(np.float64, (base, n), elements=st.floats(-1.0, 1.0))
                 .filter(lambda a: np.all(np.abs(a).sum(axis=1) > 0.1)))
     exps = draw(arrays(np.float64, base, elements=st.floats(-3.0, 3.0)))
     dirs = list(rows * 10.0 ** exps[:, None])
-    for noise in draw(st.lists(st.sampled_from([1e-13, 1e-10, 1e-6]),
-                               max_size=3)):
+    for noise in draw(noises):
         coef = draw(arrays(np.float64, base, elements=st.floats(0.1, 1.0)))
         c = coef @ np.array(dirs[:base])
         u = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0))
@@ -354,7 +433,7 @@ def test_screen_never_certifies_what_the_exact_test_calls_lost(dirs, t, data):
     g = g * 10.0 ** data.draw(st.floats(-3.0, 3.0))
     if _kept(dirs, g):
         Z = qr_update(dirs)
-        assert Z is not None and not orthogonality_lost(Z, g, P)
+        assert Z is not None and not orthogonality_lost(Z, g, gtg(g), P)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -367,7 +446,7 @@ def test_ring_gram_is_the_gram_of_the_last_m_unit_directions(data, m, n, extra):
     pushed = list(rows * 10.0 ** exps[:, None])
     ring = GramRing.empty(m, n)
     for d in pushed:
-        ring.push(d)
+        ring.push(d, gtg(d))
     # push k lives in row k mod m
     for k in range(extra, m + extra):
         np.testing.assert_allclose(ring.D[k % m], _unit(pushed[k]),

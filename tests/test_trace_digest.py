@@ -4,6 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rlsmcg.bench import SOLVERS
@@ -38,3 +39,17 @@ def test_digest_tells_different_runs_apart(trace_digest):
 def test_encoding_tells_kinds_of_value_apart(trace_digest):
     chunks = [trace_digest._encode(v) for v in (1, 1.0, True, None)]
     assert len(set(chunks)) == len(chunks)
+
+
+def test_perturbed_starts_are_fixed_and_leave_the_standard_start(trace_digest):
+    x0 = get_problem("ext_rosenbrock(10)").x0
+    starts = [trace_digest.perturbed_start(x0, j)
+              for j in trace_digest.PERTURBED_SEEDS]
+    assert len(starts) == 5
+    for j, start in zip(trace_digest.PERTURBED_SEEDS, starts):
+        np.testing.assert_array_equal(trace_digest.perturbed_start(x0, j), start)
+        assert np.all(start != x0)
+        # each entry moves by 1e-3 (1 + |x0_i|) times a standard normal draw
+        assert np.all(np.abs(start - x0) <= 6e-3 * (1.0 + np.abs(x0)))
+    assert len({s.tobytes() for s in starts}) == 5
+    np.testing.assert_array_equal(x0, get_problem("ext_rosenbrock(10)").x0)

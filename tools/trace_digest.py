@@ -1,13 +1,15 @@
 """One sha256 per (solver, instance) over every trace record and the report.
 
-    OPENBLAS_NUM_THREADS=1 python tools/trace_digest.py SRC_DIR
+    OPENBLAS_NUM_THREADS=1 python tools/trace_digest.py [--perturbed] SRC_DIR
 
 imports ``rlsmcg`` from ``SRC_DIR`` (a checkout's ``src``), runs every solver
 of ``bench.SOLVERS`` on every registry instance with a trace hook, and prints
 one line ``solver instance digest`` per run, then a ``#`` line with the run
-and record counts.  A digest covers every ``TraceRecord`` field, taken in
-name order so that reordering the dataclass keeps it, with floats and arrays
-by their bytes, and the report's counts, status, ``x``, ``f`` and
+and record counts.  With ``--perturbed`` it runs each instance from the five
+perturbed starts of ``perturbed_start`` instead, and prints ``solver
+instance j digest`` per run.  A digest covers every ``TraceRecord`` field,
+taken in name order so that reordering the dataclass keeps it, with floats
+and arrays by their bytes, and the report's counts, status, ``x``, ``f`` and
 ``final_gnorm_inf``.  Two source trees whose outputs are equal took the same
 steps bit for bit; comparing them is the check of a change meant to keep
 every decision.  Pin BLAS to one thread: a threaded reduction may round
@@ -62,21 +64,42 @@ def digest(solve, problem) -> tuple:
     return h.hexdigest(), len(records)
 
 
+# the seeds j of the perturbed starts
+PERTURBED_SEEDS = range(1, 6)
+
+
+def perturbed_start(x0: np.ndarray, j: int) -> np.ndarray:
+    """Start j of the perturbed suite: x0 + 1e-3 (1 + |x0|) N(0, 1), with the
+    normal draws from ``numpy.random.default_rng(j)``.  A standard start that
+    repeats one block makes every block follow the same path; these starts
+    break that symmetry."""
+    noise = np.random.default_rng(j).standard_normal(x0.size)
+    return x0 + 1e-3 * (1.0 + np.abs(x0)) * noise
+
+
 def main(argv) -> int:
-    if len(argv) != 2:
-        print("usage: trace_digest.py SRC_DIR", file=sys.stderr)
+    perturbed = len(argv) == 3 and argv[1] == "--perturbed"
+    if len(argv) != 2 and not perturbed:
+        print("usage: trace_digest.py [--perturbed] SRC_DIR", file=sys.stderr)
         return 2
-    sys.path.insert(0, argv[1])
+    sys.path.insert(0, argv[-1])
     from rlsmcg import registry
     from rlsmcg.bench import SOLVERS
 
     runs = records = 0
     for solver_name, solve in SOLVERS.items():
         for spec in registry():
-            hexdigest, count = digest(solve, spec.make())
-            print(solver_name, spec.name, hexdigest)
-            runs += 1
-            records += count
+            problem = spec.make()
+            cases = [(spec.name, problem)]
+            if perturbed:
+                cases = [(f"{spec.name} {j}", dataclasses.replace(
+                    problem, x0=perturbed_start(problem.x0, j)))
+                    for j in PERTURBED_SEEDS]
+            for label, start in cases:
+                hexdigest, count = digest(solve, start)
+                print(solver_name, label, hexdigest)
+                runs += 1
+                records += count
     print(f"# {runs} runs, {records} records")
     return 0
 
