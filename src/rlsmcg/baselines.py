@@ -2,10 +2,10 @@
 
 Two classics for comparison runs: Hestenes-Stiefel conjugate gradients and
 limited-memory BFGS (two-loop recursion).  Each supplies only a search
-direction, a trial step, the BB rescue step and, for L-BFGS, its pair
-memory.  Everything else (the evaluation counting, the nonmonotone Wolfe
-search with its rescue, the termination tests and the trace records) is the
-main solver's own, so reported counters are directly comparable.
+direction, a trial step and, for L-BFGS, its pair memory.  Everything else
+(the evaluation counting, the nonmonotone Wolfe search with its -g rescue
+from the BB fallback step, the termination tests and the trace records) is
+the main solver's own, so reported counters are directly comparable.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def lbfgs_two_loop(g: Vector, pairs: PairMemory) -> Vector:
 
 class _Policy:
     """A baseline as ``solver.policy_step`` runs it: its direction, its trial
-    step, the BB rescue step, and the L-BFGS pair memory.  It lands on the
-    search's point and adds no field to the record."""
+    step, and the L-BFGS pair memory.  It lands on the search's point and
+    adds no field to the record."""
 
     def __init__(self, kind: BaselineKind):
         self.kind = kind
@@ -109,11 +109,9 @@ class _Policy:
         if record.case_tag is CaseTag.HS:
             # aim the trial at the interpolated 1-D minimizer (exact on
             # quadratics), fall back to the BB scale
-            return (interp_step(line, 1.0, record.gTd, params)
-                    or self.rescue_step(state, params))
-        return self.rescue_step(state, params)
-
-    def rescue_step(self, state: SolverState, params: SolverParams) -> float:
+            step = interp_step(line, 1.0, record.gTd, params)
+            if step is not None:
+                return step
         return bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
 
     def land(self, state: SolverState, record: DirectionRecord,

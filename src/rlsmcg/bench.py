@@ -29,7 +29,7 @@ import numpy as np
 
 from . import solver
 from .baselines import BaselineKind, BaselineTag, run_baseline
-from .core import INT_PARAMS, Problem, RunReport, SolverParams, Status
+from .core import INT_PARAMS, Problem, RunReport, SolverParams, Status, _is_count
 from .problems import get_problem
 
 RESULT_HEADER = ["solver", "problem", "dim", "n_iter", "n_f", "n_g",
@@ -72,8 +72,9 @@ class BenchConfig:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ConfigError(f"unknown solver {s!r} (choose from {tuple(SOLVERS)})")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+        if not _is_count(self.repetitions):
+            raise ConfigError("repetitions must be an integer >= 1, "
+                              f"got {self.repetitions!r}")
 
     def params(self) -> SolverParams:
         return _solver_params(self.param_overrides)

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .core import Problem, Vector, finite_diff_gradient
+from .core import Problem, Vector, _is_count, finite_diff_gradient
 
 
 @dataclass(frozen=True)
@@ -315,8 +315,8 @@ def verify_gradients(spec: ProblemSpec, n_points: int = 10,
     noise of order eps * |f| / h, which dominates tol for large-sum
     objectives).  The report names every failing coordinate.
     """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+    if not _is_count(n_points):
+        raise ValueError(f"n_points must be an integer >= 1, got {n_points!r}")
     problem = spec.make()
     rng = np.random.default_rng(seed)
     failures = []

@@ -2,9 +2,10 @@
 
 ``minimize`` runs the loop, its termination tests and the trace hook; every
 iteration is one ``policy_step``: the policy's direction, the nonmonotone
-Wolfe search with its two-strike -g rescue, the policy's landing point, the
-move through ``accept`` and the policy's update.  A baseline is a direction
-policy (``baselines._Policy``).  ``Rlsmcg`` is the paper's method: its
+Wolfe search with its two-strike -g rescue, which starts from the BB fallback
+step for every solver, the policy's landing point, the move through
+``accept`` and the policy's update.  A baseline is a direction policy
+(``baselines._Policy``).  ``Rlsmcg`` is the paper's method: its
 trial-step rule, restarts, acceleration, and the subspace quasi-Newton phase
 that the orthogonality predicates open and close, held as one ``Phase`` value.
 """
@@ -25,8 +26,7 @@ from .core import (CaseTag, CountingProblem, DirectionRecord, IterType,
                    Problem, RunReport, SolverParams, SolverState, Status,
                    Vector, dot, norm_inf)
 from .linesearch import (AcceptKind, LineFunction, NonmonotoneLedger, StepResult,
-                         bb_fallback_stepsize, bb_stepsizes, clip_step,
-                         gradient_scale_step, initial_stepsize, interp_step,
+                         bb_fallback_stepsize, initial_stepsize, interp_step,
                          ledger_update, wolfe_search)
 
 
@@ -141,13 +141,13 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
     """One iteration of the solver given by ``policy``; mutates ``state``.
 
     The policy supplies the ``direction``, replaced by -g unless its g'd is
-    finite and negative, the ``trial_step`` and ``rescue_step`` of the
-    search, the point to ``land`` on from the search's step on its line (x,
-    f, g and the max-norm of g), the ``update`` after a step is taken, and
-    for a traced step the record fields it owns (``trace_fields`` of the
-    direction taken).  A search that hit its backtracking cap is taken
-    once; a second one in a row, or one with no point below C_k, reruns
-    along -g from the rescue step.  Where -g is needed but its g'd = -g'g
+    finite and negative, the search's ``trial_step``, the point to ``land``
+    on from the search's step on its line (x, f, g and the max-norm of g),
+    the ``update`` after a step is taken, and for a traced step the record
+    fields it owns (``trace_fields`` of the direction taken).  A search that
+    hit its backtracking cap is taken once; a second one in a row, or one
+    with no point below C_k, reruns along -g from ``bb_fallback_stepsize``,
+    whatever the policy.  Where -g is needed but its g'd = -g'g
     is not negative, as when g'g underflows to zero, float64 cannot certify
     descent along it and the step fails with NUMERIC_FAIL.
     Returns the failure status (None when the step was taken) and, when
@@ -174,8 +174,9 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
             status = Status.NUMERIC_FAIL
         else:
             line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
-            result = wolfe_search(line, policy.rescue_step(state, params),
-                                  ledger, record.gTd, params)
+            alpha0 = bb_fallback_stepsize(state.g, state.s_prev, state.y_prev,
+                                          params)
+            result = wolfe_search(line, alpha0, ledger, record.gTd, params)
             if result.accepted_by is AcceptKind.WOLFE:
                 state.backtrack_strikes = 0
             else:
@@ -303,12 +304,6 @@ class Rlsmcg:
         if record.case_tag is CaseTag.RQN and self.phase.bhat.is_identity:
             return bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
         return 1.0
-
-    def rescue_step(self, state: SolverState, params: SolverParams) -> float:
-        s, y = state.s_prev, state.y_prev
-        if s is not None and dot(s, y) > 0.0:
-            return clip_step(bb_stepsizes(s, y)[0], params)
-        return gradient_scale_step(state.g, params)
 
     def land(self, state: SolverState, record: DirectionRecord,
              line: LineFunction, result: StepResult, params: SolverParams):

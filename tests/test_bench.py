@@ -44,6 +44,14 @@ def test_parse_config_requires_lists():
         parse_config("solvers = rlsmcg\n")
 
 
+@pytest.mark.parametrize("repetitions", [0, 1.5, 2.0, "2"])
+def test_config_rejects_a_repetition_count_that_is_no_integer_above_zero(
+        repetitions):
+    with pytest.raises(ConfigError, match="repetitions"):
+        BenchConfig(solvers=["rlsmcg"], problems=["sphere(5)"],
+                    repetitions=repetitions)
+
+
 def test_run_matrix_cardinality_and_order():
     rows = run_matrix(parse_config(SMALL_CFG))
     assert len(rows) == 6

@@ -100,6 +100,12 @@ def test_gradient_check_requires_points():
         verify_gradients(registry()[0], n_points=0)
 
 
+@pytest.mark.parametrize("n_points", [2.5, 2.0, "2", None])
+def test_gradient_check_rejects_a_point_count_that_is_no_integer(n_points):
+    with pytest.raises(ValueError, match="n_points"):
+        verify_gradients(registry()[0], n_points=n_points)
+
+
 def test_evaluators_are_pure():
     p = get_problem("trigonometric(10)")
     x = p.x0 + 0.1

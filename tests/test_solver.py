@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rlsmcg import solver as solver_module
+from rlsmcg.baselines import BaselineKind, BaselineTag, _Policy
 from rlsmcg.core import (CaseTag, CountingProblem, DirectionRecord, IterType,
                          Problem, SolverParams, Status, dot, norm_inf)
-from rlsmcg.linesearch import AcceptKind
+from rlsmcg.linesearch import AcceptKind, wolfe_search
 from rlsmcg.problems import (ext_rosenbrock, get_problem, quad_diag, registry,
                              sphere)
 from rlsmcg.smcg_direction import neg_grad_record
@@ -84,9 +86,6 @@ class _HalfStepDescent:
     def trial_step(self, line, state, record, params):
         return 0.5
 
-    def rescue_step(self, state, params):
-        return 0.5
-
     def land(self, state, record, line, result, params):
         a = result.alpha
         g = line.gradient(a)
@@ -138,6 +137,48 @@ def test_a_rescue_along_an_uncertified_steepest_descent_gives_a_status():
     assert status is Status.NUMERIC_FAIL and rec.failure is Status.NUMERIC_FAIL
     assert rec.rescued and rec.case_tag is CaseTag.NEG_GRAD and rec.gTd == 0.0
     assert state.k == 0 and cp.n_g == 1
+
+
+_RESCUE_POLICIES = {
+    "rlsmcg": Rlsmcg,
+    "hs": lambda: _Policy(BaselineKind(BaselineTag.HS_CG)),
+    "lbfgs": lambda: _Policy(BaselineKind(BaselineTag.LBFGS)),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_RESCUE_POLICIES))
+@pytest.mark.parametrize("y_prev, rescue_alpha0", [
+    # s'y = -3 <= 0: no curvature to scale by, the floor alpha_min
+    ((-1.0, -2.0), P.alpha_min),
+    # s'y = 3 and g's = 2 > 0: BB2 = s'y / y'y = 3/5, not BB1 = s's / s'y = 2/3
+    ((1.0, 2.0), 0.6),
+])
+def test_every_solver_starts_its_rescue_from_the_same_step(
+        monkeypatch, solver, y_prev, rescue_alpha0):
+    # f >= 1 everywhere, and C_k is planted at 0: no search finds a point
+    # below C_k, so the step is rescued along -g at g = x0 = (1, 1)
+    x0 = np.ones(2)
+    prob = Problem("offset_sphere", 2, lambda x: 0.5 * dot(x, x) + 1.0,
+                   lambda x: x.copy(), x0)
+    cp = CountingProblem(prob)
+    state = initial_state(cp)
+    state.s_prev = state.d_prev = np.array([1.0, 1.0])
+    state.y_prev = np.array(y_prev)
+    state.ledger = state.ledger._replace(Ck=0.0)
+    starts = []
+
+    def spy(line, alpha0, ledger, gTd, params):
+        starts.append((line.d.copy(), alpha0))
+        return wolfe_search(line, alpha0, ledger, gTd, params)
+    monkeypatch.setattr(solver_module, "wolfe_search", spy)
+    status, rec = policy_step(_RESCUE_POLICIES[solver](), state, cp,
+                              P.resolve(2))
+    assert status is Status.LINESEARCH_FAIL
+    assert rec.rescued and rec.case_tag is CaseTag.NEG_GRAD
+    assert len(starts) == 2
+    d, alpha0 = starts[-1]
+    np.testing.assert_array_equal(d, -x0)
+    assert alpha0 == rescue_alpha0
 
 
 def test_a_direction_with_no_finite_slope_is_replaced_by_steepest_descent():

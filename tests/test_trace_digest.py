@@ -53,3 +53,34 @@ def test_perturbed_starts_are_fixed_and_leave_the_standard_start(trace_digest):
         assert np.all(np.abs(start - x0) <= 6e-3 * (1.0 + np.abs(x0)))
     assert len({s.tobytes() for s in starts}) == 5
     np.testing.assert_array_equal(x0, get_problem("ext_rosenbrock(10)").x0)
+
+
+def test_dense_quadratics_are_fixed_and_positive_definite(trace_digest):
+    assert len(trace_digest.DENSE_SIZES) * len(trace_digest.DENSE_SEEDS) == 15
+    for n in trace_digest.DENSE_SIZES:
+        drawn = [trace_digest.dense_quadratic(n, seed)
+                 for seed in trace_digest.DENSE_SEEDS]
+        for seed, (A, b) in zip(trace_digest.DENSE_SEEDS, drawn):
+            again = trace_digest.dense_quadratic(n, seed)
+            np.testing.assert_array_equal(again[0], A)
+            np.testing.assert_array_equal(again[1], b)
+            assert A.shape == (n, n) and b.shape == (n,)
+            np.testing.assert_array_equal(A, A.T)
+            # the spectrum is logspace(-4, 0, n), up to rounding
+            np.testing.assert_allclose(np.linalg.eigvalsh(A),
+                                       np.logspace(-4.0, 0.0, n),
+                                       rtol=1e-6, atol=1e-12)
+        assert len({A.tobytes() for A, _ in drawn}) == len(drawn)
+
+
+def test_dense_suite_builds_each_quadratic_started_at_zero(trace_digest):
+    from rlsmcg import Problem
+    cases = trace_digest.dense_cases(Problem)
+    assert len(cases) == 15
+    label, problem = cases[0]
+    assert label == "dense_quad(50) 0"
+    A, b = trace_digest.dense_quadratic(50, 0)
+    np.testing.assert_array_equal(problem.x0, np.zeros(50))
+    x = np.linspace(-1.0, 1.0, 50)
+    np.testing.assert_array_equal(problem.eval_g(x), A @ x - b)
+    assert problem.eval_f(x) == 0.5 * float(x @ (A @ x)) - float(b @ x)

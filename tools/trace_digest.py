@@ -1,19 +1,22 @@
 """One sha256 per (solver, instance) over every trace record and the report.
 
-    OPENBLAS_NUM_THREADS=1 python tools/trace_digest.py [--perturbed] SRC_DIR
+    OPENBLAS_NUM_THREADS=1 python tools/trace_digest.py [--perturbed|--dense] SRC_DIR
 
 imports ``rlsmcg`` from ``SRC_DIR`` (a checkout's ``src``), runs every solver
 of ``bench.SOLVERS`` on every registry instance with a trace hook, and prints
 one line ``solver instance digest`` per run, then a ``#`` line with the run
 and record counts.  With ``--perturbed`` it runs each instance from the five
 perturbed starts of ``perturbed_start`` instead, and prints ``solver
-instance j digest`` per run.  A digest covers every ``TraceRecord`` field,
-taken in name order so that reordering the dataclass keeps it, with floats
-and arrays by their bytes, and the report's counts, status, ``x``, ``f`` and
-``final_gnorm_inf``.  Two source trees whose outputs are equal took the same
-steps bit for bit; comparing them is the check of a change meant to keep
-every decision.  Pin BLAS to one thread: a threaded reduction may round
-differently from run to run.
+instance j digest`` per run.  With ``--dense`` it runs the 15 dense
+quadratics of ``dense_quadratic`` instead, and prints ``solver
+dense_quad(n) seed digest`` per run: neither the registry nor the perturbed
+starts ever reach the driver's -g rescue, and these do.  A digest covers
+every ``TraceRecord`` field, taken in name order so that reordering the
+dataclass keeps it, with floats and arrays by their bytes, and the report's
+counts, status, ``x``, ``f`` and ``final_gnorm_inf``.  Two source trees
+whose outputs are equal took the same steps bit for bit; comparing them is
+the check of a change meant to keep every decision.  Pin BLAS to one
+thread: a threaded reduction may round differently from run to run.
 """
 
 from __future__ import annotations
@@ -77,29 +80,64 @@ def perturbed_start(x0: np.ndarray, j: int) -> np.ndarray:
     return x0 + 1e-3 * (1.0 + np.abs(x0)) * noise
 
 
+# the sizes n and generator seeds of the dense quadratics
+DENSE_SIZES = (50, 100, 200, 300, 500)
+DENSE_SEEDS = range(3)
+
+
+def dense_quadratic(n: int, seed: int) -> tuple:
+    """(A, b) of f = x'Ax/2 - b'x with A = Q diag(logspace(-4, 0, n)) Q', Q
+    Haar-random (the QR of a Gaussian matrix with R's diagonal made
+    positive) and b ~ N(0, 1), all drawn from ``default_rng(seed)``.  The
+    runs start at 0, so the minimizer lies far out along the small
+    eigenvalues, |f| grows large, and the last decreases compete with its
+    rounding: the regime where searches hit their cap and get rescued."""
+    rng = np.random.default_rng(seed)
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q *= np.sign(np.diag(R))
+    A = (Q * np.logspace(-4.0, 0.0, n)) @ Q.T
+    A = 0.5 * (A + A.T)
+    return A, rng.standard_normal(n)
+
+
+def dense_cases(Problem) -> list:
+    """(label, problem) of every dense quadratic, built as ``Problem``."""
+    cases = []
+    for n in DENSE_SIZES:
+        for seed in DENSE_SEEDS:
+            A, b = dense_quadratic(n, seed)
+            cases.append((f"dense_quad({n}) {seed}", Problem(
+                f"dense_quad({n})", n,
+                lambda x, A=A, b=b: 0.5 * float(x @ (A @ x)) - float(b @ x),
+                lambda x, A=A, b=b: A @ x - b, np.zeros(n))))
+    return cases
+
+
 def main(argv) -> int:
-    perturbed = len(argv) == 3 and argv[1] == "--perturbed"
-    if len(argv) != 2 and not perturbed:
-        print("usage: trace_digest.py [--perturbed] SRC_DIR", file=sys.stderr)
+    mode = argv[1] if len(argv) == 3 else None
+    if len(argv) not in (2, 3) or mode not in (None, "--perturbed", "--dense"):
+        print("usage: trace_digest.py [--perturbed|--dense] SRC_DIR",
+              file=sys.stderr)
         return 2
     sys.path.insert(0, argv[-1])
-    from rlsmcg import registry
+    from rlsmcg import Problem, registry
     from rlsmcg.bench import SOLVERS
 
+    if mode == "--dense":
+        suite = dense_cases(Problem)
+    else:
+        suite = [(spec.name, spec.make()) for spec in registry()]
+        if mode == "--perturbed":
+            suite = [(f"{name} {j}", dataclasses.replace(
+                problem, x0=perturbed_start(problem.x0, j)))
+                for name, problem in suite for j in PERTURBED_SEEDS]
     runs = records = 0
     for solver_name, solve in SOLVERS.items():
-        for spec in registry():
-            problem = spec.make()
-            cases = [(spec.name, problem)]
-            if perturbed:
-                cases = [(f"{spec.name} {j}", dataclasses.replace(
-                    problem, x0=perturbed_start(problem.x0, j)))
-                    for j in PERTURBED_SEEDS]
-            for label, start in cases:
-                hexdigest, count = digest(solve, start)
-                print(solver_name, label, hexdigest)
-                runs += 1
-                records += count
+        for label, problem in suite:
+            hexdigest, count = digest(solve, problem)
+            print(solver_name, label, hexdigest)
+            runs += 1
+            records += count
     print(f"# {runs} runs, {records} records")
     return 0
 
