@@ -52,9 +52,10 @@ def dot(a: Vector, b: Vector) -> float:
 
 
 def _is_count(value) -> bool:
-    """Whether ``value`` is an integer (``operator.index`` takes it) >= 1."""
+    """Whether ``value`` is an integer (``operator.index`` takes it) >= 1
+    other than a bool, which ``operator.index`` would take as 0 or 1."""
     try:
-        return operator.index(value) >= 1
+        return not isinstance(value, bool) and operator.index(value) >= 1
     except TypeError:
         return False
 

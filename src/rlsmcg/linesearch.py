@@ -4,8 +4,8 @@ The sufficient-decrease test is measured against a weighted reference value
 C_k (a convex combination of past objective values) instead of f_k, which
 permits controlled nonmonotonicity; the curvature side is the usual one-sided
 Wolfe condition.  Trial steps are built from quadratic interpolation along
-the line, the two Barzilai-Borwein scalars and the gradient scale; which of
-them a direction gets is its solver's choice.
+the line or from one Barzilai-Borwein rule; which of them a direction gets
+is its solver's choice.
 """
 
 from __future__ import annotations
@@ -104,22 +104,8 @@ def quad_interp_min(phi0: float, dphi0: float, phi_a: float, a: float) -> Option
     return -dphi0 * a * a / denom
 
 
-def bb_stepsizes(s: Vector, y: Vector) -> tuple:
-    """The two Barzilai-Borwein scalars (s's/s'y, s'y/y'y); requires s'y > 0."""
-    sTy = dot(s, y)
-    if sTy <= 0.0:
-        raise ValueError("BB stepsizes require s'y > 0")
-    return dot(s, s) / sTy, sTy / dot(y, y)
-
-
 def clip_step(alpha: float, params: SolverParams) -> float:
     return max(min(alpha, params.alpha_max), params.alpha_min)
-
-
-def gradient_scale_step(g: Vector, params: SolverParams) -> float:
-    """The step guess with no curvature pair: clipped 1/||g||_inf (1 at g = 0)."""
-    gni = norm_inf(g)
-    return clip_step(1.0 / gni if gni > 0.0 else 1.0, params)
 
 
 def interp_step(line: LineFunction, a: float, gTd: float,
@@ -137,17 +123,21 @@ def interp_step(line: LineFunction, a: float, gTd: float,
 
 def bb_fallback_stepsize(g: Vector, s_prev: Optional[Vector],
                          y_prev: Optional[Vector], params: SolverParams) -> float:
-    """Default trial step: clipped BB2 when g's_prev > 0, else clipped BB1.
+    """The Barzilai-Borwein trial step, clipped to [alpha_min, alpha_max].
 
-    Before the first pair exists the guess is the gradient scale; a
-    nonpositive s'y degrades to alpha_min.
+    Before the first pair it is 1/||g||_inf (1 at g = 0).  With a pair it
+    is alpha_min when s'y <= 0, else s'y/y'y (BB2) when g's > 0 and s's/s'y
+    (BB1) otherwise; only the returned quotient is formed.
     """
     if s_prev is None or y_prev is None:
-        return gradient_scale_step(g, params)
-    if dot(s_prev, y_prev) <= 0.0:
+        gni = norm_inf(g)
+        return clip_step(1.0 / gni if gni > 0.0 else 1.0, params)
+    sTy = dot(s_prev, y_prev)
+    if sTy <= 0.0:
         return params.alpha_min
-    bb1, bb2 = bb_stepsizes(s_prev, y_prev)
-    return clip_step(bb2 if dot(g, s_prev) > 0.0 else bb1, params)
+    if dot(g, s_prev) > 0.0:
+        return clip_step(sTy / dot(y_prev, y_prev), params)
+    return clip_step(dot(s_prev, s_prev) / sTy, params)
 
 
 # --- nonmonotone ledger -----------------------------------------------------

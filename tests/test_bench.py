@@ -44,7 +44,7 @@ def test_parse_config_requires_lists():
         parse_config("solvers = rlsmcg\n")
 
 
-@pytest.mark.parametrize("repetitions", [0, 1.5, 2.0, "2"])
+@pytest.mark.parametrize("repetitions", [0, 1.5, 2.0, "2", True])
 def test_config_rejects_a_repetition_count_that_is_no_integer_above_zero(
         repetitions):
     with pytest.raises(ConfigError, match="repetitions"):

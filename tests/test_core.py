@@ -136,12 +136,17 @@ def test_params_validation_rejects(bad):
                                   "min_quad"])
 def test_integer_inputs_reject_non_integers(name):
     # a float count would fail mid-solve (a slice index) or never fire (a
-    # counter compared with ==), so it is refused where it is given
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        if name == "dim":
-            Problem("sq", 2.0, lambda x: 0.0, lambda x: x, np.zeros(2))
-        else:
-            SolverParams(**{name: 2.5})
+    # counter compared with ==), and True would pass as 1, so each is
+    # refused where it is given
+    for value in (2.0 if name == "dim" else 2.5, True):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            if name == "dim":
+                # a start of int(value) entries, so that the shape check
+                # agrees and only the integer check can refuse
+                Problem("sq", value, lambda x: 0.0, lambda x: x,
+                        np.zeros(int(value)))
+            else:
+                SolverParams(**{name: value})
 
 
 def test_problem_validates_dimension_and_start():

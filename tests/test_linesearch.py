@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from rlsmcg import linesearch
 from rlsmcg.core import (CaseTag, CountingProblem, DirectionRecord, Problem,
-                         SolverParams, SolverState)
+                         SolverParams, SolverState, dot)
 from rlsmcg.linesearch import (AcceptKind, LineFunction, NonmonotoneLedger,
-                               _eta_rule, bb_fallback_stepsize, bb_stepsizes, clip_step,
+                               _eta_rule, bb_fallback_stepsize, clip_step,
                                curvature_ok, initial_stepsize, interp_step,
                                ledger_update, q_next, quad_interp_min,
                                sufficient_decrease_ok, wolfe_search)
@@ -40,17 +41,20 @@ def test_interp_linear_data_has_no_minimizer():
     assert quad_interp_min(1.0, -1.0, 0.0, 1.0) is None
 
 
-# --- BB scalars -----------------------------------------------------------------
+# --- BB step ---------------------------------------------------------------------
+# g = -s makes g's < 0 and selects BB1 = s's/s'y; g = s selects BB2 = s'y/y'y
 
 def test_bb_equal_vectors():
     s = np.array([1.0, 0.0])
-    assert bb_stepsizes(s, s) == pytest.approx((1.0, 1.0))
+    assert bb_fallback_stepsize(-s, s, s, P) == 1.0
+    assert bb_fallback_stepsize(s, s, s, P) == 1.0
 
 
 def test_bb_hand_values():
-    bb1, bb2 = bb_stepsizes(np.array([1.0, 1.0]), np.array([1.0, 2.0]))
-    assert bb1 == pytest.approx(2.0 / 3.0)
-    assert bb2 == pytest.approx(3.0 / 5.0)
+    s, y = np.array([1.0, 1.0]), np.array([1.0, 2.0])
+    bb1, bb2 = bb_fallback_stepsize(-s, s, y, P), bb_fallback_stepsize(s, s, y, P)
+    assert bb1 == (s @ s) / (s @ y) == pytest.approx(2.0 / 3.0)
+    assert bb2 == (s @ y) / (y @ y) == pytest.approx(3.0 / 5.0)
 
 
 def test_bb_ordering_and_eigen_interval():
@@ -60,14 +64,26 @@ def test_bb_ordering_and_eigen_interval():
     for _ in range(100):
         s = rng.standard_normal(2)
         y = A @ s
-        bb1, bb2 = bb_stepsizes(s, y)
+        bb1 = bb_fallback_stepsize(-s, s, y, P)
+        bb2 = bb_fallback_stepsize(s, s, y, P)
         assert bb2 <= bb1 + 1e-15
         assert 1.0 / lam - 1e-12 <= bb1 <= 1.0 + 1e-12
 
 
-def test_bb_requires_positive_curvature():
-    with pytest.raises(ValueError):
-        bb_stepsizes(np.array([1.0]), np.array([-1.0]))
+def test_bb_with_a_pair_takes_three_products(monkeypatch):
+    # s'y, g's and the one quotient's other product, for either quotient
+    products = []
+
+    def counted(a, b):
+        products.append((a, b))
+        return dot(a, b)
+
+    monkeypatch.setattr(linesearch, "dot", counted)
+    s, y = np.array([1.0, 1.0]), np.array([1.0, 2.0])
+    for g in (-s, s):
+        products.clear()
+        bb_fallback_stepsize(g, s, y, P)
+        assert len(products) == 3
 
 
 def test_bb_fallback_first_iteration_uses_gradient_scale():

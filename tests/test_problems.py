@@ -100,7 +100,7 @@ def test_gradient_check_requires_points():
         verify_gradients(registry()[0], n_points=0)
 
 
-@pytest.mark.parametrize("n_points", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("n_points", [2.5, 2.0, "2", None, True])
 def test_gradient_check_rejects_a_point_count_that_is_no_integer(n_points):
     with pytest.raises(ValueError, match="n_points"):
         verify_gradients(registry()[0], n_points=n_points)

@@ -1,6 +1,7 @@
 """The bit-identity check ``tools/trace_digest.py``, loaded by path."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -84,3 +85,24 @@ def test_dense_suite_builds_each_quadratic_started_at_zero(trace_digest):
     x = np.linspace(-1.0, 1.0, 50)
     np.testing.assert_array_equal(problem.eval_g(x), A @ x - b)
     assert problem.eval_f(x) == 0.5 * float(x @ (A @ x)) - float(b @ x)
+
+
+def test_scale_zero_gives_the_unscaled_digest(trace_digest):
+    from rlsmcg import SolverParams
+    solve, problem = SOLVERS["rlsmcg"], get_problem("quad_hilbert(8)")
+    params = SolverParams(grad_tol=math.ldexp(1e-6, 0))
+    assert (trace_digest.digest(solve, trace_digest.scaled(problem, 0), params)
+            == trace_digest.digest(solve, problem))
+
+
+@pytest.mark.parametrize("k", [-10, 10])
+def test_scaled_f_and_g_are_exactly_two_to_the_k_times_the_plain_ones(
+        trace_digest, k):
+    for name in ("ext_rosenbrock(10)", "palmer_poly(8)", "trigonometric(10)"):
+        problem = get_problem(name)
+        big = trace_digest.scaled(problem, k)
+        x0 = problem.x0
+        assert big.eval_f(x0) == 2.0 ** k * problem.eval_f(x0) != 0.0
+        np.testing.assert_array_equal(big.eval_g(x0),
+                                      2.0 ** k * problem.eval_g(x0))
+        np.testing.assert_array_equal(big.x0, x0)

@@ -1,6 +1,6 @@
 """One sha256 per (solver, instance) over every trace record and the report.
 
-    OPENBLAS_NUM_THREADS=1 python tools/trace_digest.py [--perturbed|--dense] SRC_DIR
+    OPENBLAS_NUM_THREADS=1 python tools/trace_digest.py [--perturbed|--dense|--scale K] SRC_DIR
 
 imports ``rlsmcg`` from ``SRC_DIR`` (a checkout's ``src``), runs every solver
 of ``bench.SOLVERS`` on every registry instance with a trace hook, and prints
@@ -10,19 +10,25 @@ perturbed starts of ``perturbed_start`` instead, and prints ``solver
 instance j digest`` per run.  With ``--dense`` it runs the 15 dense
 quadratics of ``dense_quadratic`` instead, and prints ``solver
 dense_quad(n) seed digest`` per run: neither the registry nor the perturbed
-starts ever reach the driver's -g rescue, and these do.  A digest covers
-every ``TraceRecord`` field, taken in name order so that reordering the
-dataclass keeps it, with floats and arrays by their bytes, and the report's
-counts, status, ``x``, ``f`` and ``final_gnorm_inf``.  Two source trees
-whose outputs are equal took the same steps bit for bit; comparing them is
-the check of a change meant to keep every decision.  Pin BLAS to one
-thread: a threaded reduction may round differently from run to run.
+starts ever reach the driver's -g rescue, and these do.  With ``--scale K``
+it runs every registry instance with f and g multiplied by 2^K (``scaled``)
+and ``grad_tol = 2^K 1e-6``, and prints the lines of the plain mode: the
+same problems in other units, where a change to a test that compares
+unlike units can move steps although it moves none at 2^0.  A digest
+covers every ``TraceRecord`` field, taken in name order so that reordering
+the dataclass keeps it, with floats and arrays by their bytes, and the
+report's counts, status, ``x``, ``f`` and ``final_gnorm_inf``.  Two source
+trees whose outputs are equal took the same steps bit for bit; comparing
+them is the check of a change meant to keep every decision.  Pin BLAS to
+one thread: a threaded reduction may round differently from run to run.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import math
 import struct
 import sys
 from enum import Enum
@@ -54,10 +60,10 @@ def _feed(h, name: str, value) -> None:
     h.update(name.encode() + b"=" + struct.pack("<Q", len(chunk)) + chunk)
 
 
-def digest(solve, problem) -> tuple:
+def digest(solve, problem, params=None) -> tuple:
     """(hex digest, record count) of one traced ``solve`` of ``problem``."""
     records = []
-    report = solve(problem, None, trace_hook=records.append)
+    report = solve(problem, params, trace_hook=records.append)
     h = hashlib.sha256()
     for rec in records:
         for name in sorted(f.name for f in dataclasses.fields(rec)):
@@ -113,28 +119,43 @@ def dense_cases(Problem) -> list:
     return cases
 
 
+def scaled(problem, k: int):
+    """``problem`` with f and g multiplied by 2^k.  The product is exact in
+    float64 barring overflow and underflow, so this is the same problem in
+    other units."""
+    c = math.ldexp(1.0, k)
+    return dataclasses.replace(problem, eval_f=lambda x: c * problem.eval_f(x),
+                               eval_g=lambda x: c * problem.eval_g(x))
+
+
 def main(argv) -> int:
-    mode = argv[1] if len(argv) == 3 else None
-    if len(argv) not in (2, 3) or mode not in (None, "--perturbed", "--dense"):
-        print("usage: trace_digest.py [--perturbed|--dense] SRC_DIR",
-              file=sys.stderr)
-        return 2
-    sys.path.insert(0, argv[-1])
-    from rlsmcg import Problem, registry
+    parser = argparse.ArgumentParser(prog="trace_digest.py")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--perturbed", action="store_true")
+    mode.add_argument("--dense", action="store_true")
+    mode.add_argument("--scale", type=int, metavar="K")
+    parser.add_argument("src_dir")
+    args = parser.parse_args(argv[1:])
+    sys.path.insert(0, args.src_dir)
+    from rlsmcg import Problem, SolverParams, registry
     from rlsmcg.bench import SOLVERS
 
-    if mode == "--dense":
+    params = None
+    if args.dense:
         suite = dense_cases(Problem)
     else:
         suite = [(spec.name, spec.make()) for spec in registry()]
-        if mode == "--perturbed":
+        if args.perturbed:
             suite = [(f"{name} {j}", dataclasses.replace(
                 problem, x0=perturbed_start(problem.x0, j)))
                 for name, problem in suite for j in PERTURBED_SEEDS]
+        elif args.scale is not None:
+            suite = [(name, scaled(problem, args.scale)) for name, problem in suite]
+            params = SolverParams(grad_tol=math.ldexp(1e-6, args.scale))
     runs = records = 0
     for solver_name, solve in SOLVERS.items():
         for label, problem in suite:
-            hexdigest, count = digest(solve, problem)
+            hexdigest, count = digest(solve, problem, params)
             print(solver_name, label, hexdigest)
             runs += 1
             records += count
