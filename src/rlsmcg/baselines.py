@@ -71,13 +71,13 @@ def lbfgs_two_loop(g: Vector, pairs: PairMemory) -> Vector:
         return np.negative(q, out=q)
     alpha = []
     for r, s, y in zip(pairs.rho, pairs.s, pairs.y):
-        a = r * dot(s, q)
+        a = r * float(s.dot(q))
         alpha.append(a)
         q -= a * y
     q *= pairs.seed_scale
     for r, s, y, a in zip(reversed(pairs.rho), reversed(pairs.s),
                           reversed(pairs.y), reversed(alpha)):
-        b = r * dot(y, q)
+        b = r * float(y.dot(q))
         q += (a - b) * s
     return np.negative(q, out=q)
 

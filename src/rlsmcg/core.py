@@ -63,7 +63,7 @@ def _is_count(value) -> bool:
 def norm_inf(v: Vector) -> float:
     """Max-norm of a nonempty vector (ValueError if empty); finite exactly
     when every entry of ``v`` is, as a NaN propagates through the max."""
-    return float(np.abs(v).max())
+    return float(np.maximum.reduce(np.abs(v)))
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,8 @@ class CountingProblem:
 
     All solvers evaluate f and g only through this wrapper, so the reported
     N_f / N_g are exact by construction.  A gradient whose shape is not
-    ``(dim,)`` is rejected here, before any solver arithmetic broadcasts it.
+    ``(dim,)`` is rejected here, before any solver arithmetic broadcasts it,
+    and so is a value of f that is no scalar.
     """
 
     def __init__(self, problem: Problem):
@@ -109,7 +110,13 @@ class CountingProblem:
 
     def f(self, x: Vector) -> float:
         self.n_f += 1
-        return float(self.problem.eval_f(x))
+        value = self.problem.eval_f(x)
+        try:
+            return float(value)
+        except TypeError as exc:
+            raise ValueError(f"{self.problem.name}: eval_f returned "
+                             f"{type(value).__name__} of shape "
+                             f"{np.shape(value)}, expected a scalar") from exc
 
     def g(self, x: Vector) -> Vector:
         self.n_g += 1

@@ -9,6 +9,11 @@ trigonometric, Broyden tridiagonal).
 
 Problems are addressable by ``"family(dim)"`` strings; scalable families
 accept any admissible dimension, the registry lists the standard instances.
+
+The evaluators take exactly their formulas' floating-point operations in
+order, form each shared subexpression once, reduce through the ufunc
+(``ndarray.sum``, ``ndarray.dot``, not ``np.sum``) and never write into their
+argument.  A rewrite must keep every bit; ``tests/test_problems.py`` checks.
 """
 
 from __future__ import annotations
@@ -146,15 +151,14 @@ def ext_rosenbrock(n: int) -> Problem:
 
     def f(x):
         xo = x[0::2]
-        xe = x[1::2]
-        return float(np.sum(100.0 * (xe - xo ** 2) ** 2 + (1.0 - xo) ** 2))
+        return float((100.0 * (x[1::2] - xo ** 2) ** 2 + (1.0 - xo) ** 2).sum())
 
     def g(x):
         xo = x[0::2]
-        xe = x[1::2]
+        t = x[1::2] - xo ** 2
         grad = np.empty_like(x)
-        grad[0::2] = -400.0 * xo * (xe - xo ** 2) - 2.0 * (1.0 - xo)
-        grad[1::2] = 200.0 * (xe - xo ** 2)
+        grad[0::2] = -400.0 * xo * t - 2.0 * (1.0 - xo)
+        grad[1::2] = 200.0 * t
         return grad
 
     x0 = np.empty(n)
@@ -170,20 +174,20 @@ def powell_singular(n: int) -> Problem:
 
     def f(x):
         x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
-        return float(np.sum((x1 + 10.0 * x2) ** 2 + 5.0 * (x3 - x4) ** 2
-                            + (x2 - 2.0 * x3) ** 4 + 10.0 * (x1 - x4) ** 4))
+        return float(((x1 + 10.0 * x2) ** 2 + 5.0 * (x3 - x4) ** 2
+                      + (x2 - 2.0 * x3) ** 4 + 10.0 * (x1 - x4) ** 4).sum())
 
     def g(x):
         x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
         grad = np.empty_like(x)
         a = x1 + 10.0 * x2
         b = x3 - x4
-        c = x2 - 2.0 * x3
-        d = x1 - x4
-        grad[0::4] = 2.0 * a + 40.0 * d ** 3
-        grad[1::4] = 20.0 * a + 4.0 * c ** 3
-        grad[2::4] = 10.0 * b - 8.0 * c ** 3
-        grad[3::4] = -10.0 * b - 40.0 * d ** 3
+        c3 = (x2 - 2.0 * x3) ** 3
+        d3 = (x1 - x4) ** 3
+        grad[0::4] = 2.0 * a + 40.0 * d3
+        grad[1::4] = 20.0 * a + 4.0 * c3
+        grad[2::4] = 10.0 * b - 8.0 * c3
+        grad[3::4] = -10.0 * b - 40.0 * d3
         return grad
 
     x0 = np.tile([3.0, -1.0, 0.0, 1.0], n // 4)
@@ -193,20 +197,20 @@ def powell_singular(n: int) -> Problem:
 def trigonometric(n: int) -> Problem:
     """Trigonometric system residuals, f = ||r||^2 / 2, start at (1/n, ..., 1/n)."""
 
-    def residuals(x):
-        i = np.arange(1, n + 1)
-        return n - np.sum(np.cos(x)) + i * (1.0 - np.cos(x)) - np.sin(x)
+    i = np.arange(1.0, n + 1.0)
+
+    def residuals(cos_x, sin_x):
+        return n - cos_x.sum() + i * (1.0 - cos_x) - sin_x
 
     def f(x):
-        r = residuals(x)
-        return 0.5 * float(np.dot(r, r))
+        r = residuals(np.cos(x), np.sin(x))
+        return 0.5 * float(r.dot(r))
 
     def g(x):
-        i = np.arange(1, n + 1)
-        r = residuals(x)
+        cos_x, sin_x = np.cos(x), np.sin(x)
+        r = residuals(cos_x, sin_x)
         # d r_i / d x_j = sin x_j + [i == j] (i sin x_i - cos x_i)
-        grad = np.sin(x) * np.sum(r) + r * (i * np.sin(x) - np.cos(x))
-        return grad
+        return sin_x * r.sum() + r * (i * sin_x - cos_x)
 
     return Problem(name=f"trigonometric({n})", dim=n, eval_f=f, eval_g=g,
                    x0=np.full(n, 1.0 / n))
@@ -216,13 +220,16 @@ def broyden_tridiag(n: int) -> Problem:
     """Broyden tridiagonal residuals, f = ||r||^2 / 2, start at (-1, ..., -1)."""
 
     def residuals(x):
-        xm = np.concatenate(([0.0], x[:-1]))
-        xp = np.concatenate((x[1:], [0.0]))
-        return (3.0 - 2.0 * x) * x - xm - 2.0 * xp + 1.0
+        # the formula's order; the omitted end terms' "- 0.0" changes no bit
+        r = (3.0 - 2.0 * x) * x
+        r[1:] -= x[:-1]
+        r[:-1] -= 2.0 * x[1:]
+        r += 1.0
+        return r
 
     def f(x):
         r = residuals(x)
-        return 0.5 * float(np.dot(r, r))
+        return 0.5 * float(r.dot(r))
 
     def g(x):
         r = residuals(x)

@@ -192,6 +192,32 @@ def test_counting_problem_rejects_a_gradient_of_the_wrong_shape(n):
     assert "column_sphere" in msg and str((n, 1)) in msg and str((n,)) in msg
 
 
+def _vector_value_problem():
+    """A sphere whose eval_f returns the vector x*x instead of its sum."""
+    return Problem("vecf", 3, lambda x: x * x, lambda x: 2.0 * x, np.ones(3))
+
+
+def test_counting_problem_rejects_a_value_that_is_no_scalar():
+    cp = CountingProblem(_vector_value_problem())
+    with pytest.raises(ValueError) as info:
+        cp.f(np.ones(3))
+    msg = str(info.value)
+    assert "vecf" in msg and "ndarray" in msg and str((3,)) in msg
+    assert cp.n_f == 1
+
+
+@pytest.mark.parametrize("solver", ["rlsmcg", "lbfgs"])
+def test_solvers_report_a_vector_value_by_its_problem_and_shape(solver):
+    from rlsmcg.baselines import BaselineKind, BaselineTag, run_baseline
+    from rlsmcg.solver import run
+    problem = _vector_value_problem()
+    with pytest.raises(ValueError, match=r"vecf.*ndarray.*\(3,\)"):
+        if solver == "rlsmcg":
+            run(problem)
+        else:
+            run_baseline(BaselineKind(BaselineTag.LBFGS), problem)
+
+
 @pytest.mark.parametrize("n", [5, 1])
 @pytest.mark.parametrize("solver", ["rlsmcg", "lbfgs"])
 def test_solvers_report_a_column_gradient_by_its_shape(n, solver):

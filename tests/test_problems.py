@@ -113,6 +113,149 @@ def test_evaluators_are_pure():
     np.testing.assert_array_equal(p.eval_g(x), p.eval_g(x))
 
 
+def _same_bits(a, b):
+    """Equal values, NaN where NaN, and the same sign on every zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in registry()])
+def test_every_registered_evaluator_is_pure(name):
+    p = get_problem(name)
+    rng = np.random.default_rng(3)
+    for x in (p.x0, p.x0 + rng.standard_normal(p.dim)):
+        before = x.tobytes()
+        f1, g1 = p.eval_f(x), p.eval_g(x)
+        assert x.tobytes() == before
+        g1_bytes = np.asarray(g1).tobytes()
+        f2, g2 = p.eval_f(x), p.eval_g(x)
+        assert x.tobytes() == before
+        assert _same_bits(f1, f2) and np.asarray(g1).tobytes() == g1_bytes
+        assert np.asarray(g2).tobytes() == g1_bytes
+
+
+# --- the four nonquadratic families in their textbook form ----------------------
+# Each library evaluator must return these formulas' values bit for bit.
+
+def _reference_ext_rosenbrock(n):
+    def f(x):
+        xo = x[0::2]
+        xe = x[1::2]
+        return float(np.sum(100.0 * (xe - xo ** 2) ** 2 + (1.0 - xo) ** 2))
+
+    def g(x):
+        xo = x[0::2]
+        xe = x[1::2]
+        grad = np.empty_like(x)
+        grad[0::2] = -400.0 * xo * (xe - xo ** 2) - 2.0 * (1.0 - xo)
+        grad[1::2] = 200.0 * (xe - xo ** 2)
+        return grad
+
+    return f, g
+
+
+def _reference_powell_singular(n):
+    def f(x):
+        x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
+        return float(np.sum((x1 + 10.0 * x2) ** 2 + 5.0 * (x3 - x4) ** 2
+                            + (x2 - 2.0 * x3) ** 4 + 10.0 * (x1 - x4) ** 4))
+
+    def g(x):
+        x1, x2, x3, x4 = x[0::4], x[1::4], x[2::4], x[3::4]
+        grad = np.empty_like(x)
+        a = x1 + 10.0 * x2
+        b = x3 - x4
+        c = x2 - 2.0 * x3
+        d = x1 - x4
+        grad[0::4] = 2.0 * a + 40.0 * d ** 3
+        grad[1::4] = 20.0 * a + 4.0 * c ** 3
+        grad[2::4] = 10.0 * b - 8.0 * c ** 3
+        grad[3::4] = -10.0 * b - 40.0 * d ** 3
+        return grad
+
+    return f, g
+
+
+def _reference_trigonometric(n):
+    def residuals(x):
+        i = np.arange(1, n + 1)
+        return n - np.sum(np.cos(x)) + i * (1.0 - np.cos(x)) - np.sin(x)
+
+    def f(x):
+        r = residuals(x)
+        return 0.5 * float(np.dot(r, r))
+
+    def g(x):
+        i = np.arange(1, n + 1)
+        r = residuals(x)
+        return np.sin(x) * np.sum(r) + r * (i * np.sin(x) - np.cos(x))
+
+    return f, g
+
+
+def _reference_broyden_tridiag(n):
+    def residuals(x):
+        xm = np.concatenate(([0.0], x[:-1]))
+        xp = np.concatenate((x[1:], [0.0]))
+        return (3.0 - 2.0 * x) * x - xm - 2.0 * xp + 1.0
+
+    def f(x):
+        r = residuals(x)
+        return 0.5 * float(np.dot(r, r))
+
+    def g(x):
+        r = residuals(x)
+        grad = (3.0 - 4.0 * x) * r
+        grad[:-1] -= r[1:]
+        grad[1:] -= 2.0 * r[:-1]
+        return grad
+
+    return f, g
+
+
+_REFERENCES = {
+    "ext_rosenbrock": _reference_ext_rosenbrock,
+    "powell_singular": _reference_powell_singular,
+    "trigonometric": _reference_trigonometric,
+    "broyden_tridiag": _reference_broyden_tridiag,
+}
+
+
+def _probe_points(x0, seed):
+    """x0, seeded points at scales 1e-8 to 10 (about x0 and about 0), and
+    points with an inf, a -inf, a NaN or signed zeros in them."""
+    rng = np.random.default_rng(seed)
+    n = x0.size
+    points = [x0]
+    for scale in (1e-8, 1e-4, 1e-2, 1.0, 10.0):
+        points.append(x0 + scale * rng.standard_normal(n))
+        points.append(scale * rng.standard_normal(n))
+    for special in (np.inf, -np.inf, np.nan):
+        x = x0.copy()
+        x[rng.integers(n)] = special
+        points.append(x)
+    points.append(np.full(n, -0.0))
+    points.append(np.where(rng.random(n) < 0.5, -0.0, 0.0))
+    return points
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in registry()
+                                  if spec.name.split("(")[0] in _REFERENCES])
+def test_evaluators_return_the_textbook_formulas_bit_for_bit(name):
+    p = get_problem(name)
+    ref_f, ref_g = _REFERENCES[name.split("(")[0]](p.dim)
+    for x in _probe_points(p.x0, seed=p.dim):
+        with np.errstate(all="ignore"):
+            f, g = p.eval_f(x), p.eval_g(x)
+            want_f, want_g = ref_f(x.copy()), ref_g(x.copy())
+        assert f == want_f or (np.isnan(f) and np.isnan(want_f)), (name, x)
+        assert _same_bits(f, want_f), (name, x)
+        assert g.dtype == want_g.dtype and g.shape == want_g.shape
+        assert _same_bits(g, want_g), (name, x)
+
+
 def test_ill_conditioned_family_triggers_orthogonality_loss_in_ablation():
     for name in ("quad_hilbert(8)", "palmer_poly(8)"):
         _, trace = run_with_trace(get_problem(name), rqn_enabled=False)

@@ -106,3 +106,27 @@ def test_scaled_f_and_g_are_exactly_two_to_the_k_times_the_plain_ones(
         np.testing.assert_array_equal(big.eval_g(x0),
                                       2.0 ** k * problem.eval_g(x0))
         np.testing.assert_array_equal(big.x0, x0)
+
+
+def _refuses_before_any_solve(trace_digest, monkeypatch, capsys, src_dir):
+    from rlsmcg import bench
+    solved = []
+    monkeypatch.setattr(bench, "SOLVERS", {"probe": lambda *a, **k: solved.append(a)})
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert trace_digest.main(["trace_digest.py", str(src_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert solved == [] and out == ""
+    assert err.startswith("error:")
+
+
+def test_a_directory_without_the_library_is_refused(trace_digest, monkeypatch,
+                                                    capsys, tmp_path):
+    # rlsmcg is already imported here, so an unchecked import would digest it
+    _refuses_before_any_solve(trace_digest, monkeypatch, capsys, tmp_path)
+
+
+def test_a_library_imported_from_elsewhere_is_refused(trace_digest, monkeypatch,
+                                                      capsys, tmp_path):
+    (tmp_path / "rlsmcg").mkdir()
+    (tmp_path / "rlsmcg" / "__init__.py").write_text("")
+    _refuses_before_any_solve(trace_digest, monkeypatch, capsys, tmp_path)

@@ -21,6 +21,10 @@ report's counts, status, ``x``, ``f`` and ``final_gnorm_inf``.  Two source
 trees whose outputs are equal took the same steps bit for bit; comparing
 them is the check of a change meant to keep every decision.  Pin BLAS to
 one thread: a threaded reduction may round differently from run to run.
+The tool exits with code 2 and an ``error:`` line, before any solve, when
+``SRC_DIR/rlsmcg`` holds no package or when the ``rlsmcg`` it imports does
+not come from ``SRC_DIR`` (one already imported, or an installed copy), so
+that it never digests another tree than the one named.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 import struct
 import sys
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -136,7 +141,16 @@ def main(argv) -> int:
     mode.add_argument("--scale", type=int, metavar="K")
     parser.add_argument("src_dir")
     args = parser.parse_args(argv[1:])
+    src = Path(args.src_dir).resolve()
+    if not (src / "rlsmcg" / "__init__.py").is_file():
+        print(f"error: no library source at {args.src_dir}", file=sys.stderr)
+        return 2
     sys.path.insert(0, args.src_dir)
+    import rlsmcg
+    if not Path(rlsmcg.__file__).resolve().is_relative_to(src):
+        print(f"error: imported {rlsmcg.__file__}, not the library under "
+              f"{args.src_dir}", file=sys.stderr)
+        return 2
     from rlsmcg import Problem, SolverParams, registry
     from rlsmcg.bench import SOLVERS
 
