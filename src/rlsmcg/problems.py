@@ -9,6 +9,8 @@ trigonometric, Broyden tridiagonal).
 
 Problems are addressable by ``"family(dim)"`` strings; scalable families
 accept any admissible dimension, the registry lists the standard instances.
+The checks' other suites live here too: ``perturbed_registry``, the dense
+quadratics of ``DENSE_SIZES`` and ``DENSE_SEEDS``, and ``scaled`` units of f.
 
 The evaluators take exactly their formulas' floating-point operations in
 order, form each shared subexpression once, reduce through the ufunc
@@ -18,9 +20,11 @@ argument.  A rewrite must keep every bit; ``tests/test_problems.py`` checks.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -300,6 +304,68 @@ def get_problem(name: str) -> Problem:
     if family not in _FAMILIES:
         raise KeyError(f"unknown problem family {family!r}")
     return _FAMILIES[family](dim)
+
+
+# --- the checks' other suites: perturbed starts, dense quadratics, units ---
+
+PERTURBED_SEEDS = range(1, 6)
+
+
+def perturbed_start(x0: Vector, j: int) -> Vector:
+    """Start j of the perturbed suite: x0 + 1e-3 (1 + |x0|) N(0, 1), drawn from
+    ``numpy.random.default_rng(j)``.  It breaks the symmetry of a standard
+    start that repeats one block, from which every block takes one path."""
+    noise = np.random.default_rng(j).standard_normal(x0.size)
+    return x0 + 1e-3 * (1.0 + np.abs(x0)) * noise
+
+
+def _perturbed(make: Callable[[], Problem], j: int) -> Problem:
+    problem = make()
+    return replace(problem, x0=perturbed_start(problem.x0, j))
+
+
+def perturbed_registry() -> List[Tuple[ProblemSpec, int]]:
+    """(spec, j) for each registry instance in order and each j of
+    ``PERTURBED_SEEDS``; spec makes the instance from ``perturbed_start``."""
+    return [(replace(spec, make=partial(_perturbed, spec.make, j)), j)
+            for spec in registry() for j in PERTURBED_SEEDS]
+
+
+DENSE_SIZES = (50, 100, 200, 300, 500)
+DENSE_SEEDS = range(3)
+
+
+def dense_quadratic_terms(n: int, seed: int) -> Tuple[np.ndarray, Vector]:
+    """(A, b) of ``dense_quadratic(n, seed)``."""
+    rng = np.random.default_rng(seed)
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q *= np.sign(np.diag(R))
+    A = (Q * np.logspace(-4.0, 0.0, n)) @ Q.T
+    A = 0.5 * (A + A.T)
+    return A, rng.standard_normal(n)
+
+
+def dense_quadratic(n: int, seed: int) -> Problem:
+    """f = x'Ax/2 - b'x started at 0, with A = Q diag(logspace(-4, 0, n)) Q',
+    Q Haar-random (a Gaussian matrix's QR, R's diagonal made positive) and
+    b ~ N(0, 1), all from ``default_rng(seed)``.  The minimizer lies far out
+    along the small eigenvalues and |f| grows until its rounding competes
+    with the last decreases: the regime where searches get rescued."""
+    A, b = dense_quadratic_terms(n, seed)
+    return Problem(f"dense_quad({n})", n,
+                   lambda x: 0.5 * float(x @ (A @ x)) - float(b @ x),
+                   lambda x: A @ x - b, np.zeros(n))
+
+
+def scaled(problem: Problem, k: int) -> Problem:
+    """``problem`` with f and g multiplied by 2^k, -1022 <= k <= 1023: 2^k is
+    a normal float, so the products are exact barring overflow and underflow
+    and this is the same problem in other units."""
+    if not -1022 <= k <= 1023:
+        raise ValueError(f"scale exponent k must lie in [-1022, 1023], got {k}")
+    c = math.ldexp(1.0, k)
+    return replace(problem, eval_f=lambda x: c * problem.eval_f(x),
+                   eval_g=lambda x: c * problem.eval_g(x))
 
 
 # --- gradient verification ----------------------------------------------------

@@ -241,8 +241,7 @@ class Rlsmcg:
         self.step_fields: dict = {}
 
     def _restart_due(self, params: SolverParams) -> bool:
-        return (self.phase is None and self.iter_quad == params.min_quad
-                and self.iter_quad != self.iter_restart)
+        return self.iter_quad == params.min_quad != self.iter_restart
 
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
         g = state.g

@@ -1,9 +1,16 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rlsmcg.core import Problem
-from rlsmcg.problems import (ProblemSpec, get_problem, hilbert_matrix,
-                             palmer_minimizer, registry, verify_gradients)
+from rlsmcg.problems import (DENSE_SEEDS, DENSE_SIZES, PERTURBED_SEEDS,
+                             ProblemSpec, dense_quadratic, dense_quadratic_terms,
+                             get_problem, hilbert_matrix, palmer_minimizer,
+                             perturbed_registry, perturbed_start, registry,
+                             scaled, verify_gradients)
 from rlsmcg.solver import run_with_trace
 
 
@@ -260,3 +267,107 @@ def test_ill_conditioned_family_triggers_orthogonality_loss_in_ablation():
     for name in ("quad_hilbert(8)", "palmer_poly(8)"):
         _, trace = run_with_trace(get_problem(name), rqn_enabled=False)
         assert any(rec.orth_lost_flag for rec in trace), name
+
+
+# --- the checks' other suites: perturbed starts, dense quadratics, units --------
+
+def test_perturbed_starts_are_fixed_and_leave_the_standard_start():
+    x0 = get_problem("ext_rosenbrock(10)").x0
+    starts = [perturbed_start(x0, j) for j in PERTURBED_SEEDS]
+    assert len(starts) == 5
+    for j, start in zip(PERTURBED_SEEDS, starts):
+        np.testing.assert_array_equal(perturbed_start(x0, j), start)
+        assert np.all(start != x0)
+        # each entry moves by 1e-3 (1 + |x0_i|) times a standard normal draw
+        assert np.all(np.abs(start - x0) <= 6e-3 * (1.0 + np.abs(x0)))
+    assert len({s.tobytes() for s in starts}) == 5
+    np.testing.assert_array_equal(x0, get_problem("ext_rosenbrock(10)").x0)
+
+
+def test_perturbed_registry_starts_each_instance_from_each_seed():
+    pairs = perturbed_registry()
+    specs = registry()
+    assert [(spec.name, j) for spec, j in pairs] == [
+        (spec.name, j) for spec in specs for j in PERTURBED_SEEDS]
+    for (spec, j), plain in zip(pairs, (s for s in specs for _ in PERTURBED_SEEDS)):
+        problem, standard = spec.make(), plain.make()
+        assert problem.name == spec.name and spec.dim == plain.dim
+        assert spec.known_fmin == plain.known_fmin
+        np.testing.assert_array_equal(problem.x0,
+                                      perturbed_start(standard.x0, j))
+        x = problem.x0
+        assert problem.eval_f(x) == standard.eval_f(x)
+        np.testing.assert_array_equal(problem.eval_g(x), standard.eval_g(x))
+
+
+def test_dense_quadratics_are_fixed_and_positive_definite():
+    assert len(DENSE_SIZES) * len(DENSE_SEEDS) == 15
+    for n in DENSE_SIZES:
+        drawn = [dense_quadratic_terms(n, seed) for seed in DENSE_SEEDS]
+        for seed, (A, b) in zip(DENSE_SEEDS, drawn):
+            again = dense_quadratic_terms(n, seed)
+            np.testing.assert_array_equal(again[0], A)
+            np.testing.assert_array_equal(again[1], b)
+            assert A.shape == (n, n) and b.shape == (n,)
+            np.testing.assert_array_equal(A, A.T)
+            # the spectrum is logspace(-4, 0, n), up to rounding
+            np.testing.assert_allclose(np.linalg.eigvalsh(A),
+                                       np.logspace(-4.0, 0.0, n),
+                                       rtol=1e-6, atol=1e-12)
+        assert len({A.tobytes() for A, _ in drawn}) == len(drawn)
+
+
+def test_dense_suite_builds_each_quadratic_started_at_zero():
+    for n in DENSE_SIZES:
+        for seed in DENSE_SEEDS:
+            problem = dense_quadratic(n, seed)
+            assert problem.name == f"dense_quad({n})" and problem.dim == n
+            A, b = dense_quadratic_terms(n, seed)
+            np.testing.assert_array_equal(problem.x0, np.zeros(n))
+            x = np.linspace(-1.0, 1.0, n)
+            np.testing.assert_array_equal(problem.eval_g(x), A @ x - b)
+            assert problem.eval_f(x) == 0.5 * float(x @ (A @ x)) - float(b @ x)
+
+
+def test_dense_quadratic_is_the_benchmarks_dense_quad_bit_for_bit(monkeypatch):
+    # the benchmark keeps its own copy; load it by path, writing no bytecode
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    n, seed = workloads.DENSE_QUAD_N, workloads.DENSE_QUAD_SEED
+    name, dim, f, g, x0 = workloads.dense_quadratic(np.random.default_rng(seed), n)
+    problem = dense_quadratic(n, seed)
+    assert (problem.name, problem.dim) == (name, dim) == ("dense_quad(1000)", 1000)
+    np.testing.assert_array_equal(problem.x0, x0)
+    x = np.random.default_rng(7).standard_normal(n)
+    assert problem.eval_f(x) == f(x)
+    assert problem.eval_g(x).tobytes() == g(x).tobytes()
+
+
+@pytest.mark.parametrize("k", [-10, 10])
+def test_scaled_f_and_g_are_exactly_two_to_the_k_times_the_plain_ones(k):
+    for name in ("ext_rosenbrock(10)", "palmer_poly(8)", "trigonometric(10)"):
+        problem = get_problem(name)
+        big = scaled(problem, k)
+        x0 = problem.x0
+        assert big.eval_f(x0) == 2.0 ** k * problem.eval_f(x0) != 0.0
+        np.testing.assert_array_equal(big.eval_g(x0),
+                                      2.0 ** k * problem.eval_g(x0))
+        np.testing.assert_array_equal(big.x0, x0)
+
+
+@pytest.mark.parametrize("k", [-1022, 1023])
+def test_scaled_takes_every_normal_power_of_two(k):
+    problem = get_problem("sphere(10)")
+    x = np.full(10, 0.5)
+    assert scaled(problem, k).eval_f(x) == 2.0 ** k * problem.eval_f(x) != 0.0
+
+
+@pytest.mark.parametrize("k", [-1100, -1075, -1023, 1024, 2000])
+def test_scaled_refuses_a_power_of_two_that_is_not_a_normal_float(k):
+    with pytest.raises(ValueError, match=str(k)):
+        scaled(get_problem("sphere(10)"), k)

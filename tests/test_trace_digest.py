@@ -8,14 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rlsmcg import RunReport, SolverParams, Status, bench
 from rlsmcg.bench import SOLVERS
-from rlsmcg.problems import get_problem
+from rlsmcg.problems import (get_problem, perturbed_registry, perturbed_start,
+                             registry, scaled)
+
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
 def trace_digest(monkeypatch):
     # no bytecode is written next to the tool
-    path = Path(__file__).resolve().parents[1] / "tools" / "trace_digest.py"
+    path = Path(SRC_DIR).parent / "tools" / "trace_digest.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("trace_digest", path)
     module = importlib.util.module_from_spec(spec)
@@ -42,81 +47,89 @@ def test_encoding_tells_kinds_of_value_apart(trace_digest):
     assert len(set(chunks)) == len(chunks)
 
 
-def test_perturbed_starts_are_fixed_and_leave_the_standard_start(trace_digest):
-    x0 = get_problem("ext_rosenbrock(10)").x0
-    starts = [trace_digest.perturbed_start(x0, j)
-              for j in trace_digest.PERTURBED_SEEDS]
-    assert len(starts) == 5
-    for j, start in zip(trace_digest.PERTURBED_SEEDS, starts):
-        np.testing.assert_array_equal(trace_digest.perturbed_start(x0, j), start)
-        assert np.all(start != x0)
-        # each entry moves by 1e-3 (1 + |x0_i|) times a standard normal draw
-        assert np.all(np.abs(start - x0) <= 6e-3 * (1.0 + np.abs(x0)))
-    assert len({s.tobytes() for s in starts}) == 5
-    np.testing.assert_array_equal(x0, get_problem("ext_rosenbrock(10)").x0)
-
-
-def test_dense_quadratics_are_fixed_and_positive_definite(trace_digest):
-    assert len(trace_digest.DENSE_SIZES) * len(trace_digest.DENSE_SEEDS) == 15
-    for n in trace_digest.DENSE_SIZES:
-        drawn = [trace_digest.dense_quadratic(n, seed)
-                 for seed in trace_digest.DENSE_SEEDS]
-        for seed, (A, b) in zip(trace_digest.DENSE_SEEDS, drawn):
-            again = trace_digest.dense_quadratic(n, seed)
-            np.testing.assert_array_equal(again[0], A)
-            np.testing.assert_array_equal(again[1], b)
-            assert A.shape == (n, n) and b.shape == (n,)
-            np.testing.assert_array_equal(A, A.T)
-            # the spectrum is logspace(-4, 0, n), up to rounding
-            np.testing.assert_allclose(np.linalg.eigvalsh(A),
-                                       np.logspace(-4.0, 0.0, n),
-                                       rtol=1e-6, atol=1e-12)
-        assert len({A.tobytes() for A, _ in drawn}) == len(drawn)
-
-
-def test_dense_suite_builds_each_quadratic_started_at_zero(trace_digest):
-    from rlsmcg import Problem
-    cases = trace_digest.dense_cases(Problem)
-    assert len(cases) == 15
-    label, problem = cases[0]
-    assert label == "dense_quad(50) 0"
-    A, b = trace_digest.dense_quadratic(50, 0)
-    np.testing.assert_array_equal(problem.x0, np.zeros(50))
-    x = np.linspace(-1.0, 1.0, 50)
-    np.testing.assert_array_equal(problem.eval_g(x), A @ x - b)
-    assert problem.eval_f(x) == 0.5 * float(x @ (A @ x)) - float(b @ x)
-
-
 def test_scale_zero_gives_the_unscaled_digest(trace_digest):
-    from rlsmcg import SolverParams
     solve, problem = SOLVERS["rlsmcg"], get_problem("quad_hilbert(8)")
     params = SolverParams(grad_tol=math.ldexp(1e-6, 0))
-    assert (trace_digest.digest(solve, trace_digest.scaled(problem, 0), params)
+    assert (trace_digest.digest(solve, scaled(problem, 0), params)
             == trace_digest.digest(solve, problem))
 
 
-@pytest.mark.parametrize("k", [-10, 10])
-def test_scaled_f_and_g_are_exactly_two_to_the_k_times_the_plain_ones(
-        trace_digest, k):
-    for name in ("ext_rosenbrock(10)", "palmer_poly(8)", "trigonometric(10)"):
-        problem = get_problem(name)
-        big = trace_digest.scaled(problem, k)
-        x0 = problem.x0
-        assert big.eval_f(x0) == 2.0 ** k * problem.eval_f(x0) != 0.0
-        np.testing.assert_array_equal(big.eval_g(x0),
-                                      2.0 ** k * problem.eval_g(x0))
-        np.testing.assert_array_equal(big.x0, x0)
-
-
-def _refuses_before_any_solve(trace_digest, monkeypatch, capsys, src_dir):
-    from rlsmcg import bench
+def _run_stubbed(trace_digest, monkeypatch, *args):
+    """The tool's exit code and the (problem, params) of each solve, with
+    every solver replaced by one stub that solves nothing."""
     solved = []
-    monkeypatch.setattr(bench, "SOLVERS", {"probe": lambda *a, **k: solved.append(a)})
+
+    def stub(problem, params, trace_hook=None):
+        solved.append((problem, params))
+        return RunReport(n_iter=0, n_f=1, n_g=1, wall_time=0.0,
+                         status=Status.CONVERGED, final_gnorm_inf=0.0,
+                         x=problem.x0, f=0.0)
+
+    monkeypatch.setattr(bench, "SOLVERS", {"stub": stub})
     monkeypatch.setattr(sys, "path", list(sys.path))
-    assert trace_digest.main(["trace_digest.py", str(src_dir)]) == 2
+    return trace_digest.main(["trace_digest.py", *args]), solved
+
+
+def _labels(out):
+    lines = out.splitlines()
+    assert lines[-1] == f"# {len(lines) - 1} runs, 0 records"
+    return [line[len("stub "):line.rindex(" ")] for line in lines[:-1]]
+
+
+def test_perturbed_mode_runs_each_instance_from_the_librarys_starts(
+        trace_digest, monkeypatch, capsys):
+    code, solved = _run_stubbed(trace_digest, monkeypatch, "--perturbed", SRC_DIR)
+    assert code == 0 and len(solved) == 105
+    pairs = perturbed_registry()
+    assert _labels(capsys.readouterr().out) == [f"{s.name} {j}" for s, j in pairs]
+    for (problem, params), (spec, j) in zip(solved, pairs):
+        assert params is None and problem.name == spec.name
+        np.testing.assert_array_equal(
+            problem.x0, perturbed_start(get_problem(spec.name).x0, j))
+
+
+def test_dense_mode_runs_the_fifteen_dense_quadratics(trace_digest, monkeypatch,
+                                                      capsys):
+    code, solved = _run_stubbed(trace_digest, monkeypatch, "--dense", SRC_DIR)
+    cases = [(n, seed) for n in (50, 100, 200, 300, 500) for seed in range(3)]
+    assert code == 0
+    assert _labels(capsys.readouterr().out) == [
+        f"dense_quad({n}) {seed}" for n, seed in cases]
+    assert [(p.name, p.dim) for p, _ in solved] == [
+        (f"dense_quad({n})", n) for n, _ in cases]
+    assert all(params is None for _, params in solved)
+
+
+@pytest.mark.parametrize("k", [-10, 10])
+def test_scale_mode_runs_the_registry_in_units_of_two_to_the_k(
+        trace_digest, monkeypatch, capsys, k):
+    code, solved = _run_stubbed(trace_digest, monkeypatch, "--scale", str(k),
+                                SRC_DIR)
+    assert code == 0
+    specs = registry()
+    assert _labels(capsys.readouterr().out) == [spec.name for spec in specs]
+    assert len(solved) == 21
+    for (problem, params), spec in zip(solved, specs):
+        assert params.grad_tol == 2.0 ** k * 1e-6
+        x0 = spec.make().x0
+        assert problem.eval_f(x0) == 2.0 ** k * spec.make().eval_f(x0)
+
+
+def _refuses_before_any_solve(trace_digest, monkeypatch, capsys, *args):
+    code, solved = _run_stubbed(trace_digest, monkeypatch, *map(str, args))
     out, err = capsys.readouterr()
-    assert solved == [] and out == ""
+    assert code == 2 and solved == [] and out == ""
     assert err.startswith("error:")
+    return err
+
+
+@pytest.mark.parametrize("k", ["1024", "-1100"])
+def test_a_scale_without_an_exact_power_of_two_is_refused(
+        trace_digest, monkeypatch, capsys, k):
+    # 2^1024 overflows and 2^-1100 is no normal float
+    err = _refuses_before_any_solve(trace_digest, monkeypatch, capsys,
+                                    "--scale", k, SRC_DIR)
+    assert k in err
 
 
 def test_a_directory_without_the_library_is_refused(trace_digest, monkeypatch,
