@@ -235,7 +235,8 @@ def performance_profile(rows: List[dict], metric: str,
     """Dolan-More style curves: fraction of problems within a factor tau of the best.
 
     Returns (taus, {solver: rho array}).  Unsolved cells count as infinite
-    ratios; problems no solver finished are dropped with a warning on stderr.
+    ratios; a problem no solver finished stays in the denominator with them
+    (the Dolan-More convention), named in a warning on stderr.
     """
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r} (choose from "
@@ -257,8 +258,8 @@ def performance_profile(rows: List[dict], metric: str,
         best = min(vals.values())
         if math.isinf(best):
             # no ratios exist; the problem still counts in the denominator
-            print(f"warning: problem {prob} unsolved by every solver; dropped "
-                  "from ratio computation", file=sys.stderr)
+            print(f"warning: problem {prob} unsolved by every solver; kept in "
+                  "the denominator with infinite ratios", file=sys.stderr)
             for s in solvers:
                 ratios[s].append(math.inf)
             continue

@@ -9,6 +9,7 @@ baselines and the bench harness) builds on the types defined here.  A
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -97,9 +98,10 @@ class CountingProblem:
     """Evaluation-counting wrapper around a Problem.
 
     All solvers evaluate f and g only through this wrapper, so the reported
-    N_f / N_g are exact by construction.  A gradient whose shape is not
-    ``(dim,)`` is rejected here, before any solver arithmetic broadcasts it,
-    and so is a value of f that is no scalar.
+    N_f / N_g are exact by construction.  A value of f that is no real
+    scalar, and a gradient not of shape ``(dim,)`` or not of a real dtype
+    (text or complex, say), are rejected here, before any solver arithmetic
+    converts, broadcasts or truncates them.
     """
 
     def __init__(self, problem: Problem):
@@ -111,32 +113,54 @@ class CountingProblem:
     def f(self, x: Vector) -> float:
         self.n_f += 1
         value = self.problem.eval_f(x)
-        try:
+        if isinstance(value, float):  # a Python float or a numpy float64
             return float(value)
-        except TypeError as exc:
+        if np.ndim(value) != 0:
             raise ValueError(f"{self.problem.name}: eval_f returned "
                              f"{type(value).__name__} of shape "
-                             f"{np.shape(value)}, expected a scalar") from exc
+                             f"{np.shape(value)}, expected a scalar")
+        if isinstance(value, numbers.Real):
+            return float(value)
+        return float(_real_array(value, f"{self.problem.name}: eval_f"))
 
     def g(self, x: Vector) -> Vector:
         self.n_g += 1
-        g = np.asarray(self.problem.eval_g(x), dtype=float)
+        g = self.problem.eval_g(x)
+        if type(g) is not np.ndarray or g.dtype != float:
+            g = _real_array(g, f"{self.problem.name}: eval_g")
         if g.shape != self._shape:
             raise ValueError(f"{self.problem.name}: eval_g returned shape "
                              f"{g.shape}, expected {self._shape}")
         return g
 
 
+def _real_array(value, source: str) -> Vector:
+    """``value`` as a float64 array where numpy types it as bool, integer or
+    float; else a ValueError naming ``source`` and the type."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        array = np.empty(0, dtype=object)
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"{source} returned {type(value).__name__} of dtype "
+                         f"{array.dtype}, expected real values")
+    return array.astype(float, copy=False)
+
+
+def finite_diff_steps(x: Vector) -> Vector:
+    """The per-coordinate steps h_i = 1e-6 (1 + |x_i|) of ``finite_diff_gradient``."""
+    return 1e-6 * (1.0 + np.abs(x))
+
+
 def finite_diff_gradient(problem: Problem, x: Vector) -> Vector:
-    """Central-difference gradient with per-coordinate step 1e-6 * (1 + |x_i|).
+    """Central-difference gradient with the steps of ``finite_diff_steps``.
 
     Used as an independent oracle against ``eval_g``.  Raises NumericError if
     any function evaluation is non-finite.
     """
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
-    for i in range(x.size):
-        h = 1e-6 * (1.0 + abs(x[i]))
+    for i, h in enumerate(finite_diff_steps(x)):
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -269,6 +293,7 @@ class DirectionRecord:
     d: Vector
     case_tag: CaseTag
     gTd: float
+    g_hat: Optional[Vector] = None  # Z'g, which an RQN step is solved from
 
 
 @dataclass

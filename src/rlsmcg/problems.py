@@ -28,7 +28,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import Problem, Vector, _is_count, finite_diff_gradient
+from .core import (Problem, Vector, _is_count, finite_diff_gradient,
+                   finite_diff_steps)
 
 
 @dataclass(frozen=True)
@@ -400,8 +401,7 @@ def verify_gradients(spec: ProblemSpec, n_points: int = 10,
         fd = finite_diff_gradient(problem, x)
         an = problem.eval_g(x)
         err = np.abs(fd - an)
-        h = 1e-6 * (1.0 + np.abs(x))
-        noise = 64.0 * eps * abs(problem.eval_f(x)) / (2.0 * h)
+        noise = 64.0 * eps * abs(problem.eval_f(x)) / (2.0 * finite_diff_steps(x))
         bound = tol * (1.0 + np.abs(an)) + noise
         rel = err / (1.0 + np.abs(an))
         worst = max(worst, float(np.max(rel)))

@@ -41,13 +41,9 @@ class CurvatureSnapshot:
 
     @classmethod
     def from_vectors(cls, g: Vector, s: Vector, y: Vector,
-                     shared: Optional[Tuple[float, float, float]] = None
-                     ) -> "CurvatureSnapshot":
-        """The snapshot of (g, s, y); ``shared`` is (g'g, g's, s'y) where the
-        caller already has them as ``dot(g, g), dot(g, s), dot(s, y)``, the
-        very products computed here otherwise, so either way the snapshot is
-        the same bit for bit."""
-        gTg, gTs, sTy = (dot(g, g), dot(g, s), dot(s, y)) if shared is None else shared
+                     shared: Tuple[float, float, float]) -> "CurvatureSnapshot":
+        """The snapshot of (g, s, y), given ``shared`` = (g'g, g's, s'y)."""
+        gTg, gTs, sTy = shared
         return cls(sTy=sTy, sTs=dot(s, s), yTy=dot(y, y), gTg=gTg, gTs=gTs,
                    gTy=dot(g, y))
 
@@ -174,14 +170,12 @@ def sufficient_descent_coefficient(params: SolverParams) -> float:
 
 
 def smcg_direction(state: SolverState, params: SolverParams, t_k: float,
-                   quad_like: bool,
-                   shared: Optional[Tuple[float, float, float]] = None
+                   quad_like: bool, shared: Tuple[float, float, float]
                    ) -> DirectionRecord:
     """Four-case direction selection for the conjugate-gradient-type iteration.
 
     ``quad_like`` is the quadratic-like test on the closeness ``t_k`` and the
-    one before it; ``shared`` holds products the caller already took at
-    ``state``, as ``CurvatureSnapshot.from_vectors`` takes them.
+    one before it; ``shared`` holds (g'g, g's, s'y) at ``state``.
 
     Case (i)  well-conditioned, not quadratic-like: cubic-regularized solve.
     Case (ii) well-conditioned and quadratic-like:  plain quadratic solve.

@@ -372,8 +372,7 @@ class Rlsmcg:
         # predicate could never hold), left once the gradient points out of
         # it.  With RQN on, the QR that gives the test's basis gives the core.
         if self.rqn_enabled:
-            Z, core = rqn.qr_update(self.memory, rqn.DROP_TOL,
-                                    rqn.ENTRY_RANK_TOL)
+            Z, core = rqn.qr_update(self.memory, rqn.ENTRY_RANK_TOL)
         else:
             Z = rqn.qr_update(self.memory)
         if Z is None:

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import CaseTag, DirectionRecord, SolverParams, Vector
+from .core import CaseTag, DirectionRecord, SolverParams, Vector, dot
 
 # columns whose residual after projection is below this times their original
 # norm are treated as linearly dependent and dropped
@@ -50,12 +50,12 @@ class SubspaceHessian:
     ``L``; a ``B_hat`` that is not finite or not positive definite raises
     ``np.linalg.LinAlgError``.  The identity is built with L = I, which is
     its factor exactly.  ``mu`` is the regularization weight folded into the
-    update through the shifted gradient difference y + mu*s;
-    ``updates_since_reset == 0`` means the matrix is the identity.
+    update through the shifted gradient difference y + mu*s; ``is_identity``
+    is True until an update is accepted.
     """
 
     B_hat: np.ndarray
-    updates_since_reset: int
+    is_identity: bool
     mu: float
     L: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -70,22 +70,17 @@ class SubspaceHessian:
     @classmethod
     def identity(cls, m: int, mu: float) -> "SubspaceHessian":
         eye = np.eye(m)
-        return cls(B_hat=eye, updates_since_reset=0, mu=mu, L=eye)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.updates_since_reset == 0
+        return cls(B_hat=eye, is_identity=True, mu=mu, L=eye)
 
 
-def qr_update(dirs: List[Vector], drop_tol: float = DROP_TOL,
-              core_tol: Optional[float] = None):
+def qr_update(dirs: List[Vector], core_tol: Optional[float] = None):
     """Orthonormal basis Z of the independent direction columns, by LAPACK
     Householder QR; None when no column survives.  Given ``core_tol``, the
     pair (Z, core) instead, where core is the basis of the same directions
     at ``core_tol``.
 
     Columns are judged in order: one is dependent, and dropped, when its
-    residual against the columns kept before it is at most drop_tol times its
+    residual against the columns kept before it is at most DROP_TOL times its
     own norm.  A Householder QR gives those residuals as |R_jj|, but only up
     to the first dependent column j, since past it the basis holds that
     column's rounding noise.  Past j, ||R[j:, k]|| is column k's residual
@@ -100,11 +95,11 @@ def qr_update(dirs: List[Vector], drop_tol: float = DROP_TOL,
     columns, which is the first round of each; past it, each refactors only
     the columns it keeps.
     """
-    kept = [d for d in dirs if 0.0 < np.dot(d, d) < math.inf]
+    kept = [d for d in dirs if 0.0 < dot(d, d) < math.inf]
     if not kept:
         return None if core_tol is None else (None, None)
     Q, R = np.linalg.qr(np.array(kept).T)
-    Z = _drop_dependent(kept, Q, R, drop_tol)
+    Z = _drop_dependent(kept, Q, R, DROP_TOL)
     if core_tol is None:
         return Z
     return Z, _drop_dependent(kept, Q, R, core_tol)
@@ -134,7 +129,7 @@ def _drop_dependent(kept: List[Vector], Q: np.ndarray, R: np.ndarray,
 def _outside_norm2(Z: np.ndarray, g: Vector) -> float:
     """||g - Z Z'g||^2, the squared distance from g to the span of Z."""
     r = g - Z @ (Z.T @ g)
-    return float(np.dot(r, r))
+    return dot(r, r)
 
 
 def orthogonality_lost(Z: np.ndarray, g: Vector, gTg: float,
@@ -177,11 +172,6 @@ class GramRing:
         A[m + 1:, m + 1:] = np.eye(m) / _U
         return cls(np.zeros((m, n)), A)
 
-    @property
-    def G(self) -> np.ndarray:
-        m = len(self.D)
-        return self.A[:m, :m]
-
     def push(self, d: Vector, dTd: float) -> None:
         D, A, m = self.D, self.A, len(self.D)
         i = self.pushes % m
@@ -199,7 +189,7 @@ def orthogonality_kept(ring: GramRing, g: Vector, gTg: float,
                        params: SolverParams) -> bool:
     """True only when rounding analysis proves ``orthogonality_lost`` False
     on the ``qr_update`` basis of the directions whose unit rows are
-    ``ring.D``, with Gram matrix ``ring.G``; False leaves the question to
+    ``ring.D``, with Gram matrix G in ``ring.A``; False leaves the question to
     that exact test.  ``gTg`` is g'g.
 
     The Cholesky factor of the Gram matrix of [D; g'], whose leading block
@@ -301,27 +291,25 @@ def rbfgs_update(H: SubspaceHessian, s_hat: Vector, y_hat: Vector, k: int,
     definite, which the SubspaceHessian constructor rejects.
     """
     m = H.B_hat.shape[0]
-    sTs = float(np.dot(s_hat, s_hat))
+    sTs = dot(s_hat, s_hat)
     y_mu = y_hat + mu * s_hat
-    sTy_mu = float(np.dot(s_hat, y_mu))
+    sTy_mu = dot(s_hat, y_mu)
     if k % params.l_reset == 0 or sTs <= 0.0 or sTy_mu / sTs < params.upsilon:
         return SubspaceHessian.identity(m, mu)
     B = H.B_hat
     Bs = B @ s_hat
-    sBs = float(np.dot(s_hat, Bs))
+    sBs = dot(s_hat, Bs)
     if sBs <= 0.0:
         return SubspaceHessian.identity(m, mu)
     B_new = B - Bs[:, None] * Bs / sBs + y_mu[:, None] * y_mu / sTy_mu
     try:
-        return SubspaceHessian(B_hat=0.5 * (B_new + B_new.T),
-                               updates_since_reset=H.updates_since_reset + 1,
-                               mu=mu)
+        return SubspaceHessian(0.5 * (B_new + B_new.T), False, mu)
     except np.linalg.LinAlgError:  # not finite, or rounding broke definiteness
         return SubspaceHessian.identity(m, mu)
 
 
 def ratio(f_cur: float, f_trial: float, alpha: float, g_hat: Vector,
-          d_hat: Vector, B_hat_mu: np.ndarray) -> float:
+          d_hat: Vector, B_hat: np.ndarray) -> float:
     """Actual-over-model decrease for the trial step alpha * d_hat.
 
     Model: q = f_cur + alpha g'd + alpha^2 d'Bd / 2.  When the model predicts
@@ -329,8 +317,8 @@ def ratio(f_cur: float, f_trial: float, alpha: float, g_hat: Vector,
     inf if f fell anyway, since the model overstated the curvature along d
     and the step beat it, and 0 if f did not fall.
     """
-    pred = -(alpha * float(np.dot(g_hat, d_hat))
-             + 0.5 * alpha * alpha * float(d_hat @ B_hat_mu @ d_hat))
+    pred = -(alpha * dot(g_hat, d_hat)
+             + 0.5 * alpha * alpha * float(d_hat @ B_hat @ d_hat))
     if pred <= 0.0 or not math.isfinite(pred):
         return math.inf if f_trial < f_cur else 0.0
     return (f_cur - f_trial) / pred
@@ -351,16 +339,8 @@ def update_mu(mu: float, r: float, s_norm2: float,
     return min(params.mu_max, params.sigma2 * mu)
 
 
-class ReducedDirection(DirectionRecord):
-    """An RQN step, with the reduced gradient Z'g it was solved from."""
-
-    def __init__(self, d: Vector, gTd: float, g_hat: Vector):
-        super().__init__(d=d, case_tag=CaseTag.RQN, gTd=gTd)
-        self.g_hat = g_hat
-
-
 def rqn_direction(Z: Optional[np.ndarray], H: SubspaceHessian,
-                  g: Vector) -> ReducedDirection:
+                  g: Vector) -> DirectionRecord:
     """Lifted quasi-Newton step d = -Z B^{-1} Z'g, solved with the Cholesky
     factor ``H.L``; Z None stands for the whole space, where Z = I and the
     step is -B^{-1} g with no product by a basis.
@@ -373,4 +353,4 @@ def rqn_direction(Z: Optional[np.ndarray], H: SubspaceHessian,
     d = d_hat = -np.linalg.solve(H.L.T, np.linalg.solve(H.L, g_hat))
     if Z is not None:
         d = Z @ d_hat
-    return ReducedDirection(d, float(np.dot(g, d)), g_hat)
+    return DirectionRecord(d, CaseTag.RQN, dot(g, d), g_hat)

@@ -1,6 +1,5 @@
 """The interleaved A/B timer ``tools/ab_time.py``, loaded by path."""
 
-import importlib.util
 import shutil
 import sys
 from pathlib import Path
@@ -12,13 +11,9 @@ SRC = ROOT / "src"
 
 
 @pytest.fixture
-def ab_time(monkeypatch):
+def ab_time(load_script):
     # no bytecode is written next to the tool or into the trees it loads
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("ab_time", ROOT / "tools" / "ab_time.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    yield module
+    yield load_script("tools/ab_time.py", "ab_time")
     for name in [m for m in sys.modules if m.startswith("rlsmcg_ab_")]:
         del sys.modules[name]
 

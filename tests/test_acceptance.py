@@ -12,7 +12,7 @@ import numpy as np
 from rlsmcg.baselines import (BaselineKind, BaselineTag, PairMemory, lbfgs_two_loop,
                               run_baseline)
 from rlsmcg.bench import parse_config, run_matrix
-from rlsmcg.core import Problem, SolverParams, Status
+from rlsmcg.core import Problem, SolverParams, Status, dot
 from rlsmcg.problems import get_problem, registry, verify_gradients
 from rlsmcg.smcg_direction import (rho_estimate, solve_quadratic_subproblem,
                                    solve_regularized_subproblem,
@@ -117,7 +117,8 @@ def test_criterion_4_subproblem_oracle():
         y = rng.standard_normal(6)
         if float(s @ y) <= 0.0:
             y = -y
-        snap = CurvatureSnapshot.from_vectors(g, s, y)
+        snap = CurvatureSnapshot.from_vectors(
+            g, s, y, (dot(g, g), dot(g, s), dot(s, y)))
         sigma = 0.0 if trial < 20 else float(rng.uniform(0.0, 4.0))
         u, v = solve_regularized_subproblem(snap, sigma)
         if sigma == 0.0:

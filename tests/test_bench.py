@@ -1,9 +1,6 @@
 import csv
 import importlib
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,28 +302,15 @@ def test_cli_run_checks_out_before_solving(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_perfbench_patch_list_resolves(monkeypatch):
+def test_perfbench_patch_list_resolves(load_script):
     # the traced benchmark run wraps each (module, attr) of this list where
     # the drivers look it up; a name deleted from the library breaks only
     # that run, so the list is checked here.  No bytecode is written there.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_script("perfbench/spans.py", "perfbench_spans")
     assert spans.LAYER_FUNCTIONS
     for module_name, attr, _ in spans.LAYER_FUNCTIONS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
-
-
-def _load_perfbench_spans(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
 
 
 # (module, name) of each traced layer and the solvers that must reach it
@@ -342,14 +326,15 @@ _DRIVER_PATH_LAYERS = {
 }
 
 
-def test_traced_layers_stay_on_the_driver_path(monkeypatch):
+def test_traced_layers_stay_on_the_driver_path(monkeypatch, load_script):
     # the traced benchmark run times a layer by replacing its module
     # attribute; a layer the driver stops calling through that attribute
     # would read zero calls there without any error
     from rlsmcg.baselines import BaselineKind, BaselineTag, run_baseline
     from rlsmcg.problems import get_problem
     from rlsmcg.solver import run
-    listed = {(m, a) for m, a, _ in _load_perfbench_spans(monkeypatch).LAYER_FUNCTIONS}
+    spans = load_script("perfbench/spans.py", "perfbench_spans")
+    listed = {(m, a) for m, a, _ in spans.LAYER_FUNCTIONS}
     assert set(_DRIVER_PATH_LAYERS) <= listed
     calls = {}
     for module_name, attr in _DRIVER_PATH_LAYERS:

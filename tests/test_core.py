@@ -218,6 +218,53 @@ def test_solvers_report_a_vector_value_by_its_problem_and_shape(solver):
             run_baseline(BaselineKind(BaselineTag.LBFGS), problem)
 
 
+# --- real values only -------------------------------------------------------------
+
+def _sphere_returning(f=None, g=None):
+    """A 2-D sphere whose eval_f or eval_g returns the given value instead."""
+    return CountingProblem(Problem(
+        "odd_sphere", 2,
+        (lambda x: 0.5 * float(x @ x)) if f is None else (lambda x: f),
+        (lambda x: x.copy()) if g is None else g, np.ones(2)))
+
+
+@pytest.mark.parametrize("value, kind", [
+    ("3.0", "str"), (b"4.5", "bytes"), (np.str_("5.5"), "str_"),
+    (np.complex128(1.0), "complex128"), (np.array(2.0 + 0j), "ndarray")])
+def test_counting_problem_rejects_a_value_that_is_not_real(value, kind):
+    cp = _sphere_returning(f=value)
+    with pytest.raises(ValueError, match=r"odd_sphere: eval_f returned "
+                       + kind + r" of dtype .*, expected real values"):
+        cp.f(np.ones(2))
+
+
+def test_counting_problem_takes_real_scalars_of_every_kind():
+    for value in (3, 2.5, np.float32(2.5), np.int64(4), np.array(2.0)):
+        assert _sphere_returning(f=value).f(np.ones(2)) == float(value)
+
+
+def test_a_complex_gradient_is_rejected_not_cut_to_its_real_part():
+    from rlsmcg.solver import run
+    problem = _sphere_returning(g=lambda x: x + 1e-3j).problem
+    with pytest.raises(ValueError, match=r"odd_sphere: eval_g returned "
+                       r"ndarray of dtype complex128, expected real values"):
+        run(problem)
+
+
+@pytest.mark.parametrize("g", [lambda x: ["a", "b"], lambda x: [None, 1.0],
+                               lambda x: [[1.0, 2.0], [3.0]]])
+def test_a_gradient_that_is_no_real_array_is_rejected_by_name(g):
+    with pytest.raises(ValueError, match=r"odd_sphere: eval_g returned list"):
+        _sphere_returning(g=g).g(np.ones(2))
+
+
+def test_counting_problem_converts_real_gradients_to_float64():
+    for g in ([1, 2], np.array([1, 2], dtype=np.float32),
+              np.array([1.0, 2.0], dtype=">f8")):
+        got = _sphere_returning(g=lambda x: g).g(np.ones(2))
+        assert got.dtype == np.float64 and list(got) == [1.0, 2.0]
+
+
 @pytest.mark.parametrize("n", [5, 1])
 @pytest.mark.parametrize("solver", ["rlsmcg", "lbfgs"])
 def test_solvers_report_a_column_gradient_by_its_shape(n, solver):

@@ -1,6 +1,3 @@
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,15 +326,11 @@ def test_dense_suite_builds_each_quadratic_started_at_zero():
             assert problem.eval_f(x) == 0.5 * float(x @ (A @ x)) - float(b @ x)
 
 
-def test_dense_quadratic_is_the_benchmarks_dense_quad_bit_for_bit(monkeypatch):
+def test_dense_quadratic_is_the_benchmarks_dense_quad_bit_for_bit(load_script):
     # the benchmark keeps its own copy; load it by path, writing no bytecode
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    # and registering it, as its dataclasses look their module up by name
+    workloads = load_script("perfbench/workloads.py", "perfbench_workloads",
+                            register=True)
     n, seed = workloads.DENSE_QUAD_N, workloads.DENSE_QUAD_SEED
     name, dim, f, g, x0 = workloads.dense_quadratic(np.random.default_rng(seed), n)
     problem = dense_quadratic(n, seed)

@@ -372,7 +372,7 @@ def test_overflowing_reduced_solve_falls_back_to_steepest_descent():
     policy = Rlsmcg()
     basis = np.eye(2)[:, :1]
     policy.phase = Phase(basis, basis, SubspaceHessian(
-        B_hat=np.array([[1e-300]]), updates_since_reset=1, mu=P.mu_min))
+        B_hat=np.array([[1e-300]]), is_identity=False, mu=P.mu_min))
     assert not np.all(np.isfinite(
         rqn_direction(basis, policy.phase.bhat, state.g).d))
     status, rec = policy_step(policy, state, cp, params)
@@ -686,10 +686,10 @@ def test_smcg_direction_gets_the_products_of_its_own_iterate(monkeypatch):
 
     def checked(state, params, t_k, quad_like, shared):
         g, s, y = state.g, state.s_prev, state.y_prev
-        if s is not None:
-            assert shared == (dot(g, g), dot(g, s), dot(s, y))
+        own = shared if s is None else (dot(g, g), dot(g, s), dot(s, y))
+        assert shared == own
         rec = real(state, params, t_k, quad_like, shared)
-        ref = real(state, params, t_k, quad_like)
+        ref = real(state, params, t_k, quad_like, own)
         assert rec.case_tag is ref.case_tag and rec.d.tobytes() == ref.d.tobytes()
         tags.add(rec.case_tag)
         return rec

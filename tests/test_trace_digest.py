@@ -1,6 +1,5 @@
 """The bit-identity check ``tools/trace_digest.py``, loaded by path."""
 
-import importlib.util
 import math
 import sys
 from pathlib import Path
@@ -18,14 +17,9 @@ SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
-def trace_digest(monkeypatch):
+def trace_digest(load_script):
     # no bytecode is written next to the tool
-    path = Path(SRC_DIR).parent / "tools" / "trace_digest.py"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("trace_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("tools/trace_digest.py", "trace_digest")
 
 
 def test_digest_of_a_solve_is_reproducible(trace_digest):
