@@ -127,17 +127,22 @@ def bb_fallback_stepsize(g: Vector, s_prev: Optional[Vector],
 
     Before the first pair it is 1/||g||_inf (1 at g = 0).  With a pair it
     is alpha_min when s'y <= 0, else s'y/y'y (BB2) when g's > 0 and s's/s'y
-    (BB1) otherwise; only the returned quotient is formed.
+    (BB1) otherwise; only the returned quotient is formed.  A quotient that
+    is NaN, as inf/inf is when both of its products overflow, gives way to
+    the first rule.
     """
-    if s_prev is None or y_prev is None:
-        gni = norm_inf(g)
-        return clip_step(1.0 / gni if gni > 0.0 else 1.0, params)
-    sTy = dot(s_prev, y_prev)
-    if sTy <= 0.0:
-        return params.alpha_min
-    if dot(g, s_prev) > 0.0:
-        return clip_step(sTy / dot(y_prev, y_prev), params)
-    return clip_step(dot(s_prev, s_prev) / sTy, params)
+    if s_prev is not None and y_prev is not None:
+        sTy = dot(s_prev, y_prev)
+        if sTy <= 0.0:
+            return params.alpha_min
+        if dot(g, s_prev) > 0.0:
+            q = sTy / dot(y_prev, y_prev)
+        else:
+            q = dot(s_prev, s_prev) / sTy
+        if not math.isnan(q):
+            return clip_step(q, params)
+    gni = norm_inf(g)
+    return clip_step(1.0 / gni if gni > 0.0 else 1.0, params)
 
 
 # --- nonmonotone ledger -----------------------------------------------------
@@ -228,7 +233,7 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
     """
     if gTd >= 0.0:
         raise ValueError("wolfe_search requires a descent direction (g'd < 0)")
-    if alpha0 <= 0.0:
+    if not alpha0 > 0.0:  # NaN included
         raise ValueError("wolfe_search requires alpha0 > 0")
 
     lo, phi_lo, slope_lo = 0.0, line.value(0.0), gTd

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .core import CaseTag, DirectionRecord, SolverParams, Vector, dot
 
@@ -41,6 +42,36 @@ ENTRY_RANK_TOL = 1e-8
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
+# The Cholesky factor and the solves with it call the LAPACK gufuncs that
+# numpy.linalg's ``cholesky`` and ``solve`` dispatch to, on the same arrays,
+# so they return the same bits; at the m x m sizes used here the wrapper's
+# conversions and checks cost more than the kernel.  The error state is the
+# wrapper's: a failed kernel raises LinAlgError and overflow stays silent.
+# Each call builds its own errstate, since numpy refuses to enter one twice.
+
+def _raise_not_positive_definite(err, flag):
+    raise LinAlgError("matrix is not positive definite")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the square matrix ``a``, read from its lower
+    triangle; LinAlgError when a pivot is not positive."""
+    with np.errstate(call=_raise_not_positive_definite, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+def _cholesky_solve(L: np.ndarray, b: Vector) -> Vector:
+    """(L L')^{-1} b for the lower Cholesky factor ``L``, solved against L
+    and then L' (LU solves, as numpy.linalg's); a singular L is a failed
+    factor of L L'."""
+    with np.errstate(call=_raise_not_positive_definite, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(
+            L.T, _umath_linalg.solve1(L, b, signature="dd->d"),
+            signature="dd->d")
+
+
 @dataclass(frozen=True)
 class SubspaceHessian:
     """Reduced Hessian approximation carried through one quasi-Newton phase,
@@ -48,7 +79,7 @@ class SubspaceHessian:
 
     Building one factors ``B_hat`` and keeps its lower Cholesky factor in
     ``L``; a ``B_hat`` that is not finite or not positive definite raises
-    ``np.linalg.LinAlgError``.  The identity is built with L = I, which is
+    ``LinAlgError``.  The identity is built with L = I, which is
     its factor exactly.  ``mu`` is the regularization weight folded into the
     update through the shifted gradient difference y + mu*s; ``is_identity``
     is True until an update is accepted.
@@ -64,8 +95,8 @@ class SubspaceHessian:
             return
         # cholesky returns NaN or inf for non-finite input instead of raising
         if not np.isfinite(self.B_hat).all():
-            raise np.linalg.LinAlgError("reduced Hessian is not finite")
-        object.__setattr__(self, "L", np.linalg.cholesky(self.B_hat))
+            raise LinAlgError("reduced Hessian is not finite")
+        object.__setattr__(self, "L", _cholesky(self.B_hat))
 
     @classmethod
     def identity(cls, m: int, mu: float) -> "SubspaceHessian":
@@ -256,8 +287,8 @@ def orthogonality_kept(ring: GramRing, g: Vector, gTg: float,
     np.dot(D, g, out=A[m, :m])  # cholesky reads the lower triangle only
     A[m, m] = gTg
     try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:  # G singular, g in its span, or step 4
+        L = _cholesky(A)
+    except LinAlgError:  # G singular, g in its span, or step 4
         return False
     r2 = float(L[m, m]) ** 2
     L31 = L[m + 1:, :m]
@@ -304,7 +335,7 @@ def rbfgs_update(H: SubspaceHessian, s_hat: Vector, y_hat: Vector, k: int,
     B_new = B - Bs[:, None] * Bs / sBs + y_mu[:, None] * y_mu / sTy_mu
     try:
         return SubspaceHessian(0.5 * (B_new + B_new.T), False, mu)
-    except np.linalg.LinAlgError:  # not finite, or rounding broke definiteness
+    except LinAlgError:  # not finite, or rounding broke definiteness
         return SubspaceHessian.identity(m, mu)
 
 
@@ -350,7 +381,7 @@ def rqn_direction(Z: Optional[np.ndarray], H: SubspaceHessian,
     replaces by -g.
     """
     g_hat = g if Z is None else Z.T @ g
-    d = d_hat = -np.linalg.solve(H.L.T, np.linalg.solve(H.L, g_hat))
+    d = d_hat = -_cholesky_solve(H.L, g_hat)
     if Z is not None:
         d = Z @ d_hat
     return DirectionRecord(d, CaseTag.RQN, dot(g, d), g_hat)

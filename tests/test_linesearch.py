@@ -93,6 +93,14 @@ def test_bb_fallback_first_iteration_uses_gradient_scale():
     assert bb_fallback_stepsize(np.array([1e-20]), None, None, P) == P.alpha_max
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_bb_quotient_of_two_overflows_falls_back_to_gradient_scale():
+    # s'y, s's and y'y all overflow, so either quotient is inf/inf = NaN
+    s = np.array([1e160, 1e160])
+    assert bb_fallback_stepsize(np.array([1.0, 0.5]), s, s, P) == 1.0      # BB2
+    assert bb_fallback_stepsize(np.array([-4.0, 0.0]), s, s, P) == 0.25    # BB1
+
+
 def test_bb_fallback_nonpositive_curvature_clips_to_floor():
     g = np.array([1.0, 0.0])
     s = np.array([1.0, 0.0])
@@ -318,6 +326,13 @@ def test_wolfe_rejects_nondescent_input():
     line = line_1d(lambda a: a, lambda a: 1.0, f0=0.0)
     with pytest.raises(ValueError):
         wolfe_search(line, 1.0, NonmonotoneLedger.start(0.0), 1.0, P)
+
+
+def test_wolfe_rejects_a_nan_initial_step_before_evaluating():
+    line = line_1d(lambda a: 0.5 * (1 - a) ** 2, lambda a: a - 1.0, f0=0.5)
+    with pytest.raises(ValueError):
+        wolfe_search(line, math.nan, NonmonotoneLedger.start(0.5), -1.0, P)
+    assert line.problem.n_f == 0 and line.problem.n_g == 0
 
 
 def test_wolfe_stepsize_lower_bound_on_quadratic():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rlsmcg import subspace_rqn
 from rlsmcg.core import SolverParams
 from rlsmcg.subspace_rqn import (DROP_TOL, ENTRY_RANK_TOL, GramRing,
                                  SubspaceHessian, orthogonality_kept,
@@ -303,18 +304,20 @@ def test_screen_leaves_singular_or_nonfinite_memories_open():
 
 def _screened(ring, g):
     """``orthogonality_kept`` on ``ring`` and ``g``, and the number of
-    ``np.linalg.cholesky`` and ``np.linalg.inv`` calls it made, with the
-    factors the calls that succeeded returned."""
+    Cholesky factorizations (``subspace_rqn._cholesky``) and
+    ``np.linalg.inv`` calls it made, with the factors the calls that
+    succeeded returned."""
     calls = {"cholesky": 0, "inv": 0}
     factors = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            def counted(a, _name=name, _fn=getattr(np.linalg, name)):
+        for owner, attr, name in ((subspace_rqn, "_cholesky", "cholesky"),
+                                  (np.linalg, "inv", "inv")):
+            def counted(a, _name=name, _fn=getattr(owner, attr)):
                 calls[_name] += 1
                 out = _fn(a)
                 factors.append(out)
                 return out
-            mp.setattr(np.linalg, name, counted)
+            mp.setattr(owner, attr, counted)
         kept = orthogonality_kept(ring, g, gtg(g), P)
     return kept, calls, factors
 
@@ -683,3 +686,73 @@ def test_rqn_direction_descends_for_a_gradient_in_the_span(data, m, extra):
                         is_identity=False, mu=0.0)
     c = data.draw(_vectors(m).filter(lambda v: np.dot(v, v) > 1e-6))
     assert rqn_direction(Z, H, Z @ c).gTd < 0.0
+
+
+# --- the LAPACK gufuncs against numpy.linalg ---------------------------------------
+
+def _factor_or_error(factor, a):
+    """``factor(a)``, or LinAlgError when it raises one."""
+    try:
+        return factor(a)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+
+
+def _same_factor(a):
+    """Whether ``_cholesky`` and ``np.linalg.cholesky`` both raise on ``a``
+    or return the same bits."""
+    ours = _factor_or_error(subspace_rqn._cholesky, a)
+    theirs = _factor_or_error(np.linalg.cholesky, a)
+    if ours is np.linalg.LinAlgError or theirs is np.linalg.LinAlgError:
+        return ours is theirs
+    return ours.tobytes() == theirs.tobytes()
+
+
+@GENERATED
+@given(data=st.data(), m=st.integers(1, 23))
+def test_factor_is_numpys_bit_for_bit_on_spd_matrices(data, m):
+    B = _matrix(*data.draw(spd_spectra(m)))
+    subspace_rqn._cholesky(B)  # raises if it is not SPD to the kernel
+    assert _same_factor(B)
+
+
+@GENERATED
+@given(data=st.data(), m=st.integers(1, 11), extra=st.integers(0, 20))
+def test_factor_is_numpys_bit_for_bit_on_the_screens_bordered_matrix(data, m, extra):
+    # the columns of Z S V' for Z orthonormal: m directions in R^(m + extra)
+    # with a Gram matrix of condition number up to 1e12, so that the order
+    # 2m + 1 <= 23 bordered matrix factors on most draws
+    V, lam = data.draw(spd_spectra(m))
+    Z = data.draw(orthonormal(m + extra, m))
+    ring = _ring(list(((Z * np.sqrt(lam)) @ V.T).T), m + extra)
+    g = data.draw(_vectors(m + extra).filter(lambda v: np.dot(v, v) > 1e-6))
+    np.dot(ring.D, g, out=ring.A[m, :m])  # as orthogonality_kept fills it
+    ring.A[m, m] = gtg(g)
+    assert _same_factor(ring.A)
+
+
+@GENERATED
+@given(data=st.data(), m=st.integers(1, 23),
+       bad=st.sampled_from([-1.0, 0.0, math.nan, math.inf, -math.inf]))
+def test_factor_raises_exactly_where_numpy_does(data, m, bad):
+    Q, lam = data.draw(spd_spectra(m))
+    i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    if bad in (-1.0, 0.0):
+        lam[i] *= bad  # a negative or zero eigenvalue
+        B = _matrix(Q, lam)
+    else:
+        B = _matrix(Q, lam)
+        B[max(i, j), min(i, j)] = bad  # in the triangle the kernel reads
+    # numpy raises on a pivot that is not positive, but passes NaN and inf
+    # through to a factor that is not finite
+    assert _same_factor(B)
+
+
+@GENERATED
+@given(data=st.data(), m=st.integers(1, 23))
+def test_solve_pair_is_numpys_bit_for_bit_on_cholesky_factors(data, m):
+    L = np.linalg.cholesky(_matrix(*data.draw(spd_spectra(m))))
+    g = data.draw(_vectors(m))
+    ours = subspace_rqn._cholesky_solve(L, g)
+    theirs = np.linalg.solve(L.T, np.linalg.solve(L, g))  # L.T is a strided view
+    assert ours.tobytes() == theirs.tobytes()
