@@ -53,9 +53,11 @@ class LineFunction:
 
     ``problem`` (a CountingProblem) counts the evaluations.  Each step's
     point x + a d is built once, and its f, its g and the caller's landing
-    point share it.  Seeding the a = 0 slot with the already-known (f, g)
-    keeps the evaluation accounting honest: phi(0) and phi'(0) never
-    re-evaluate.
+    point share it.  The origin's point is x itself; seeding it with the
+    already-known (f, g) keeps the evaluation accounting honest: phi(0) and
+    phi'(0) never re-evaluate.  A step that ``share`` finds at an earlier
+    step's point, byte for byte, takes that step's point, f, g and slope:
+    the two evaluate f and g once between them.
     """
 
     def __init__(self, problem, x: Vector, d: Vector,
@@ -63,10 +65,12 @@ class LineFunction:
         self.problem = problem
         self.x = np.asarray(x, dtype=float)
         self.d = np.asarray(d, dtype=float)
-        self._points = {}
+        self._points = {0.0: self.x}
         self._f_cache = {} if f0 is None else {0.0: float(f0)}
         self._g_cache = {} if g0 is None else {0.0: np.asarray(g0, dtype=float)}
         self._slope_cache = {}
+        # step -> the earlier step whose point it is (never itself a key)
+        self._same = {}
 
     def point(self, a: float) -> Vector:
         x_a = self._points.get(a)
@@ -77,13 +81,17 @@ class LineFunction:
     def value(self, a: float) -> float:
         f_a = self._f_cache.get(a)
         if f_a is None:
-            f_a = self._f_cache[a] = self.problem.f(self.point(a))
+            b = self._same.get(a)
+            f_a = self._f_cache[a] = (self.problem.f(self.point(a)) if b is None
+                                      else self.value(b))
         return f_a
 
     def gradient(self, a: float) -> Vector:
         g_a = self._g_cache.get(a)
         if g_a is None:
-            g_a = self._g_cache[a] = self.problem.g(self.point(a))
+            b = self._same.get(a)
+            g_a = self._g_cache[a] = (self.problem.g(self.point(a)) if b is None
+                                      else self.gradient(b))
         return g_a
 
     def slope(self, a: float) -> float:
@@ -91,6 +99,19 @@ class LineFunction:
         if s_a is None:
             s_a = self._slope_cache[a] = float(self.gradient(a).dot(self.d))
         return s_a
+
+    def share(self, a: float, b: float) -> bool:
+        """Whether step a's point is step b's, byte for byte (so +0.0 and
+        -0.0, or two NaN payloads, differ).  If so, a takes b's point, and
+        its f and g are b's, each evaluated once for both.  a must be a step
+        no other step shares, holding no value that b lacks."""
+        x_b = self.point(b)
+        if self.point(a).tobytes() != x_b.tobytes():
+            return False
+        b = self._same.get(b, b)
+        if b != a:
+            self._same[a], self._points[a] = b, x_b
+        return True
 
 
 def quad_interp_min(phi0: float, dphi0: float, phi_a: float, a: float) -> Optional[float]:
@@ -127,16 +148,18 @@ def bb_fallback_stepsize(g: Vector, s_prev: Optional[Vector],
 
     Before the first pair it is 1/||g||_inf (1 at g = 0).  With a pair it
     is alpha_min when s'y <= 0, else s'y/y'y (BB2) when g's > 0 and s's/s'y
-    (BB1) otherwise; only the returned quotient is formed.  A quotient that
-    is NaN, as inf/inf is when both of its products overflow, gives way to
-    the first rule.
+    (BB1) otherwise; only the returned quotient is formed.  A BB2 quotient
+    over a y'y that underflows to 0 is its limit +inf, so alpha_max.  A
+    quotient that is NaN, as inf/inf is when both of its products overflow,
+    gives way to the first rule.
     """
     if s_prev is not None and y_prev is not None:
         sTy = dot(s_prev, y_prev)
         if sTy <= 0.0:
             return params.alpha_min
         if dot(g, s_prev) > 0.0:
-            q = sTy / dot(y_prev, y_prev)
+            yTy = dot(y_prev, y_prev)
+            q = sTy / yTy if yTy != 0.0 else sTy * math.inf
         else:
             q = dot(s_prev, s_prev) / sTy
         if not math.isnan(q):
@@ -226,7 +249,13 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
 
     A failed decrease test shrinks the bracket; a failed curvature test
     (slope still steeply negative) expands it.  Gradients are evaluated only
-    at points that already pass the decrease test.  If no acceptable point is
+    at points that already pass the decrease test, and f and g at most once
+    per distinct point: from the second trial on, a step whose point x + a d
+    rounds to the point of the bracket end ``lo`` or ``hi`` takes that end's
+    values (``LineFunction.share``).  Each component of x + a d is monotone
+    in a, and every earlier trial lies outside (lo, hi), so a trial at any
+    earlier trial's point is at lo's or hi's.  The first trial, which ends
+    most searches, is not checked.  If no acceptable point is
     found in MAX_ROUNDS rounds, the best trial that at least stayed below C_k
     is returned, flagged MAX_BACKTRACK (alpha None when not even that exists).
     f and g at a returned step are evaluated, so ``line`` holds both.
@@ -268,6 +297,8 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
             if cand is None or not (lo + 0.1 * span <= cand <= lo + 0.9 * span):
                 cand = lo + 0.5 * span
             alpha = cand
+        if not line.share(alpha, lo) and hi is not None:
+            line.share(alpha, hi)
 
     if best_alpha is not None:
         line.gradient(best_alpha)

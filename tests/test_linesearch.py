@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rlsmcg import linesearch
 from rlsmcg.core import (CaseTag, CountingProblem, DirectionRecord, Problem,
@@ -99,6 +102,12 @@ def test_bb_quotient_of_two_overflows_falls_back_to_gradient_scale():
     s = np.array([1e160, 1e160])
     assert bb_fallback_stepsize(np.array([1.0, 0.5]), s, s, P) == 1.0      # BB2
     assert bb_fallback_stepsize(np.array([-4.0, 0.0]), s, s, P) == 0.25    # BB1
+
+
+def test_bb2_over_a_yty_that_underflows_is_the_longest_step():
+    # s'y = 1e-200 > 0 but y'y = 1e-400 underflows to 0: the limit is +inf
+    s, y = np.array([1.0]), np.array([1e-200])
+    assert bb_fallback_stepsize(np.array([1.0]), s, y, P) == P.alpha_max
 
 
 def test_bb_fallback_nonpositive_curvature_clips_to_floor():
@@ -412,6 +421,121 @@ def test_line_function_evaluates_and_builds_each_step_once():
     # the seeded a = 0 slot never evaluates
     line.value(0.0), line.gradient(0.0), line.slope(0.0)
     assert len(rec.f_points) == 2 and len(rec.g_points) == 2
+
+
+def _counted_line(x, d, f0=None, g0=None):
+    """A LineFunction of f = sum(x^2)/2 over a CountingProblem, and that."""
+    cp = CountingProblem(Problem("half_sq", x.size, lambda z: 0.5 * float(z @ z),
+                                 lambda z: z.copy(), np.zeros(x.size)))
+    return LineFunction(cp, x, d, f0=f0, g0=g0), cp
+
+
+def test_steps_that_round_to_one_point_evaluate_it_once():
+    # |x| >> |a d|: a d is one ulp of x at a = 1, and 1.2 ulps round to it
+    x = np.full(3, 1.0)
+    line, cp = _counted_line(x, np.full(3, 2.0 ** -52))
+    assert line.point(1.0).tobytes() == line.point(1.2).tobytes()
+    f1, g1, s1 = line.value(1.0), line.gradient(1.0), line.slope(1.0)
+    assert line.share(1.2, 1.0)
+    f2, g2, s2 = line.value(1.2), line.gradient(1.2), line.slope(1.2)
+    assert (cp.n_f, cp.n_g) == (1, 1)
+    assert line.point(1.2) is line.point(1.0) and g2 is g1
+    assert np.float64(f2).tobytes() == np.float64(f1).tobytes()
+    assert np.float64(s2).tobytes() == np.float64(s1).tobytes()
+
+
+def test_a_step_shared_before_its_twin_is_evaluated_evaluates_once():
+    # the shared step asks first; its twin's later f and g are the same values
+    line, cp = _counted_line(np.full(2, 1.0), np.full(2, 2.0 ** -52))
+    assert line.share(1.2, 1.0)
+    g = line.gradient(1.2)
+    assert line.gradient(1.0) is g and line.value(1.0) == line.value(1.2)
+    assert (cp.n_f, cp.n_g) == (1, 1)
+
+
+_entries = st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.0 ** 60, 5e-324])
+_moves = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0 ** -52, -2.0 ** -60,
+                          5e-324, -5e-324, 1e-310])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(x=arrays(float, 3, elements=_entries),
+       d=arrays(float, 3, elements=_moves),
+       a=st.sampled_from([0.25, 1.2, 3.0, 1e3]),
+       b=st.sampled_from([0.0, 0.5, 1.0, 7.0]))
+def test_values_are_shared_exactly_between_bytewise_equal_points(x, d, a, b):
+    # the points of an evaluated step b and a fresh step a often collide,
+    # or differ in an ulp or in the sign of a zero; b = 0 is the origin,
+    # whose point is x itself
+    line, cp = _counted_line(x, d, f0=0.5 * float(x @ x), g0=x.copy())
+    f_b, g_b = line.value(b), line.gradient(b)
+    n_f, n_g = cp.n_f, cp.n_g
+    equal = line.point(a).tobytes() == line.point(b).tobytes()
+    assert line.share(a, b) is equal
+    f_a, g_a = line.value(a), line.gradient(a)
+    assert (cp.n_f - n_f, cp.n_g - n_g) == ((0, 0) if equal else (1, 1))
+    if equal:
+        assert g_a is g_b and np.float64(f_a).tobytes() == np.float64(f_b).tobytes()
+    # a step at a's point takes the values of the step a took them from
+    c = 2.0 * a
+    if line.share(c, a):
+        line.value(c), line.gradient(c)
+        assert line.gradient(c) is line.gradient(a)
+        assert (cp.n_f - n_f, cp.n_g - n_g) == ((0, 0) if equal else (1, 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(n=st.integers(1, 4), a=st.floats(1e-3, 0.5))
+def test_points_apart_by_the_sign_of_a_zero_share_nothing(n, a):
+    # a times the least subnormal underflows to +0.0, and -0.0 + 0.0 is
+    # +0.0, which == calls equal to the origin's -0.0
+    x = np.full(n, -0.0)
+    line, cp = _counted_line(x, np.full(n, 5e-324), f0=0.0, g0=x.copy())
+    assert np.array_equal(line.point(a), line.x)
+    assert not line.share(a, 0.0)
+    line.value(a), line.gradient(a)
+    assert (cp.n_f, cp.n_g) == (1, 1)
+    assert not np.signbit(line.gradient(a)).any()
+
+
+@pytest.mark.parametrize("solver", ["rlsmcg", "hs", "lbfgs"])
+def test_a_solve_evaluates_each_point_once_and_keeps_every_step(
+        solver, load_script):
+    # on dense_quad(100) seed 1 the searches of rlsmcg and hs reach steps
+    # whose points round to an earlier trial's, and never to a point of an
+    # earlier line; the solve must equal, record for record, the same solve
+    # over evaluators that answer a repeated point from a memo
+    from rlsmcg.bench import SOLVERS
+    from rlsmcg.problems import dense_quadratic
+    digest = load_script("tools/trace_digest.py", "trace_digest").digest
+    prob = dense_quadratic(100, 1)
+    seen = {"f": [], "g": []}
+
+    def recorded(kind, fn):
+        def ev(x):
+            seen[kind].append(x.tobytes())
+            return fn(x)
+        return ev
+
+    def memoized(fn):
+        memo = {}
+
+        def ev(x):
+            key = x.tobytes()
+            if key not in memo:
+                memo[key] = fn(x)
+            return memo[key]
+        return ev
+
+    plain = digest(SOLVERS[solver],
+                   Problem(prob.name, prob.dim, recorded("f", prob.eval_f),
+                           recorded("g", prob.eval_g), prob.x0))
+    for kind in ("f", "g"):
+        assert len(set(seen[kind])) == len(seen[kind])
+    memo = digest(SOLVERS[solver],
+                  Problem(prob.name, prob.dim, memoized(prob.eval_f),
+                          memoized(prob.eval_g), prob.x0))
+    assert plain == memo
 
 
 @pytest.mark.parametrize("solver", ["rlsmcg", "hs"])

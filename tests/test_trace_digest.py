@@ -1,5 +1,6 @@
 """The bit-identity check ``tools/trace_digest.py``, loaded by path."""
 
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -36,6 +37,21 @@ def test_digest_tells_different_runs_apart(trace_digest):
     assert with_rqn[0] != without[0]
 
 
+def test_counts_are_left_out_of_the_digest(trace_digest):
+    # a solve that took the same steps at another cost keeps its digest
+    solve, problem = SOLVERS["rlsmcg"], get_problem("quad_hilbert(8)")
+
+    def costlier(problem, params, trace_hook=None):
+        report = solve(problem, params, trace_hook=trace_hook)
+        return dataclasses.replace(report, n_f=report.n_f + 1,
+                                   n_g=report.n_g + 2)
+
+    plain = trace_digest.digest(solve, problem)
+    costly = trace_digest.digest(costlier, problem)
+    assert costly[:2] == plain[:2]
+    assert costly[2:] == (plain[2] + 1, plain[3] + 2)
+
+
 def test_encoding_tells_kinds_of_value_apart(trace_digest):
     chunks = [trace_digest._encode(v) for v in (1, 1.0, True, None)]
     assert len(set(chunks)) == len(chunks)
@@ -48,14 +64,15 @@ def test_scale_zero_gives_the_unscaled_digest(trace_digest):
             == trace_digest.digest(solve, problem))
 
 
-def _run_stubbed(trace_digest, monkeypatch, *args):
+def _run_stubbed(trace_digest, monkeypatch, *args, n_f=1, n_g=1):
     """The tool's exit code and the (problem, params) of each solve, with
-    every solver replaced by one stub that solves nothing."""
+    every solver replaced by one stub that solves nothing at a cost of
+    ``n_f`` and ``n_g`` evaluations."""
     solved = []
 
     def stub(problem, params, trace_hook=None):
         solved.append((problem, params))
-        return RunReport(n_iter=0, n_f=1, n_g=1, wall_time=0.0,
+        return RunReport(n_iter=0, n_f=n_f, n_g=n_g, wall_time=0.0,
                          status=Status.CONVERGED, final_gnorm_inf=0.0,
                          x=problem.x0, f=0.0)
 
@@ -66,8 +83,26 @@ def _run_stubbed(trace_digest, monkeypatch, *args):
 
 def _labels(out):
     lines = out.splitlines()
-    assert lines[-1] == f"# {len(lines) - 1} runs, 0 records"
-    return [line[len("stub "):line.rindex(" ")] for line in lines[:-1]]
+    runs = len(lines) - 1
+    assert lines[-1] == f"# {runs} runs, 0 records, n_f {runs}, n_g {runs}"
+    return [line[len("stub "):].rsplit(" ", 3)[0] for line in lines[:-1]]
+
+
+def test_each_run_prints_its_counts_beside_the_digest(trace_digest, monkeypatch,
+                                                      capsys):
+    outputs = []
+    for n_f, n_g in ((1, 1), (3, 5)):
+        code, _ = _run_stubbed(trace_digest, monkeypatch, SRC_DIR,
+                               n_f=n_f, n_g=n_g)
+        assert code == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    cheap, costly = outputs
+    assert len(cheap) == len(costly) == 22
+    for a, b in zip(cheap[:-1], costly[:-1]):
+        assert a.endswith(" 1 1") and b.endswith(" 3 5")
+        assert a[:-len(" 1 1")] == b[:-len(" 3 5")]  # label and digest
+    assert cheap[-1] == "# 21 runs, 0 records, n_f 21, n_g 21"
+    assert costly[-1] == "# 21 runs, 0 records, n_f 63, n_g 105"
 
 
 def test_perturbed_mode_runs_each_instance_from_the_librarys_starts(

@@ -4,8 +4,9 @@
 
 imports ``rlsmcg`` from ``SRC_DIR`` (a checkout's ``src``), runs every solver
 of ``bench.SOLVERS`` with a trace hook on each instance of a suite from that
-tree's ``rlsmcg.problems``, and prints one line ``solver label digest`` per
-run, then a ``#`` line with the run and record counts.  The suite is
+tree's ``rlsmcg.problems``, and prints one line ``solver label digest n_f n_g``
+per run, then a ``#`` line with the run and record counts and the n_f and
+n_g totals.  The suite is
 ``registry()``, labelled by instance name; with ``--perturbed`` it is
 ``perturbed_registry()``, labelled ``instance j``; with ``--dense`` it is
 ``dense_quadratic(n, seed)`` over ``DENSE_SIZES`` and ``DENSE_SEEDS``,
@@ -16,10 +17,13 @@ a test that compares unlike units can move steps although it moves none at
 2^0.  A tree from before the suites moved into ``rlsmcg.problems`` is
 digested by the tool from its own commit.  A digest covers every
 ``TraceRecord`` field, taken in name order so that reordering the dataclass
-keeps it, with floats and arrays by their bytes, and the report's counts,
-status, ``x``, ``f`` and ``final_gnorm_inf``.  Two source trees whose
-outputs are equal took the same steps bit for bit; comparing them is the
-check of a change meant to keep every decision.  Pin BLAS to one thread: a
+keeps it, with floats and arrays by their bytes, and the report's
+``n_iter``, status, ``x``, ``f`` and ``final_gnorm_inf``.  The report's
+evaluation counts are the two columns after the digest, not part of it.
+Two source trees whose outputs are equal took the same steps bit for bit
+at the same cost; comparing them is the check of a change meant to keep
+every decision.  Equal digests beside lower counts are a change that
+took the same steps and evaluated less.  Pin BLAS to one thread: a
 threaded reduction may round differently from run to run.  The tool exits
 with code 2 and an ``error:`` line, before any solve, when ``SRC_DIR/rlsmcg``
 holds no package, when the ``rlsmcg`` it imports does not come from
@@ -66,16 +70,17 @@ def _feed(h, name: str, value) -> None:
 
 
 def digest(solve, problem, params=None) -> tuple:
-    """(hex digest, record count) of one traced ``solve`` of ``problem``."""
+    """(hex digest, record count, n_f, n_g) of one traced ``solve`` of
+    ``problem``; the digest leaves out the two counts."""
     records = []
     report = solve(problem, params, trace_hook=records.append)
     h = hashlib.sha256()
     for rec in records:
         for name in sorted(f.name for f in dataclasses.fields(rec)):
             _feed(h, name, getattr(rec, name))
-    for name in ("n_iter", "n_f", "n_g", "status", "x", "f", "final_gnorm_inf"):
+    for name in ("n_iter", "status", "x", "f", "final_gnorm_inf"):
         _feed(h, "report." + name, getattr(report, name))
-    return h.hexdigest(), len(records)
+    return h.hexdigest(), len(records), report.n_f, report.n_g
 
 
 def main(argv) -> int:
@@ -116,14 +121,16 @@ def main(argv) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         params = SolverParams(grad_tol=math.ldexp(1e-6, args.scale))
-    runs = records = 0
+    runs = records = n_f = n_g = 0
     for solver_name, solve in SOLVERS.items():
         for label, problem in suite:
-            hexdigest, count = digest(solve, problem, params)
-            print(solver_name, label, hexdigest)
+            hexdigest, count, run_f, run_g = digest(solve, problem, params)
+            print(solver_name, label, hexdigest, run_f, run_g)
             runs += 1
             records += count
-    print(f"# {runs} runs, {records} records")
+            n_f += run_f
+            n_g += run_g
+    print(f"# {runs} runs, {records} records, n_f {n_f}, n_g {n_g}")
     return 0
 
 
