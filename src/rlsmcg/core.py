@@ -195,16 +195,17 @@ class SolverParams:
     # orthogonality enter/exit thresholds
     eta0_tilde: float = 1e-9
     eta1_tilde: float = 0.5
-    # subspace quasi-Newton controls
+    # subspace quasi-Newton controls; upsilon floors the cosine of s and
+    # y + mu*s in the reduced BFGS update, so it has no units
     upsilon: float = 5e-7
     memory_m: Optional[int] = None          # min(n, 11) when resolved
     sigma1: float = 0.1
     sigma2: float = 5.0
     sigma3: float = 0.85
-    # the shift mu enters every learned curvature (y + mu*s), so its floor
-    # sits far below the weakest curvature the update accepts (upsilon);
-    # a floor at or above upsilon would let the shift, not the pair, decide
-    # whether a small step passes and would mask every curvature below it
+    # the shift mu is a curvature that enters every learned one (y + mu*s),
+    # so its floor sits far below the curvatures the phase learns (palmer's
+    # weakest Hessian eigenvalue is 1.3e-9); a floor near them would let the
+    # shift, not the pair, set the weak modes of B_hat
     mu_min: float = 1e-10
     mu_max: float = 1.0
     l_reset: Optional[int] = None           # max(memory_m**2, 20) when resolved

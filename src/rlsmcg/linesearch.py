@@ -69,7 +69,7 @@ class LineFunction:
         self._f_cache = {} if f0 is None else {0.0: float(f0)}
         self._g_cache = {} if g0 is None else {0.0: np.asarray(g0, dtype=float)}
         self._slope_cache = {}
-        # step -> the earlier step whose point it is (never itself a key)
+        # step -> an earlier step whose point it is; no chain closes a cycle
         self._same = {}
 
     def point(self, a: float) -> Vector:
@@ -103,12 +103,14 @@ class LineFunction:
     def share(self, a: float, b: float) -> bool:
         """Whether step a's point is step b's, byte for byte (so +0.0 and
         -0.0, or two NaN payloads, differ).  If so, a takes b's point, and
-        its f and g are b's, each evaluated once for both.  a must be a step
-        no other step shares, holding no value that b lacks."""
+        its f and g are b's, each evaluated once for both.  A value a holds
+        already is kept: it is b's to the bit, as the points are equal."""
         x_b = self.point(b)
         if self.point(a).tobytes() != x_b.tobytes():
             return False
-        b = self._same.get(b, b)
+        # a search that reuses the line may find a step it shared before
+        while b in self._same:
+            b = self._same[b]
         if b != a:
             self._same[a], self._points[a] = b, x_b
         return True

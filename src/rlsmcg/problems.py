@@ -9,8 +9,9 @@ trigonometric, Broyden tridiagonal).
 
 Problems are addressable by ``"family(dim)"`` strings; scalable families
 accept any admissible dimension, the registry lists the standard instances.
-The checks' other suites live here too: ``perturbed_registry``, the dense
-quadratics of ``DENSE_SIZES`` and ``DENSE_SEEDS``, and ``scaled`` units of f.
+The checks' other suites live here too: ``perturbed_registry``, the
+``ulp_start`` starts of ``ULP_STARTS``, the dense quadratics of
+``DENSE_SIZES`` and ``DENSE_SEEDS``, and ``scaled`` units of f.
 
 The evaluators take exactly their formulas' floating-point operations in
 order, form each shared subexpression once, reduce through the ufunc
@@ -318,6 +319,20 @@ def perturbed_start(x0: Vector, j: int) -> Vector:
     start that repeats one block, from which every block takes one path."""
     noise = np.random.default_rng(j).standard_normal(x0.size)
     return x0 + 1e-3 * (1.0 + np.abs(x0)) * noise
+
+
+ULP_STARTS = range(24)
+
+
+def ulp_start(x0: Vector, j: int) -> Vector:
+    """Start j of the ulp-perturbed suite: x0 itself for j = 0, else
+    x0 + k ``numpy.spacing(x0)`` with k drawn per coordinate from
+    {-3, ..., 3} by ``numpy.random.default_rng(j)``.  Starts a few ulps
+    apart show how far rounding alone spreads a solve's cost."""
+    if j == 0:
+        return x0.copy()
+    k = np.random.default_rng(j).integers(-3, 4, size=x0.size)
+    return x0 + k * np.spacing(x0)
 
 
 def _perturbed(make: Callable[[], Problem], j: int) -> Problem:

@@ -316,16 +316,41 @@ def rbfgs_update(H: SubspaceHessian, s_hat: Vector, y_hat: Vector, k: int,
     """Regularized BFGS update of the reduced Hessian under the new shift mu.
 
     With y(mu) = y_hat + mu * s_hat, the update applies when the phase
-    counter k is not a multiple of l_reset and the shifted curvature
-    s'y(mu)/s's clears the floor; otherwise the matrix resets to the
-    identity.  So does an update that is not finite or not positive
-    definite, which the SubspaceHessian constructor rejects.
+    counter k is not a multiple of l_reset and the pair clears the cosine
+    floor s'y(mu) > upsilon ||s|| ||y(mu)|| (the usual skip rule, Nocedal and
+    Wright, *Numerical Optimization*, 2nd ed., section 6.1); otherwise the
+    matrix resets to the identity.  So does an update that is not finite or
+    not positive definite, which the SubspaceHessian constructor rejects.
+    The floor bounds the angle between s and y(mu), so it has no units: with
+    f scaled by 2^k and x by 2^-j, (s, y, mu) -> (2^-j s, 2^(k+j) y,
+    2^(k+2j) mu), and both sides scale by exactly 2^k.  A floor on the
+    curvature s'y(mu)/s's would instead reset every step along a mode
+    weaker than itself, the modes the phase is there to learn.
+
+    The floor bounds the largest eigenvalue of B_hat (acceptance criterion
+    5).  An update subtracts the semidefinite Bss'B/s'Bs and adds
+    y(mu)y(mu)'/s'y(mu), whose one nonzero eigenvalue ||y(mu)||^2 / s'y(mu)
+    is below ||y(mu)|| / (upsilon ||s||) once the pair clears the floor.
+    For a step in the span of Z and a gradient with Lipschitz constant L,
+    ||y_hat|| <= ||y|| <= L ||s|| = L ||s_hat||, so each update adds at most
+    (L + mu) / upsilon <= (L + mu_max) / upsilon, and with a reset at least
+    every l_reset updates
+
+        lambda_max(B_hat) <= 1 + l_reset (L + mu_max) / upsilon.
+
+    The bound criterion 5 checks, 1 + l_reset L^2 / upsilon + 2 l_reset
+    mu_max, follows from this one where L + mu_max <= L^2 + 2 upsilon
+    mu_max: at the defaults (mu_max = 1), for L >= 1.6181, which covers
+    palmer_poly(8) and quad_hilbert(6|8|12).  On the quadratics with L = 1
+    (sphere, quad_diag), y(mu) = (A + mu I) s gives ||y(mu)||^2 / s'y(mu)
+    <= L + mu in exact arithmetic, with no floor at all.
     """
     m = H.B_hat.shape[0]
     sTs = dot(s_hat, s_hat)
     y_mu = y_hat + mu * s_hat
     sTy_mu = dot(s_hat, y_mu)
-    if k % params.l_reset == 0 or sTs <= 0.0 or sTy_mu / sTs < params.upsilon:
+    floor = params.upsilon * math.sqrt(sTs) * math.sqrt(dot(y_mu, y_mu))
+    if k % params.l_reset == 0 or sTs <= 0.0 or sTy_mu <= floor:
         return SubspaceHessian.identity(m, mu)
     B = H.B_hat
     Bs = B @ s_hat

@@ -453,6 +453,19 @@ def test_a_step_shared_before_its_twin_is_evaluated_evaluates_once():
     assert (cp.n_f, cp.n_g) == (1, 1)
 
 
+def test_a_reused_line_shares_back_into_a_chain_without_a_cycle():
+    # a second search on the line shares steps the first one shared: 1.1 ->
+    # 1.2 -> 1.0, then 1.0 with 1.1, whose chain ends at 1.0 itself
+    line, cp = _counted_line(np.full(2, 1.0), np.full(2, 2.0 ** -52))
+    line.value(1.0)
+    assert line.share(1.1, 1.2) and line.share(1.2, 1.0)
+    assert line.share(1.0, 1.1)
+    g = line.gradient(1.0)
+    assert all(line.gradient(a) is g for a in (1.1, 1.2))
+    assert len({line.value(a) for a in (1.0, 1.1, 1.2)}) == 1
+    assert (cp.n_f, cp.n_g) == (1, 1)
+
+
 _entries = st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.0 ** 60, 5e-324])
 _moves = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0 ** -52, -2.0 ** -60,
                           5e-324, -5e-324, 1e-310])

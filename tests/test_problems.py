@@ -4,10 +4,11 @@ import pytest
 
 from rlsmcg.core import Problem
 from rlsmcg.problems import (DENSE_SEEDS, DENSE_SIZES, PERTURBED_SEEDS,
-                             ProblemSpec, dense_quadratic, dense_quadratic_terms,
-                             get_problem, hilbert_matrix, palmer_minimizer,
-                             perturbed_registry, perturbed_start, registry,
-                             scaled, verify_gradients)
+                             ULP_STARTS, ProblemSpec, dense_quadratic,
+                             dense_quadratic_terms, get_problem, hilbert_matrix,
+                             palmer_minimizer, perturbed_registry,
+                             perturbed_start, registry, scaled, ulp_start,
+                             verify_gradients)
 from rlsmcg.solver import run_with_trace
 
 
@@ -279,6 +280,20 @@ def test_perturbed_starts_are_fixed_and_leave_the_standard_start():
         assert np.all(np.abs(start - x0) <= 6e-3 * (1.0 + np.abs(x0)))
     assert len({s.tobytes() for s in starts}) == 5
     np.testing.assert_array_equal(x0, get_problem("ext_rosenbrock(10)").x0)
+
+
+def test_ulp_starts_are_fixed_and_within_three_ulps_of_the_standard_start():
+    x0 = get_problem("palmer_poly(8)").x0
+    starts = [ulp_start(x0, j) for j in ULP_STARTS]
+    assert len(starts) == 24
+    np.testing.assert_array_equal(starts[0], x0)
+    for j, start in zip(ULP_STARTS, starts):
+        np.testing.assert_array_equal(ulp_start(x0, j), start)
+        steps = (start - x0) / np.spacing(x0)
+        np.testing.assert_array_equal(steps, np.round(steps))
+        assert np.abs(steps).max() <= 3.0
+    assert len({s.tobytes() for s in starts}) == 24
+    np.testing.assert_array_equal(x0, get_problem("palmer_poly(8)").x0)
 
 
 def test_perturbed_registry_starts_each_instance_from_each_seed():

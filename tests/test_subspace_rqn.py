@@ -476,12 +476,19 @@ def test_rbfgs_hand_update():
 
 
 def test_rbfgs_weak_curvature_resets():
+    # the floor is on the cosine of s and y(mu): a pair whose s'y is a tenth
+    # of upsilon ||s|| ||y|| resets, while a parallel pair of curvature
+    # upsilon / 10 updates, since its cosine is 1
     H = SubspaceHessian(B_hat=np.diag([2.0, 1.0]), is_identity=False, mu=0.0)
-    H2 = rbfgs_update(H, np.array([1.0, 0.0]),
-                      np.array([P.upsilon / 10.0, 0.0]), k=4, mu=0.0,
+    s = np.array([1.0, 0.0])
+    H2 = rbfgs_update(H, s, np.array([P.upsilon / 10.0, 1.0]), k=4, mu=0.0,
                       params=P)
     np.testing.assert_allclose(H2.B_hat, np.eye(2))
     assert H2.is_identity is True
+    H2 = rbfgs_update(H, s, np.array([P.upsilon / 10.0, 0.0]), k=4, mu=0.0,
+                      params=P)
+    np.testing.assert_allclose(H2.B_hat, np.diag([P.upsilon / 10.0, 1.0]))
+    assert H2.is_identity is False
 
 
 def test_rbfgs_periodic_reset():
@@ -756,3 +763,44 @@ def test_solve_pair_is_numpys_bit_for_bit_on_cholesky_factors(data, m):
     ours = subspace_rqn._cholesky_solve(L, g)
     theirs = np.linalg.solve(L.T, np.linalg.solve(L, g))  # L.T is a strided view
     assert ours.tobytes() == theirs.tobytes()
+
+
+class _Unfactored(SubspaceHessian):
+    """A reduced Hessian that is never factored, so that ``is_identity``
+    after ``rbfgs_update`` is the floor's decision with no Cholesky failure
+    mixed in."""
+
+    def __post_init__(self):
+        pass
+
+
+@GENERATED
+@given(data=st.data(), m=st.integers(2, 11), j=st.integers(-40, 40),
+       k=st.integers(-40, 40),
+       cosine=st.sampled_from([0.0, 0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0,
+                               1e3, 1e6]))
+def test_rbfgs_floor_decision_is_scale_free(data, m, j, k, cosine):
+    # f scaled by 2^k and x by 2^-j take (s, y, mu) to (2^-j s, 2^(k+j) y,
+    # 2^(k+2j) mu) and B_hat to 2^(k+2j) B_hat: the pair is accepted or reset
+    # alike, and an accepted update scales exactly
+    grid = st.integers(-2 ** 20, 2 ** 20).map(lambda i: i / 2.0 ** 20)
+    s = data.draw(arrays(np.float64, m, elements=grid).filter(
+        lambda v: np.abs(v).sum() > 0.1))
+    w = data.draw(arrays(np.float64, m, elements=grid))
+    w = w - (s @ w) / (s @ s) * s  # about orthogonal to s
+    # cos(s, y) is about cosine * upsilon, near the floor on both sides
+    y = cosine * P.upsilon * math.sqrt(w @ w / (s @ s)) * s + w
+    mu = data.draw(st.just(0.0) | st.floats(1e-12, 1e-5))
+    c = math.ldexp(1.0, k + 2 * j)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subspace_rqn, "SubspaceHessian", _Unfactored)
+        native = rbfgs_update(_Unfactored(np.eye(m), False, 0.0), s, y, 1,
+                              mu, P)
+        scaled = rbfgs_update(_Unfactored(c * np.eye(m), False, 0.0),
+                              np.ldexp(s, -j), np.ldexp(y, k + j), 1,
+                              math.ldexp(mu, k + 2 * j), P)
+    assert scaled.is_identity == native.is_identity
+    if not native.is_identity:
+        np.testing.assert_array_equal(scaled.B_hat, c * native.B_hat)
+    if mu == 0.0 and w @ w > 1e-6 * (s @ s) and abs(cosine - 1.0) >= 0.1:
+        assert native.is_identity == (cosine < 1.0)

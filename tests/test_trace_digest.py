@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rlsmcg import RunReport, SolverParams, Status, bench
+from rlsmcg import RunReport, SolverParams, Status, bench, problems
 from rlsmcg.bench import SOLVERS
-from rlsmcg.problems import (get_problem, perturbed_registry, perturbed_start,
-                             registry, scaled)
+from rlsmcg.problems import (ULP_STARTS, get_problem, perturbed_registry,
+                             perturbed_start, registry, scaled, ulp_start)
 
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -129,6 +129,35 @@ def test_dense_mode_runs_the_fifteen_dense_quadratics(trace_digest, monkeypatch,
     assert all(params is None for _, params in solved)
 
 
+def test_ulp_mode_runs_rlsmcg_and_its_ablation_from_the_ulp_starts(
+        trace_digest, monkeypatch, capsys):
+    solved = []
+
+    def stub(solver_name):
+        def solve(problem, params, trace_hook=None):
+            solved.append((solver_name, problem, params))
+            return RunReport(n_iter=0, n_f=1, n_g=1, wall_time=0.0,
+                             status=Status.CONVERGED, final_gnorm_inf=0.0,
+                             x=problem.x0, f=0.0)
+        return solve
+
+    monkeypatch.setattr(bench, "SOLVERS", {name: stub(name) for name in SOLVERS})
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert trace_digest.main(["trace_digest.py", "--ulp", SRC_DIR]) == 0
+    cases = [(name, j) for name in ("palmer_poly(8)", "quad_hilbert(8)")
+             for j in ULP_STARTS]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "# 96 runs, 0 records, n_f 96, n_g 96"
+    assert [line.rsplit(" ", 3)[0] for line in lines[:-1]] == [
+        f"{solver} {name} {j}" for solver in ("rlsmcg", "rlsmcg_norqn")
+        for name, j in cases]
+    assert [s for s, _, _ in solved] == ["rlsmcg"] * 48 + ["rlsmcg_norqn"] * 48
+    for (_, problem, params), (name, j) in zip(solved, cases * 2):
+        assert params is None and problem.name == name
+        np.testing.assert_array_equal(problem.x0,
+                                      ulp_start(get_problem(name).x0, j))
+
+
 @pytest.mark.parametrize("k", [-10, 10])
 def test_scale_mode_runs_the_registry_in_units_of_two_to_the_k(
         trace_digest, monkeypatch, capsys, k):
@@ -159,6 +188,14 @@ def test_a_scale_without_an_exact_power_of_two_is_refused(
     err = _refuses_before_any_solve(trace_digest, monkeypatch, capsys,
                                     "--scale", k, SRC_DIR)
     assert k in err
+
+
+def test_ulp_mode_refuses_a_library_without_ulp_starts(trace_digest,
+                                                     monkeypatch, capsys):
+    monkeypatch.delattr(problems, "ulp_start")
+    err = _refuses_before_any_solve(trace_digest, monkeypatch, capsys,
+                                    "--ulp", SRC_DIR)
+    assert "ulp_start" in err
 
 
 def test_a_directory_without_the_library_is_refused(trace_digest, monkeypatch,

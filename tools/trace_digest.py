@@ -1,6 +1,6 @@
 """One sha256 per (solver, instance) over every trace record and the report.
 
-    OPENBLAS_NUM_THREADS=1 python tools/trace_digest.py [--perturbed|--dense|--scale K] SRC_DIR
+    OPENBLAS_NUM_THREADS=1 python tools/trace_digest.py [--perturbed|--dense|--ulp|--scale K] SRC_DIR
 
 imports ``rlsmcg`` from ``SRC_DIR`` (a checkout's ``src``), runs every solver
 of ``bench.SOLVERS`` with a trace hook on each instance of a suite from that
@@ -11,11 +11,15 @@ n_g totals.  The suite is
 ``perturbed_registry()``, labelled ``instance j``; with ``--dense`` it is
 ``dense_quadratic(n, seed)`` over ``DENSE_SIZES`` and ``DENSE_SEEDS``,
 labelled ``dense_quad(n) seed``, the one suite that reaches the driver's -g
-rescue; with ``--scale K`` it is the registry ``scaled`` by 2^K, run with
-``grad_tol = 2^K 1e-6``: the same problems in other units, where a change to
-a test that compares unlike units can move steps although it moves none at
-2^0.  A tree from before the suites moved into ``rlsmcg.problems`` is
-digested by the tool from its own commit.  A digest covers every
+rescue; with ``--ulp`` it is ``palmer_poly(8)`` and ``quad_hilbert(8)`` from
+the ``ulp_start`` starts of ``ULP_STARTS``, labelled ``instance j`` and run
+by rlsmcg and ``rlsmcg_norqn`` only: how far rounding alone spreads the cost
+of the RQN phase and of its ablation; with ``--scale K`` it is the registry
+``scaled`` by 2^K, run with ``grad_tol = 2^K 1e-6``: the same problems in
+other units, where a change to a test that compares unlike units can move
+steps although it moves none at 2^0.  A tree from before the suites moved
+into ``rlsmcg.problems`` is digested by the tool from its own commit.  A
+digest covers every
 ``TraceRecord`` field, taken in name order so that reordering the dataclass
 keeps it, with floats and arrays by their bytes, and the report's
 ``n_iter``, status, ``x``, ``f`` and ``final_gnorm_inf``.  The report's
@@ -28,7 +32,8 @@ threaded reduction may round differently from run to run.  The tool exits
 with code 2 and an ``error:`` line, before any solve, when ``SRC_DIR/rlsmcg``
 holds no package, when the ``rlsmcg`` it imports does not come from
 ``SRC_DIR`` (one already imported, or an installed copy), so that it never
-digests another tree than the one named, or when ``scaled`` refuses K.
+digests another tree than the one named, when ``scaled`` refuses K, or with
+``--ulp`` when the tree has no ``ulp_start``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+
+ULP_INSTANCES = ("palmer_poly(8)", "quad_hilbert(8)")
 
 
 def _encode(value) -> bytes:
@@ -88,6 +96,7 @@ def main(argv) -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--perturbed", action="store_true")
     mode.add_argument("--dense", action="store_true")
+    mode.add_argument("--ulp", action="store_true")
     mode.add_argument("--scale", type=int, metavar="K")
     parser.add_argument("src_dir")
     args = parser.parse_args(argv[1:])
@@ -104,10 +113,23 @@ def main(argv) -> int:
     from rlsmcg import SolverParams
     from rlsmcg.bench import SOLVERS
     from rlsmcg.problems import (DENSE_SEEDS, DENSE_SIZES, dense_quadratic,
-                                 perturbed_registry, registry, scaled)
+                                 get_problem, perturbed_registry, registry,
+                                 scaled)
 
-    params = None
-    if args.dense:
+    params, solvers = None, SOLVERS
+    if args.ulp:
+        try:
+            from rlsmcg.problems import ULP_STARTS, ulp_start
+        except ImportError:
+            print(f"error: no ulp_start in {args.src_dir}", file=sys.stderr)
+            return 2
+        suite = []
+        for name in ULP_INSTANCES:
+            problem = get_problem(name)
+            suite += [(f"{name} {j}", dataclasses.replace(
+                problem, x0=ulp_start(problem.x0, j))) for j in ULP_STARTS]
+        solvers = {name: SOLVERS[name] for name in ("rlsmcg", "rlsmcg_norqn")}
+    elif args.dense:
         suite = [(f"dense_quad({n}) {seed}", dense_quadratic(n, seed))
                  for n in DENSE_SIZES for seed in DENSE_SEEDS]
     elif args.perturbed:
@@ -122,7 +144,7 @@ def main(argv) -> int:
             return 2
         params = SolverParams(grad_tol=math.ldexp(1e-6, args.scale))
     runs = records = n_f = n_g = 0
-    for solver_name, solve in SOLVERS.items():
+    for solver_name, solve in solvers.items():
         for label, problem in suite:
             hexdigest, count, run_f, run_g = digest(solve, problem, params)
             print(solver_name, label, hexdigest, run_f, run_g)
