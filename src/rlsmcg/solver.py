@@ -389,15 +389,17 @@ class Rlsmcg:
             return
         # the model lives on the core, unless the memory spans R^n and f is
         # locally quadratic.  Then the model takes all of R^n: the core's
-        # complement holds the weak modes the stall neglects, and with the
-        # exact line minimizers that interpolation gives on a quadratic, BFGS
-        # iterates do not depend on the scale of the identity it starts from
-        # there.  Off that regime the scale matters, so the phase keeps to
-        # the core.
+        # complement holds the weak modes the stall neglects.  Off that
+        # regime the phase keeps to the core.  Either model opens at the
+        # curvature the last step measured, gamma*I with gamma = s'y/s's:
+        # with exact line minimizers on a quadratic, BFGS iterates would not
+        # depend on that scale, but in floating point they do (on
+        # palmer_poly(8) the unit start costs 45 gradients, gamma*I 26).
         whole = params.memory_m >= n and self.quad_like
         self.phase = Phase(None if whole else core, core,
                            rqn.SubspaceHessian.identity(
-                               n if whole else core.shape[1], params.mu_min))
+                               n if whole else core.shape[1], params.mu_min,
+                               rqn.curvature_scale(state.s_prev, state.y_prev)))
 
     def _advance(self, state: SolverState, record: DirectionRecord,
                  line: LineFunction, result: StepResult, params: SolverParams):

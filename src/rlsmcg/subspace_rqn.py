@@ -79,15 +79,22 @@ class SubspaceHessian:
 
     Building one factors ``B_hat`` and keeps its lower Cholesky factor in
     ``L``; a ``B_hat`` that is not finite or not positive definite raises
-    ``LinAlgError``.  The identity is built with L = I, which is
-    its factor exactly.  ``mu`` is the regularization weight folded into the
-    update through the shifted gradient difference y + mu*s; ``is_identity``
-    is True until an update is accepted.
+    ``LinAlgError``.  ``mu`` is the regularization weight folded into the
+    update through the shifted gradient difference y + mu*s.  ``scale`` is
+    the curvature gamma of the phase's opening matrix gamma*I, to which
+    every reset returns; ``is_identity`` is True while ``B_hat`` is that
+    matrix, until an update is accepted.
+
+    The opening matrix is built with L = sqrt(gamma)*I, which is LAPACK's
+    factor of gamma*I bit for bit: its first pivot is the correctly rounded
+    sqrt(gamma), each entry below it is 0/sqrt(gamma) = +0, and each later
+    pivot is sqrt(gamma - 0) again.
     """
 
     B_hat: np.ndarray
     is_identity: bool
     mu: float
+    scale: float = 1.0
     L: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,9 +106,22 @@ class SubspaceHessian:
         object.__setattr__(self, "L", _cholesky(self.B_hat))
 
     @classmethod
-    def identity(cls, m: int, mu: float) -> "SubspaceHessian":
+    def identity(cls, m: int, mu: float, scale: float = 1.0) -> "SubspaceHessian":
+        """The m x m opening matrix scale*I, for a positive finite scale."""
         eye = np.eye(m)
-        return cls(B_hat=eye, is_identity=True, mu=mu, L=eye)
+        return cls(B_hat=scale * eye, is_identity=True, mu=mu, scale=scale,
+                   L=math.sqrt(scale) * eye)
+
+
+def curvature_scale(s: Vector, y: Vector) -> float:
+    """gamma = s'y / s's, the curvature of f measured along the step s with
+    gradient change y, whose reciprocal is the BB1 step; 1.0 where gamma is
+    not positive and finite (s = 0, s'y <= 0, overflow or NaN)."""
+    sTs = dot(s, s)
+    if not sTs > 0.0:
+        return 1.0
+    gamma = dot(s, y) / sTs
+    return gamma if 0.0 < gamma < math.inf else 1.0
 
 
 def qr_update(dirs: List[Vector], core_tol: Optional[float] = None):
@@ -319,8 +339,9 @@ def rbfgs_update(H: SubspaceHessian, s_hat: Vector, y_hat: Vector, k: int,
     counter k is not a multiple of l_reset and the pair clears the cosine
     floor s'y(mu) > upsilon ||s|| ||y(mu)|| (the usual skip rule, Nocedal and
     Wright, *Numerical Optimization*, 2nd ed., section 6.1); otherwise the
-    matrix resets to the identity.  So does an update that is not finite or
-    not positive definite, which the SubspaceHessian constructor rejects.
+    matrix resets to the phase's opening matrix gamma*I, gamma = ``H.scale``.
+    So does an update that is not finite or not positive definite, which
+    the SubspaceHessian constructor rejects.
     The floor bounds the angle between s and y(mu), so it has no units: with
     f scaled by 2^k and x by 2^-j, (s, y, mu) -> (2^-j s, 2^(k+j) y,
     2^(k+2j) mu), and both sides scale by exactly 2^k.  A floor on the
@@ -328,22 +349,27 @@ def rbfgs_update(H: SubspaceHessian, s_hat: Vector, y_hat: Vector, k: int,
     weaker than itself, the modes the phase is there to learn.
 
     The floor bounds the largest eigenvalue of B_hat (acceptance criterion
-    5).  An update subtracts the semidefinite Bss'B/s'Bs and adds
+    5).  The phase opens at gamma = s'y/s's of a full step, and
+    gamma <= ||y|| / ||s|| <= L for a gradient with Lipschitz constant L.
+    An update subtracts the semidefinite Bss'B/s'Bs and adds
     y(mu)y(mu)'/s'y(mu), whose one nonzero eigenvalue ||y(mu)||^2 / s'y(mu)
     is below ||y(mu)|| / (upsilon ||s||) once the pair clears the floor.
-    For a step in the span of Z and a gradient with Lipschitz constant L,
-    ||y_hat|| <= ||y|| <= L ||s|| = L ||s_hat||, so each update adds at most
-    (L + mu) / upsilon <= (L + mu_max) / upsilon, and with a reset at least
-    every l_reset updates
+    For a step in the span of Z, ||y_hat|| <= ||y|| <= L ||s|| = L ||s_hat||,
+    so each update adds at most (L + mu) / upsilon <= (L + mu_max) / upsilon,
+    and with a reset to gamma*I at least every l_reset updates
 
-        lambda_max(B_hat) <= 1 + l_reset (L + mu_max) / upsilon.
+        lambda_max(B_hat) <= gamma + l_reset (L + mu_max) / upsilon,
+                             gamma <= L.
 
     The bound criterion 5 checks, 1 + l_reset L^2 / upsilon + 2 l_reset
-    mu_max, follows from this one where L + mu_max <= L^2 + 2 upsilon
-    mu_max: at the defaults (mu_max = 1), for L >= 1.6181, which covers
-    palmer_poly(8) and quad_hilbert(6|8|12).  On the quadratics with L = 1
-    (sphere, quad_diag), y(mu) = (A + mu I) s gives ||y(mu)||^2 / s'y(mu)
-    <= L + mu in exact arithmetic, with no floor at all.
+    mu_max, follows from this one where L - 1 <= (l_reset / upsilon)
+    (L^2 - L - mu_max) + 2 l_reset mu_max.  At the defaults (mu_max = 1,
+    l_reset >= 20, upsilon = 5e-7) both terms on the right are nonnegative
+    for L >= 1.6181; the second covers L <= 41 and the first L >= 3, where
+    L^2 - L - 1 >= L.  That covers palmer_poly(8) and quad_hilbert(6|8|12).
+    On the quadratics with L = 1 (sphere, quad_diag), y(mu) = (A + mu I) s
+    gives ||y(mu)||^2 / s'y(mu) <= L + mu in exact arithmetic, with no floor
+    at all, so lambda_max <= 1 + l_reset (1 + mu_max), below the bound.
     """
     m = H.B_hat.shape[0]
     sTs = dot(s_hat, s_hat)
@@ -351,17 +377,17 @@ def rbfgs_update(H: SubspaceHessian, s_hat: Vector, y_hat: Vector, k: int,
     sTy_mu = dot(s_hat, y_mu)
     floor = params.upsilon * math.sqrt(sTs) * math.sqrt(dot(y_mu, y_mu))
     if k % params.l_reset == 0 or sTs <= 0.0 or sTy_mu <= floor:
-        return SubspaceHessian.identity(m, mu)
+        return SubspaceHessian.identity(m, mu, H.scale)
     B = H.B_hat
     Bs = B @ s_hat
     sBs = dot(s_hat, Bs)
     if sBs <= 0.0:
-        return SubspaceHessian.identity(m, mu)
+        return SubspaceHessian.identity(m, mu, H.scale)
     B_new = B - Bs[:, None] * Bs / sBs + y_mu[:, None] * y_mu / sTy_mu
     try:
-        return SubspaceHessian(0.5 * (B_new + B_new.T), False, mu)
+        return SubspaceHessian(0.5 * (B_new + B_new.T), False, mu, H.scale)
     except LinAlgError:  # not finite, or rounding broke definiteness
-        return SubspaceHessian.identity(m, mu)
+        return SubspaceHessian.identity(m, mu, H.scale)
 
 
 def ratio(f_cur: float, f_trial: float, alpha: float, g_hat: Vector,

@@ -10,10 +10,10 @@ from hypothesis.extra.numpy import arrays
 from rlsmcg import subspace_rqn
 from rlsmcg.core import SolverParams
 from rlsmcg.subspace_rqn import (DROP_TOL, ENTRY_RANK_TOL, GramRing,
-                                 SubspaceHessian, orthogonality_kept,
-                                 orthogonality_lost, orthogonality_restored,
-                                 qr_update, ratio, rbfgs_update, rqn_direction,
-                                 update_mu)
+                                 SubspaceHessian, curvature_scale,
+                                 orthogonality_kept, orthogonality_lost,
+                                 orthogonality_restored, qr_update, ratio,
+                                 rbfgs_update, rqn_direction, update_mu)
 
 P = SolverParams().resolve(50)
 
@@ -530,6 +530,71 @@ def test_rbfgs_reset_honesty_window():
     assert resets >= 1
 
 
+def test_opening_factor_is_lapacks_bit_for_bit():
+    # every power of two in 2^[-60, 60], and other scales down to a
+    # subnormal and up to near the largest double, where sqrt(scale)^2 is
+    # not the scale: L is the kernel's factor of scale*I all the same
+    scales = [math.ldexp(1.0, e) for e in range(-60, 61)] + [
+        3.0, 0.1, 1.0 / 3.0, math.pi * 1e-9, 7e17, 1.3e-300, 5e-324, 1.7e308]
+    for scale in scales:
+        for m in (1, 2, 5, 11):
+            H = SubspaceHessian.identity(m, 0.0, scale)
+            B = scale * np.eye(m)
+            assert H.B_hat.tobytes() == B.tobytes(), scale
+            assert H.L.tobytes() == subspace_rqn._cholesky(B).tobytes(), scale
+            assert H.scale == scale and H.is_identity
+
+
+@pytest.mark.parametrize("s, y", [
+    ([0.0, 0.0], [1.0, 2.0]),          # no step
+    ([1.0, 0.0], [-2.0, 0.0]),         # negative curvature
+    ([1.0, 0.0], [0.0, 1.0]),          # zero curvature
+    ([1.0, math.nan], [1.0, 1.0]),     # NaN
+    ([1e-160, 0.0], [1e160, 0.0]),     # s'y / s's overflows
+    ([1e-170, 0.0], [1.0, 0.0]),       # s's underflows to zero
+    ([1e200, 0.0], [1.0, 0.0]),        # s's overflows
+], ids=["zero_s", "negative", "zero", "nan", "overflow", "underflow", "inf_sTs"])
+def test_a_curvature_that_is_not_positive_and_finite_opens_at_one(s, y):
+    with np.errstate(over="ignore"):
+        assert curvature_scale(np.array(s), np.array(y)) == 1.0
+
+
+def test_curvature_scale_is_the_quotient_s_y_over_s_s():
+    s, y = np.array([1.0, 2.0]), np.array([3.0, 0.5])
+    assert curvature_scale(s, y) == 4.0 / 5.0
+    assert curvature_scale(np.array([1e-170]), np.array([1e-170])) == 1.0
+
+
+@pytest.mark.parametrize("cause", ["l_reset", "floor", "zero_step", "sBs",
+                                   "not_finite"])
+def test_a_reset_returns_to_the_phases_opening_scale(cause):
+    gamma = 3.0
+    H = SubspaceHessian.identity(2, 0.0, gamma)
+    # one accepted update first, so that the reset is visible
+    H = rbfgs_update(H, e(0, 2), 2.0 * e(0, 2), k=1, mu=0.0, params=P)
+    np.testing.assert_array_equal(H.B_hat, np.diag([2.0, gamma]))
+    assert not H.is_identity and H.scale == gamma
+    k, s, y = 2, e(0, 2), e(0, 2)
+    if cause == "l_reset":
+        k = P.l_reset
+    elif cause == "floor":
+        y = np.array([P.upsilon / 10.0, 1.0])
+    elif cause == "zero_step":
+        s = np.zeros(2)
+    elif cause == "sBs":
+        # B s underflows to zero while s's and s'y do not
+        H = SubspaceHessian(np.diag([1e-300, 1.0]), False, 0.0, gamma)
+        s, y = np.array([1e-100, 0.0]), e(0, 2)
+    else:
+        # y y'/s'y overflows past a pair that clears the floor
+        s, y = np.array([1e-160, 0.0]), np.array([1e153, 0.0])
+    with np.errstate(over="ignore"):
+        H2 = rbfgs_update(H, s, y, k=k, mu=0.0, params=P)
+    assert H2.is_identity and H2.scale == gamma
+    assert H2.B_hat.tobytes() == (gamma * np.eye(2)).tobytes()
+    assert H2.L.tobytes() == subspace_rqn._cholesky(gamma * np.eye(2)).tobytes()
+
+
 # --- ratio and mu ---------------------------------------------------------------
 
 def test_ratio_exact_model_is_one():
@@ -781,8 +846,9 @@ class _Unfactored(SubspaceHessian):
                                1e3, 1e6]))
 def test_rbfgs_floor_decision_is_scale_free(data, m, j, k, cosine):
     # f scaled by 2^k and x by 2^-j take (s, y, mu) to (2^-j s, 2^(k+j) y,
-    # 2^(k+2j) mu) and B_hat to 2^(k+2j) B_hat: the pair is accepted or reset
-    # alike, and an accepted update scales exactly
+    # 2^(k+2j) mu), and B_hat and its opening scale to 2^(k+2j) times
+    # themselves: the pair is accepted or reset alike, and the result, an
+    # update or the opening matrix, scales exactly
     grid = st.integers(-2 ** 20, 2 ** 20).map(lambda i: i / 2.0 ** 20)
     s = data.draw(arrays(np.float64, m, elements=grid).filter(
         lambda v: np.abs(v).sum() > 0.1))
@@ -794,13 +860,37 @@ def test_rbfgs_floor_decision_is_scale_free(data, m, j, k, cosine):
     c = math.ldexp(1.0, k + 2 * j)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subspace_rqn, "SubspaceHessian", _Unfactored)
-        native = rbfgs_update(_Unfactored(np.eye(m), False, 0.0), s, y, 1,
-                              mu, P)
-        scaled = rbfgs_update(_Unfactored(c * np.eye(m), False, 0.0),
+        native = rbfgs_update(_Unfactored(np.eye(m), False, 0.0, 1.0), s, y,
+                              1, mu, P)
+        scaled = rbfgs_update(_Unfactored(c * np.eye(m), False, 0.0, c),
                               np.ldexp(s, -j), np.ldexp(y, k + j), 1,
                               math.ldexp(mu, k + 2 * j), P)
     assert scaled.is_identity == native.is_identity
-    if not native.is_identity:
-        np.testing.assert_array_equal(scaled.B_hat, c * native.B_hat)
+    np.testing.assert_array_equal(scaled.B_hat, c * native.B_hat)
     if mu == 0.0 and w @ w > 1e-6 * (s @ s) and abs(cosine - 1.0) >= 0.1:
         assert native.is_identity == (cosine < 1.0)
+
+
+@GENERATED
+@given(data=st.data(), m=st.integers(1, 11), j=st.integers(-40, 40),
+       k=st.integers(-40, 40))
+def test_opening_matrix_scales_with_the_units(data, m, j, k):
+    # f scaled by 2^k and x by 2^-j take (s, y) to (2^-j s, 2^(k+j) y):
+    # s's and s'y scale by powers of two, so gamma = s'y/s's and the opening
+    # matrix gamma*I scale by exactly 2^(k+2j), and a pair that gives no
+    # positive curvature opens at 1.0 in any units
+    grid = st.integers(-2 ** 20, 2 ** 20).map(lambda i: i / 2.0 ** 20)
+    s = data.draw(arrays(np.float64, m, elements=grid).filter(
+        lambda v: np.abs(v).sum() > 0.1))
+    # y near C s for a generated SPD C, so that most pairs curve upward
+    C = _matrix(*data.draw(spd_spectra(m)))
+    y = C @ s + data.draw(st.floats(-1.0, 1.0)) * data.draw(_vectors(m))
+    c = math.ldexp(1.0, k + 2 * j)
+    native = SubspaceHessian.identity(m, 0.0, curvature_scale(s, y))
+    scaled = SubspaceHessian.identity(
+        m, 0.0, curvature_scale(np.ldexp(s, -j), np.ldexp(y, k + j)))
+    if np.dot(s, y) > 0.0:
+        assert scaled.scale == c * native.scale
+        assert scaled.B_hat.tobytes() == (c * native.B_hat).tobytes()
+    else:
+        assert native.scale == scaled.scale == 1.0

@@ -144,14 +144,15 @@ def test_ulp_mode_runs_rlsmcg_and_its_ablation_from_the_ulp_starts(
     monkeypatch.setattr(bench, "SOLVERS", {name: stub(name) for name in SOLVERS})
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert trace_digest.main(["trace_digest.py", "--ulp", SRC_DIR]) == 0
-    cases = [(name, j) for name in ("palmer_poly(8)", "quad_hilbert(8)")
+    cases = [(name, j) for name in ("palmer_poly(8)", "quad_hilbert(8)",
+                                    "quad_hilbert(12)")
              for j in ULP_STARTS]
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "# 96 runs, 0 records, n_f 96, n_g 96"
+    assert lines[-1] == "# 144 runs, 0 records, n_f 144, n_g 144"
     assert [line.rsplit(" ", 3)[0] for line in lines[:-1]] == [
         f"{solver} {name} {j}" for solver in ("rlsmcg", "rlsmcg_norqn")
         for name, j in cases]
-    assert [s for s, _, _ in solved] == ["rlsmcg"] * 48 + ["rlsmcg_norqn"] * 48
+    assert [s for s, _, _ in solved] == ["rlsmcg"] * 72 + ["rlsmcg_norqn"] * 72
     for (_, problem, params), (name, j) in zip(solved, cases * 2):
         assert params is None and problem.name == name
         np.testing.assert_array_equal(problem.x0,

@@ -11,13 +11,14 @@ n_g totals.  The suite is
 ``perturbed_registry()``, labelled ``instance j``; with ``--dense`` it is
 ``dense_quadratic(n, seed)`` over ``DENSE_SIZES`` and ``DENSE_SEEDS``,
 labelled ``dense_quad(n) seed``, the one suite that reaches the driver's -g
-rescue; with ``--ulp`` it is ``palmer_poly(8)`` and ``quad_hilbert(8)`` from
-the ``ulp_start`` starts of ``ULP_STARTS``, labelled ``instance j`` and run
-by rlsmcg and ``rlsmcg_norqn`` only: how far rounding alone spreads the cost
-of the RQN phase and of its ablation; with ``--scale K`` it is the registry
-``scaled`` by 2^K, run with ``grad_tol = 2^K 1e-6``: the same problems in
-other units, where a change to a test that compares unlike units can move
-steps although it moves none at 2^0.  A tree from before the suites moved
+rescue; with ``--ulp`` it is ``palmer_poly(8)``, ``quad_hilbert(8)`` and
+``quad_hilbert(12)`` from the ``ulp_start`` starts of ``ULP_STARTS``,
+labelled ``instance j`` and run by rlsmcg and ``rlsmcg_norqn`` only: how far
+rounding alone spreads the cost of the RQN phase and of its ablation (the
+pin of ``quad_hilbert(12)`` moved with rounding once); with ``--scale K`` it
+is the registry ``scaled`` by 2^K, run with ``grad_tol = 2^K 1e-6``: the
+same problems in other units, where a change to a test that compares unlike
+units can move steps although it moves none at 2^0.  A tree from before the suites moved
 into ``rlsmcg.problems`` is digested by the tool from its own commit.  A
 digest covers every
 ``TraceRecord`` field, taken in name order so that reordering the dataclass
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 
-ULP_INSTANCES = ("palmer_poly(8)", "quad_hilbert(8)")
+ULP_INSTANCES = ("palmer_poly(8)", "quad_hilbert(8)", "quad_hilbert(12)")
 
 
 def _encode(value) -> bytes:
