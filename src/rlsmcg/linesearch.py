@@ -261,13 +261,24 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
     found in MAX_ROUNDS rounds, the best trial that at least stayed below C_k
     is returned, flagged MAX_BACKTRACK (alpha None when not even that exists).
     f and g at a returned step are evaluated, so ``line`` holds both.
+
+    The search returns that best trial before the round cap once rounding
+    in f decides its decrease test: a trial at alpha fails the test, a point
+    below C_k is in hand, and phi(0) + alpha g'd == phi(0) in float64.
+    Every later trial lies in (0, alpha), where f moves from phi(0) by less
+    than half an ulp of phi(0) to first order, so no later comparison with
+    C_k can show a decrease that f resolves.  The test holds no constant
+    and is exact under f -> 2^k f.  Without a point below C_k the search
+    keeps bisecting, since there is nothing to return yet, and a later
+    round may still find a Wolfe step.
     """
     if gTd >= 0.0:
         raise ValueError("wolfe_search requires a descent direction (g'd < 0)")
     if not alpha0 > 0.0:  # NaN included
         raise ValueError("wolfe_search requires alpha0 > 0")
 
-    lo, phi_lo, slope_lo = 0.0, line.value(0.0), gTd
+    phi0 = line.value(0.0)
+    lo, phi_lo, slope_lo = 0.0, phi0, gTd
     hi, phi_hi = None, None
     alpha = alpha0
     best_alpha, best_phi = None, math.inf
@@ -283,6 +294,8 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
             # decrease fine but still descending steeply: move right
             lo, phi_lo, slope_lo = alpha, phi_a, slope_a
         else:
+            if best_alpha is not None and phi0 + alpha * gTd == phi0:
+                break  # rounding in f decides every later decrease test
             hi, phi_hi = alpha, phi_a
 
         if hi is None:

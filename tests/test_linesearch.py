@@ -356,6 +356,59 @@ def test_wolfe_stepsize_lower_bound_on_quadratic():
     assert res.alpha >= (1.0 - P.sigma_wolfe) * abs(gTd) / L - 1e-15
 
 
+# A line as at the end of a solve of dense_quad(1000): phi(0) = -5.67e5, whose
+# ulp is 1.16e-10, and a slope g'd = -5e-10, so that every step a <= 0.05
+# changes f by less than half an ulp to first order.  f rounds up by 4 ulps
+# past ``step_at``, as a sum over many terms does; g is exact, and halves
+# below ``flat_below``.  Everything is multiplied by 2^k.
+ROUNDING_PHI0, ROUNDING_GTD = -567000.0, -5e-10
+
+
+def _rounding_search(k, alpha0, ck_ulps, step_at, flat_below=0.0):
+    """The search from alpha0 with C_k ``ck_ulps`` ulps above phi(0): its
+    result, its trial steps and its (n_f, n_g)."""
+    ulp, trials = math.ulp(ROUNDING_PHI0), []
+
+    def f(a):
+        trials.append(a)
+        return math.ldexp(ROUNDING_PHI0 + (4 * ulp if a >= step_at else 0.0), k)
+
+    def g(a):
+        return math.ldexp(ROUNDING_GTD / (2 if a < flat_below else 1), k)
+
+    line = line_1d(f, g, f0=math.ldexp(ROUNDING_PHI0, k),
+                   g0=math.ldexp(ROUNDING_GTD, k))
+    led = NonmonotoneLedger(Ck=math.ldexp(ROUNDING_PHI0 + ck_ulps * ulp, k),
+                            Qk=3.0, k=10)
+    res = wolfe_search(line, alpha0, led, math.ldexp(ROUNDING_GTD, k), P)
+    return res, trials, (line.problem.n_f, line.problem.n_g)
+
+
+@pytest.mark.parametrize("k", [0, 10, -10])
+def test_wolfe_stops_once_rounding_in_f_decides_the_decrease_test(k):
+    # C_k sits 2 ulps above phi(0).  The first trial 0.01 passes the
+    # decrease test but not the curvature test; the next, 0.05, fails the
+    # decrease test while 0.05 g'd rounds away against phi(0).  The search
+    # returns the first trial.  Without the stop it bisects toward 0.03
+    # until the bracket collapses: 38 f and 36 g, 36 f and 35 g past it.
+    assert ROUNDING_PHI0 + 0.05 * ROUNDING_GTD == ROUNDING_PHI0
+    res, trials, counts = _rounding_search(k, 0.01, 2, step_at=0.03)
+    assert res.accepted_by is AcceptKind.MAX_BACKTRACK and res.alpha == 0.01
+    assert trials == [0.01, 0.05] and counts == (2, 1)
+
+
+@pytest.mark.parametrize("k", [0, 10, -10])
+def test_wolfe_keeps_bisecting_without_a_point_below_the_reference(k):
+    # C_k = phi(0): every trial from 0.05 down to 0.0015625 fails the
+    # decrease test with a g'd that rounds away, and none is below C_k,
+    # so the search bisects on, as without the stop, and finds the Wolfe
+    # step 0.05/64 where f rounds back to phi(0) and the slope halves
+    res, trials, counts = _rounding_search(k, 0.05, 0, step_at=0.001,
+                                           flat_below=0.001)
+    assert res.accepted_by is AcceptKind.WOLFE and res.alpha == 0.05 / 64
+    assert trials == [0.05 / 2 ** i for i in range(7)] and counts == (7, 1)
+
+
 def test_line_function_caches_and_counts():
     calls = {"f": 0, "g": 0}
 

@@ -49,7 +49,7 @@ def test_counts_are_left_out_of_the_digest(trace_digest):
     plain = trace_digest.digest(solve, problem)
     costly = trace_digest.digest(costlier, problem)
     assert costly[:2] == plain[:2]
-    assert costly[2:] == (plain[2] + 1, plain[3] + 2)
+    assert costly[2:4] == (plain[2] + 1, plain[3] + 2)
 
 
 def test_encoding_tells_kinds_of_value_apart(trace_digest):
@@ -64,16 +64,17 @@ def test_scale_zero_gives_the_unscaled_digest(trace_digest):
             == trace_digest.digest(solve, problem))
 
 
-def _run_stubbed(trace_digest, monkeypatch, *args, n_f=1, n_g=1):
+def _run_stubbed(trace_digest, monkeypatch, *args, n_f=1, n_g=1,
+                 status=Status.CONVERGED):
     """The tool's exit code and the (problem, params) of each solve, with
     every solver replaced by one stub that solves nothing at a cost of
-    ``n_f`` and ``n_g`` evaluations."""
+    ``n_f`` and ``n_g`` evaluations and stops with ``status``."""
     solved = []
 
     def stub(problem, params, trace_hook=None):
         solved.append((problem, params))
         return RunReport(n_iter=0, n_f=n_f, n_g=n_g, wall_time=0.0,
-                         status=Status.CONVERGED, final_gnorm_inf=0.0,
+                         status=status, final_gnorm_inf=0.0,
                          x=problem.x0, f=0.0)
 
     monkeypatch.setattr(bench, "SOLVERS", {"stub": stub})
@@ -84,7 +85,8 @@ def _run_stubbed(trace_digest, monkeypatch, *args, n_f=1, n_g=1):
 def _labels(out):
     lines = out.splitlines()
     runs = len(lines) - 1
-    assert lines[-1] == f"# {runs} runs, 0 records, n_f {runs}, n_g {runs}"
+    assert lines[-1] == (f"# {runs} runs, {runs} converged, 0 records, "
+                         f"n_f {runs}, n_g {runs}")
     return [line[len("stub "):].rsplit(" ", 3)[0] for line in lines[:-1]]
 
 
@@ -101,8 +103,17 @@ def test_each_run_prints_its_counts_beside_the_digest(trace_digest, monkeypatch,
     for a, b in zip(cheap[:-1], costly[:-1]):
         assert a.endswith(" 1 1") and b.endswith(" 3 5")
         assert a[:-len(" 1 1")] == b[:-len(" 3 5")]  # label and digest
-    assert cheap[-1] == "# 21 runs, 0 records, n_f 21, n_g 21"
-    assert costly[-1] == "# 21 runs, 0 records, n_f 63, n_g 105"
+    assert cheap[-1] == "# 21 runs, 21 converged, 0 records, n_f 21, n_g 21"
+    assert costly[-1] == "# 21 runs, 21 converged, 0 records, n_f 63, n_g 105"
+
+
+def test_runs_that_stop_short_are_not_counted_as_converged(
+        trace_digest, monkeypatch, capsys):
+    for status in (Status.LINESEARCH_FAIL, Status.ITER_CAP):
+        code, _ = _run_stubbed(trace_digest, monkeypatch, SRC_DIR, status=status)
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "# 21 runs, 0 converged, 0 records, n_f 21, n_g 21")
 
 
 def test_perturbed_mode_runs_each_instance_from_the_librarys_starts(
@@ -148,7 +159,8 @@ def test_ulp_mode_runs_rlsmcg_and_its_ablation_from_the_ulp_starts(
                                     "quad_hilbert(12)")
              for j in ULP_STARTS]
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "# 144 runs, 0 records, n_f 144, n_g 144"
+    assert lines[-1] == ("# 144 runs, 144 converged, 0 records, "
+                         "n_f 144, n_g 144")
     assert [line.rsplit(" ", 3)[0] for line in lines[:-1]] == [
         f"{solver} {name} {j}" for solver in ("rlsmcg", "rlsmcg_norqn")
         for name, j in cases]

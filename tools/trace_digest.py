@@ -5,8 +5,8 @@
 imports ``rlsmcg`` from ``SRC_DIR`` (a checkout's ``src``), runs every solver
 of ``bench.SOLVERS`` with a trace hook on each instance of a suite from that
 tree's ``rlsmcg.problems``, and prints one line ``solver label digest n_f n_g``
-per run, then a ``#`` line with the run and record counts and the n_f and
-n_g totals.  The suite is
+per run, then a ``#`` line with the run count, the number of runs that
+converged, the record count and the n_f and n_g totals.  The suite is
 ``registry()``, labelled by instance name; with ``--perturbed`` it is
 ``perturbed_registry()``, labelled ``instance j``; with ``--dense`` it is
 ``dense_quadratic(n, seed)`` over ``DENSE_SIZES`` and ``DENSE_SEEDS``,
@@ -79,8 +79,10 @@ def _feed(h, name: str, value) -> None:
 
 
 def digest(solve, problem, params=None) -> tuple:
-    """(hex digest, record count, n_f, n_g) of one traced ``solve`` of
-    ``problem``; the digest leaves out the two counts."""
+    """(hex digest, record count, n_f, n_g, converged) of one traced
+    ``solve`` of ``problem``; the digest leaves out the two counts.
+    ``converged`` reads the status by its value, which every tree's
+    ``Status`` shares."""
     records = []
     report = solve(problem, params, trace_hook=records.append)
     h = hashlib.sha256()
@@ -89,7 +91,8 @@ def digest(solve, problem, params=None) -> tuple:
             _feed(h, name, getattr(rec, name))
     for name in ("n_iter", "status", "x", "f", "final_gnorm_inf"):
         _feed(h, "report." + name, getattr(report, name))
-    return h.hexdigest(), len(records), report.n_f, report.n_g
+    return (h.hexdigest(), len(records), report.n_f, report.n_g,
+            report.status.value == "converged")
 
 
 def main(argv) -> int:
@@ -144,16 +147,18 @@ def main(argv) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         params = SolverParams(grad_tol=math.ldexp(1e-6, args.scale))
-    runs = records = n_f = n_g = 0
+    runs = converged = records = n_f = n_g = 0
     for solver_name, solve in solvers.items():
         for label, problem in suite:
-            hexdigest, count, run_f, run_g = digest(solve, problem, params)
+            hexdigest, count, run_f, run_g, done = digest(solve, problem, params)
             print(solver_name, label, hexdigest, run_f, run_g)
             runs += 1
+            converged += done
             records += count
             n_f += run_f
             n_g += run_g
-    print(f"# {runs} runs, {records} records, n_f {n_f}, n_g {n_g}")
+    print(f"# {runs} runs, {converged} converged, {records} records, "
+          f"n_f {n_f}, n_g {n_g}")
     return 0
 
 
