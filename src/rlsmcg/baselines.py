@@ -20,7 +20,7 @@ import numpy as np
 from .core import (CaseTag, DirectionRecord, Problem, RunReport, SolverParams,
                    SolverState, Vector, dot, norm_inf)
 from .linesearch import (LineFunction, StepResult, bb_fallback_stepsize,
-                         interp_step)
+                         f_at_rounding_level, initial_stepsize)
 # not called here; tools that time the layers patch these names in this module
 from .linesearch import ledger_update, wolfe_search  # noqa: F401
 from .smcg_direction import hs_direction, neg_grad_record
@@ -90,6 +90,8 @@ class _Policy:
     def __init__(self, kind: BaselineKind):
         self.kind = kind
         self.pairs = PairMemory()
+        # whether the last step moved f only at rounding level (HS only)
+        self.slope_fit = False
 
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
         g = state.g
@@ -104,12 +106,17 @@ class _Policy:
 
     def trial_step(self, line: LineFunction, state: SolverState,
                    record: DirectionRecord, params: SolverParams) -> float:
+        """L-BFGS tries the unit step, and -g the BB step.  HS aims at the
+        1-D minimizer through phi(1), exact on quadratics, with no tau2 gate
+        (``initial_stepsize`` as if quadratic-like), or, once the last step
+        moved f only at rounding level, through the slope phi'(1), which no
+        rounding in f touches.  The secant falls back to the value fit, and
+        that to the BB step."""
         if record.case_tag is CaseTag.LBFGS:
             return 1.0
         if record.case_tag is CaseTag.HS:
-            # aim the trial at the interpolated 1-D minimizer (exact on
-            # quadratics), fall back to the BB scale
-            step = interp_step(line, 1.0, record.gTd, params)
+            step = initial_stepsize(line, record.gTd, params, quad_like=True,
+                                    slope_fit=self.slope_fit)
             if step is not None:
                 return step
         return bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
@@ -125,7 +132,9 @@ class _Policy:
 
     def update(self, state: SolverState, record: DirectionRecord,
                line: LineFunction, result: StepResult, params: SolverParams) -> None:
-        if self.kind.tag is not BaselineTag.LBFGS:
+        if self.kind.tag is BaselineTag.HS_CG:
+            # line's phi(0) is the pre-step f
+            self.slope_fit = f_at_rounding_level(line.value(0.0), state.f)
             return
         s, y = state.s_prev, state.y_prev
         sTy, yTy = dot(s, y), dot(y, y)

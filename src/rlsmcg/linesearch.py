@@ -4,8 +4,9 @@ The sufficient-decrease test is measured against a weighted reference value
 C_k (a convex combination of past objective values) instead of f_k, which
 permits controlled nonmonotonicity; the curvature side is the usual one-sided
 Wolfe condition.  Trial steps are built from quadratic interpolation along
-the line or from one Barzilai-Borwein rule; which of them a direction gets
-is its solver's choice.
+the line, from a secant on its slopes once f's changes are at rounding
+level, or from one Barzilai-Borwein rule; which of them a direction gets is
+its solver's choice.
 """
 
 from __future__ import annotations
@@ -144,6 +145,35 @@ def interp_step(line: LineFunction, a: float, gTd: float,
     return clip_step(t, params) if t is not None and t > 0.0 else None
 
 
+def secant_step(line: LineFunction, a: float, gTd: float,
+                params: SolverParams) -> Optional[float]:
+    """Clipped zero of the line through the slopes gTd at 0 and phi'(a) at a.
+
+    The minimizer of a quadratic from its slopes alone: exact on quadratics
+    like ``interp_step``, but it reads no value of f, so rounding in f does
+    not touch it.  Evaluates g at a, not f.  None when phi'(a) - gTd is not
+    positive and finite (no convex fit).
+    """
+    denom = line.slope(a) - gTd
+    if not 0.0 < denom < math.inf:  # NaN included
+        return None
+    return clip_step(-gTd * a / denom, params)
+
+
+# a step that moved f by at most this share of |f| moved it at rounding
+# level; a relative change of f, so it has no units under f -> 2^k f
+SLOPE_FIT_REL = 1e-12
+
+
+def f_at_rounding_level(f_prev: float, f: float) -> bool:
+    """Whether the step from f_prev to f moved f by at most SLOPE_FIT_REL |f|:
+    then a value fit through phi(1) - phi(0) is mostly rounding, and a trial
+    step is fitted to slopes instead (``secant_step``).  Both sides scale by
+    exactly 2^k under f -> 2^k f, so the test has no units.  False when
+    f_prev is NaN."""
+    return abs(f - f_prev) <= SLOPE_FIT_REL * abs(f)
+
+
 def bb_fallback_stepsize(g: Vector, s_prev: Optional[Vector],
                          y_prev: Optional[Vector], params: SolverParams) -> float:
     """The Barzilai-Borwein trial step, clipped to [alpha_min, alpha_max].
@@ -222,15 +252,22 @@ def curvature_ok(slope_new: float, gTd: float, params: SolverParams) -> bool:
 # --- initial stepsize -------------------------------------------------------
 
 def initial_stepsize(line: LineFunction, gTd: float, params: SolverParams, *,
-                     quad_like: bool) -> Optional[float]:
+                     quad_like: bool, slope_fit: bool = False) -> Optional[float]:
     """Trial step along a model direction: interpolate through phi(1).
 
     The interpolated step is taken when f is quadratic-like or phi(1) stays
     within tau2 relative changes of phi(0), measured as
     |phi(1) - phi(0)| / (tau1 + |phi(0)|), which is taken only when f is
-    not quadratic-like.  None when the fit or the gate fails; the caller
-    then picks its own fallback step.
+    not quadratic-like.  With ``slope_fit`` (the last step moved f at
+    rounding level, ``f_at_rounding_level``) the secant through phi'(1)
+    comes first (``secant_step``), and the values only when it is None.
+    None when the fit or the gate fails; the caller then picks its own
+    fallback step.
     """
+    if slope_fit:
+        alpha = secant_step(line, 1.0, gTd, params)
+        if alpha is not None:
+            return alpha
     alpha = interp_step(line, 1.0, gTd, params)
     if alpha is None or quad_like:
         return alpha

@@ -26,8 +26,9 @@ from .core import (CaseTag, CountingProblem, DirectionRecord, IterType,
                    Problem, RunReport, SolverParams, SolverState, Status,
                    Vector, dot, norm_inf)
 from .linesearch import (AcceptKind, LineFunction, NonmonotoneLedger, StepResult,
-                         bb_fallback_stepsize, initial_stepsize, interp_step,
-                         ledger_update, wolfe_search)
+                         bb_fallback_stepsize, f_at_rounding_level,
+                         initial_stepsize, interp_step, ledger_update,
+                         wolfe_search)
 
 
 def update_restart_counters(iter_restart: int, iter_quad: int, t_k: float,
@@ -222,6 +223,9 @@ class Rlsmcg:
         # quadratic closeness at the current iterate (inf = no usable
         # sample yet) and the quadratic-like test on it and the one before
         self.t_k, self.quad_like = math.inf, False
+        # whether the last step moved f only at rounding level, so that a
+        # model direction's trial step is fitted to slopes
+        self.slope_fit = False
         self.iter_restart = self.iter_quad = 0
         self.prev_case: Optional[CaseTag] = None
         self.phase: Optional[Phase] = None
@@ -292,7 +296,11 @@ class Rlsmcg:
         ||g|| <= 1 and the step before was no -g, else takes the BB step.
         Every other direction interpolates through phi(1) (``initial_stepsize``)
         with a unit fallback, or the BB step while the reduced Hessian of an
-        RQN step is still the identity.
+        RQN step is still the identity.  Once the last step moved f at
+        rounding level (``f_at_rounding_level``), phi(1) - phi(0) is mostly
+        rounding; such a direction then evaluates g at 1 instead and takes
+        the secant step on the slopes, and the value rules only when the
+        slopes have no convex fit.
         """
         if record.case_tag is CaseTag.NEG_GRAD:
             step = bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
@@ -300,7 +308,8 @@ class Rlsmcg:
                     and self.prev_case not in (None, CaseTag.NEG_GRAD)):
                 return interp_step(line, step, record.gTd, params) or step
             return step
-        step = initial_stepsize(line, record.gTd, params, quad_like=self.quad_like)
+        step = initial_stepsize(line, record.gTd, params,
+                                quad_like=self.quad_like, slope_fit=self.slope_fit)
         if step is not None:
             return step
         if record.case_tag is CaseTag.RQN and self.phase.bhat.is_identity:
@@ -353,8 +362,9 @@ class Rlsmcg:
             self.phase = None  # guard or rescue replaced the reduced step
         s = state.s_prev
         self.gTs, self.sTy = dot(state.g, s), dot(s, state.y_prev)
-        t_next = smcg.quadratic_closeness(  # line's phi(0) is the pre-step f
-            line.value(0.0), state.f, self.gTs, self.sTy)
+        f_prev = line.value(0.0)  # line's phi(0) is the pre-step f
+        self.slope_fit = f_at_rounding_level(f_prev, state.f)
+        t_next = smcg.quadratic_closeness(f_prev, state.f, self.gTs, self.sTy)
         self.quad_like = smcg.is_quadratic_like(t_next, self.t_k, params)
         self.t_k = t_next
 

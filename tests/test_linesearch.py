@@ -9,10 +9,12 @@ from hypothesis.extra.numpy import arrays
 from rlsmcg import linesearch
 from rlsmcg.core import (CaseTag, CountingProblem, DirectionRecord, Problem,
                          SolverParams, SolverState, dot)
-from rlsmcg.linesearch import (AcceptKind, LineFunction, NonmonotoneLedger,
-                               _eta_rule, bb_fallback_stepsize, clip_step,
-                               curvature_ok, initial_stepsize, interp_step,
-                               ledger_update, q_next, quad_interp_min,
+from rlsmcg.linesearch import (SLOPE_FIT_REL, AcceptKind, LineFunction,
+                               NonmonotoneLedger, _eta_rule,
+                               bb_fallback_stepsize, clip_step, curvature_ok,
+                               f_at_rounding_level, initial_stepsize,
+                               interp_step, ledger_update, q_next,
+                               quad_interp_min, secant_step,
                                sufficient_decrease_ok, wolfe_search)
 from rlsmcg.solver import Phase, Rlsmcg
 from rlsmcg.subspace_rqn import SubspaceHessian
@@ -137,12 +139,14 @@ def test_initial_step_gate_measures_change_relative_to_abs_f():
 
 
 def _trial_step(line, gTd, case_tag, bb, *, quad_like=True, gnorm2=1.0,
-                phase=None):
+                phase=None, slope_fit=False):
     """``Rlsmcg.trial_step`` for a ``case_tag`` record along ``line``, after a
-    model step, with ||g||^2 = ``gnorm2``, the RQN phase ``phase`` and the
-    pair s = bb, y = 1 (BB2 = bb, taken since g's > 0)."""
+    model step, with ||g||^2 = ``gnorm2``, the RQN phase ``phase``, the pair
+    s = bb, y = 1 (BB2 = bb, taken since g's > 0) and the slope gate
+    ``slope_fit``."""
     policy = Rlsmcg()
     policy.quad_like, policy.gnorm2 = quad_like, gnorm2
+    policy.slope_fit = slope_fit
     policy.prev_case, policy.phase = CaseTag.QUAD_SUBPROBLEM, phase
     state = SolverState(k=1, x=np.zeros(1), f=line.value(0.0), g=np.ones(1),
                         s_prev=np.array([bb]), y_prev=np.ones(1))
@@ -191,6 +195,117 @@ def test_interp_step_declines_nonfinite_and_concave_data():
     assert interp_step(line, 0.5, -1.0, P) is None   # linear: no minimizer
     line = line_1d(lambda a: (a - 3.0) ** 2, lambda a: 2 * (a - 3.0), f0=9.0)
     assert interp_step(line, 1.0, -6.0, P) == pytest.approx(3.0)
+
+
+# --- the slope fit once f's changes are at rounding level ---------------------
+# phi(a) = 2^40 + h (a - 0.3)^2 / 2: one ulp of phi is 2^-12, and phi(1) -
+# phi(0) = 2e-4 rounds to one ulp, so a fit through values misses 0.3;
+# the slopes h (a - 0.3) are exact to a few ulps of 1e-3
+
+OFFSET, H, A_STAR = 2.0 ** 40, 1e-3, 0.3
+
+
+def _offset_line():
+    return line_1d(lambda a: OFFSET + 0.5 * H * (a - A_STAR) ** 2,
+                   lambda a: H * (a - A_STAR), f0=OFFSET + 0.5 * H * A_STAR ** 2,
+                   g0=-H * A_STAR)
+
+
+def test_secant_step_hits_the_minimizer_where_the_value_fit_misses():
+    gTd = -H * A_STAR
+    line = _offset_line()
+    assert line.value(1.0) - line.value(0.0) == 2.0 ** -12
+    assert abs(interp_step(line, 1.0, gTd, P) - A_STAR) > 0.01
+    line = _offset_line()
+    assert secant_step(line, 1.0, gTd, P) == pytest.approx(A_STAR, rel=1e-13)
+    # the probe evaluates g at 1, and no f
+    assert (line.problem.n_f, line.problem.n_g) == (0, 1)
+
+
+@pytest.mark.parametrize("slope1", [-H * A_STAR, -1.0, math.nan, math.inf,
+                                    -math.inf])
+def test_secant_step_without_a_convex_fit_is_none(slope1):
+    # phi'(1) - g'd is 0 (linear), negative (concave) or not finite
+    line = line_1d(lambda a: -a, lambda a: slope1 if a else -H * A_STAR, f0=0.0)
+    assert secant_step(line, 1.0, -H * A_STAR, P) is None
+
+
+def test_secant_step_is_clipped():
+    # a slope that barely rises puts the zero far past alpha_max
+    line = line_1d(lambda a: -a, lambda a: -1.0 + 1e-12 * a, f0=0.0)
+    assert secant_step(line, 1.0, -1.0, P) == P.alpha_max
+
+
+@pytest.mark.parametrize("case_tag", [CaseTag.QUAD_SUBPROBLEM, CaseTag.RQN])
+def test_trial_step_fits_slopes_only_through_the_gate(case_tag):
+    phase = Phase(basis=np.ones((1, 1)), core=np.ones((1, 1)),
+                  bhat=SubspaceHessian.identity(1, 0.0))
+    gTd = -H * A_STAR
+    fitted = _trial_step(_offset_line(), gTd, case_tag, bb=0.777,
+                         phase=phase, slope_fit=True)
+    assert fitted == pytest.approx(A_STAR, rel=1e-13)
+    by_value = _trial_step(_offset_line(), gTd, case_tag, bb=0.777,
+                           phase=phase)
+    assert by_value == interp_step(_offset_line(), 1.0, gTd, P) != fitted
+
+
+def test_trial_step_falls_back_to_the_value_rule_without_a_slope_fit():
+    # concave slopes, convex values: the gate is open, the secant declines,
+    # and the step is the value fit's (2.0) as with the gate shut
+    line = line_1d(lambda a: 0.25 * (a - 2.0) ** 2, lambda a: -1.0 - a, f0=1.0)
+    assert secant_step(line, 1.0, -1.0, P) is None
+    for slope_fit in (True, False):
+        a0 = _trial_step(line, -1.0, CaseTag.QUAD_SUBPROBLEM, bb=0.777,
+                         slope_fit=slope_fit)
+        assert a0 == pytest.approx(2.0)
+
+
+def test_neg_grad_trial_step_ignores_the_gate():
+    line = line_1d(lambda a: 0.5 * (a - 0.25) ** 2, lambda a: a - 0.25,
+                   f0=0.5 * 0.25 ** 2)
+    a0 = _trial_step(line, -0.25, CaseTag.NEG_GRAD, bb=0.321, gnorm2=4.0,
+                     slope_fit=True)
+    assert a0 == 0.321 and line.problem.n_g == 0
+
+
+@pytest.mark.parametrize("slope_fit", [True, False])
+def test_hs_trial_step_fits_slopes_only_through_the_gate(slope_fit):
+    from rlsmcg.baselines import BaselineKind, BaselineTag, _Policy
+    policy = _Policy(BaselineKind(BaselineTag.HS_CG))
+    policy.slope_fit = slope_fit
+    line, gTd = _offset_line(), -H * A_STAR
+    state = SolverState(k=1, x=np.zeros(1), f=line.value(0.0),
+                        g=np.array([gTd]), s_prev=np.ones(1), y_prev=np.ones(1))
+    record = DirectionRecord(d=line.d, case_tag=CaseTag.HS, gTd=gTd)
+    a0 = policy.trial_step(line, state, record, P)
+    if slope_fit:
+        assert a0 == pytest.approx(A_STAR, rel=1e-13)
+        assert (line.problem.n_f, line.problem.n_g) == (0, 1)
+    else:
+        assert a0 == interp_step(_offset_line(), 1.0, gTd, P)
+        assert (line.problem.n_f, line.problem.n_g) == (1, 0)
+
+
+def test_rounding_level_gate_hand_values():
+    assert SLOPE_FIT_REL == 1e-12
+    assert f_at_rounding_level(1.0 + 2.0 ** -40, 1.0)      # 9.1e-13
+    assert not f_at_rounding_level(1.0 + 2.0 ** -39, 1.0)  # 1.8e-12
+    assert f_at_rounding_level(-5.0, -5.0)
+    assert f_at_rounding_level(0.0, 0.0)
+    assert not f_at_rounding_level(math.nan, 1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(m=st.floats(1.0, 2.0, exclude_max=True), sign=st.sampled_from([1, -1]),
+       e=st.integers(-100, 100), ulps=st.integers(-9000, 9000),
+       k=st.sampled_from([10, -10]))
+def test_rounding_level_gate_has_no_units(m, sign, e, ulps, k):
+    # f_prev up to 9,000 ulps from f straddles SLOPE_FIT_REL |f| = 1e-12 |f|,
+    # 4,500 to 9,000 ulps; scaling both by 2^k is exact and keeps the answer
+    f = sign * math.ldexp(m, e)
+    f_prev = f + ulps * math.ulp(f)
+    assert (f_at_rounding_level(math.ldexp(f_prev, k), math.ldexp(f, k))
+            == f_at_rounding_level(f_prev, f))
 
 
 # --- ledger ----------------------------------------------------------------------
@@ -566,16 +681,26 @@ def test_points_apart_by_the_sign_of_a_zero_share_nothing(n, a):
 
 @pytest.mark.parametrize("solver", ["rlsmcg", "hs", "lbfgs"])
 def test_a_solve_evaluates_each_point_once_and_keeps_every_step(
-        solver, load_script):
-    # on dense_quad(100) seed 1 the searches of rlsmcg and hs reach steps
-    # whose points round to an earlier trial's, and never to a point of an
-    # earlier line; the solve must equal, record for record, the same solve
-    # over evaluators that answer a repeated point from a memo
+        solver, load_script, monkeypatch):
+    # on dense_quad(20) seed 18 to a tolerance of 1e-8 the searches of
+    # rlsmcg and hs reach steps whose points round to an earlier trial's,
+    # and never to a point of an earlier line (lbfgs, which reaches one
+    # there, runs dense_quad(100) seed 1 to the default tolerance); the
+    # solve must equal, record for record, the same solve over evaluators
+    # that answer a repeated point from a memo
     from rlsmcg.bench import SOLVERS
     from rlsmcg.problems import dense_quadratic
     digest = load_script("tools/trace_digest.py", "trace_digest").digest
-    prob = dense_quadratic(100, 1)
+    prob, params = ((dense_quadratic(100, 1), None) if solver == "lbfgs" else
+                    (dense_quadratic(20, 18), SolverParams(grad_tol=1e-8)))
     seen = {"f": [], "g": []}
+    shared = []
+    share = LineFunction.share
+
+    def counted_share(line, a, b):
+        shared.append(share(line, a, b))
+        return shared[-1]
+    monkeypatch.setattr(LineFunction, "share", counted_share)
 
     def recorded(kind, fn):
         def ev(x):
@@ -595,12 +720,14 @@ def test_a_solve_evaluates_each_point_once_and_keeps_every_step(
 
     plain = digest(SOLVERS[solver],
                    Problem(prob.name, prob.dim, recorded("f", prob.eval_f),
-                           recorded("g", prob.eval_g), prob.x0))
+                           recorded("g", prob.eval_g), prob.x0), params)
+    if solver != "lbfgs":  # the premise: some step took an earlier one's point
+        assert any(shared)
     for kind in ("f", "g"):
         assert len(set(seen[kind])) == len(seen[kind])
     memo = digest(SOLVERS[solver],
                   Problem(prob.name, prob.dim, memoized(prob.eval_f),
-                          memoized(prob.eval_g), prob.x0))
+                          memoized(prob.eval_g), prob.x0), params)
     assert plain == memo
 
 

@@ -822,3 +822,16 @@ def test_descent_margin_and_gradient_norms_are_taken_once(monkeypatch):
         report, trace = run_with_trace(get_problem(name))
         accels = sum(rec.accel_accepted for rec in trace)
         assert calls == {"margin": 1, "norm": 1 + report.n_iter + accels}
+
+
+@pytest.mark.parametrize("n, seed", [(100, 2), (200, 2), (300, 1)])
+@pytest.mark.parametrize("solver", ["rlsmcg", "hs"])
+def test_dense_quadratics_finish_once_steps_are_fitted_to_slopes(solver, n, seed):
+    # near the end of these solves each step moves f by a few ulps of f, a
+    # value fit through phi(1) misses the line minimizer, and the search
+    # stopped with linesearch_fail short of the tolerance; fitted to slopes,
+    # the trial steps stay exact and the solves converge
+    from rlsmcg.bench import SOLVERS
+    from rlsmcg.problems import dense_quadratic
+    report = SOLVERS[solver](dense_quadratic(n, seed))
+    assert report.status is Status.CONVERGED
