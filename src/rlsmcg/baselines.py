@@ -20,7 +20,7 @@ import numpy as np
 from .core import (CaseTag, DirectionRecord, Problem, RunReport, SolverParams,
                    SolverState, Vector, dot, norm_inf)
 from .linesearch import (LineFunction, StepResult, bb_fallback_stepsize,
-                         f_at_rounding_level, initial_stepsize)
+                         initial_stepsize)
 # not called here; tools that time the layers patch these names in this module
 from .linesearch import ledger_update, wolfe_search  # noqa: F401
 from .smcg_direction import hs_direction, neg_grad_record
@@ -90,8 +90,6 @@ class _Policy:
     def __init__(self, kind: BaselineKind):
         self.kind = kind
         self.pairs = PairMemory()
-        # whether the last step moved f only at rounding level (HS only)
-        self.slope_fit = False
 
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
         g = state.g
@@ -116,7 +114,7 @@ class _Policy:
             return 1.0
         if record.case_tag is CaseTag.HS:
             step = initial_stepsize(line, record.gTd, params, quad_like=True,
-                                    slope_fit=self.slope_fit)
+                                    slope_fit=state.slope_fit)
             if step is not None:
                 return step
         return bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
@@ -133,8 +131,6 @@ class _Policy:
     def update(self, state: SolverState, record: DirectionRecord,
                line: LineFunction, result: StepResult, params: SolverParams) -> None:
         if self.kind.tag is BaselineTag.HS_CG:
-            # line's phi(0) is the pre-step f
-            self.slope_fit = f_at_rounding_level(line.value(0.0), state.f)
             return
         s, y = state.s_prev, state.y_prev
         sTy, yTy = dot(s, y), dot(y, y)

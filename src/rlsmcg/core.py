@@ -330,5 +330,7 @@ class SolverState:
     d_prev: Optional[Vector] = None
     # nonmonotone reference value and weight (a linesearch.NonmonotoneLedger)
     ledger: Optional[object] = None
+    # the last step moved f at rounding level: model trial steps fit slopes
+    slope_fit: bool = False
     # consecutive line-search fallbacks, for the failure escalation rule
     backtrack_strikes: int = 0

@@ -138,10 +138,7 @@ def interp_step(line: LineFunction, a: float, gTd: float,
 
     None when phi(a) is not finite or the fit has no positive minimizer.
     """
-    phi_a = line.value(a)
-    if not math.isfinite(phi_a):
-        return None
-    t = quad_interp_min(line.value(0.0), gTd, phi_a, a)
+    t = quad_interp_min(line.value(0.0), gTd, line.value(a), a)
     return clip_step(t, params) if t is not None and t > 0.0 else None
 
 

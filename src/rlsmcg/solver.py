@@ -85,13 +85,15 @@ def accept(state: SolverState, d: Vector, x_next: Vector, f_next: float,
            g_next: Vector, gnorm_inf: float) -> Optional[Status]:
     """Move to ``x_next`` after a step along ``d``: advance C_k, keep the
     direction as ``d_prev`` and shift (s, y), the iterate and its gradient
-    max-norm ``gnorm_inf``, which is ``norm_inf(g_next)``.  Returns
+    max-norm ``gnorm_inf``, which is ``norm_inf(g_next)``, and set
+    ``slope_fit`` when the step moved f at rounding level.  Returns
     NUMERIC_FAIL, with ``state`` untouched, when f or g is not finite there
     (g is not exactly when its max-norm is not), else None.
     """
     if not (math.isfinite(f_next) and math.isfinite(gnorm_inf)):
         return Status.NUMERIC_FAIL
     state.ledger = ledger_update(state.ledger, f_next)
+    state.slope_fit = f_at_rounding_level(state.f, f_next)
     state.d_prev = d
     state.s_prev = x_next - state.x
     state.y_prev = g_next - state.g
@@ -223,9 +225,6 @@ class Rlsmcg:
         # quadratic closeness at the current iterate (inf = no usable
         # sample yet) and the quadratic-like test on it and the one before
         self.t_k, self.quad_like = math.inf, False
-        # whether the last step moved f only at rounding level, so that a
-        # model direction's trial step is fitted to slopes
-        self.slope_fit = False
         self.iter_restart = self.iter_quad = 0
         self.prev_case: Optional[CaseTag] = None
         self.phase: Optional[Phase] = None
@@ -309,7 +308,7 @@ class Rlsmcg:
                 return interp_step(line, step, record.gTd, params) or step
             return step
         step = initial_stepsize(line, record.gTd, params,
-                                quad_like=self.quad_like, slope_fit=self.slope_fit)
+                                quad_like=self.quad_like, slope_fit=state.slope_fit)
         if step is not None:
             return step
         if record.case_tag is CaseTag.RQN and self.phase.bhat.is_identity:
@@ -363,7 +362,6 @@ class Rlsmcg:
         s = state.s_prev
         self.gTs, self.sTy = dot(state.g, s), dot(s, state.y_prev)
         f_prev = line.value(0.0)  # line's phi(0) is the pre-step f
-        self.slope_fit = f_at_rounding_level(f_prev, state.f)
         t_next = smcg.quadratic_closeness(f_prev, state.f, self.gTs, self.sTy)
         self.quad_like = smcg.is_quadratic_like(t_next, self.t_k, params)
         self.t_k = t_next

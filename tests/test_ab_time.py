@@ -47,7 +47,8 @@ def test_a_cell_whose_counts_differ_is_refused(ab_time, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("cell", ["hs:quad_diag(10", "nosuch:quad_diag(10)",
-                                  "hs:nosuch(3)"])
+                                  "hs:nosuch(3)", "hs:ext_rosenbrock(3)",
+                                  "hs:sphere(0)"])
 def test_a_malformed_cell_is_refused(ab_time, capsys, cell):
     assert ab_time.main(["ab_time.py", str(SRC), str(SRC), cell]) == 2
     assert capsys.readouterr().err.startswith("error:")

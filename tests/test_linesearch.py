@@ -143,13 +143,13 @@ def _trial_step(line, gTd, case_tag, bb, *, quad_like=True, gnorm2=1.0,
     """``Rlsmcg.trial_step`` for a ``case_tag`` record along ``line``, after a
     model step, with ||g||^2 = ``gnorm2``, the RQN phase ``phase``, the pair
     s = bb, y = 1 (BB2 = bb, taken since g's > 0) and the slope gate
-    ``slope_fit``."""
+    ``slope_fit`` on the state."""
     policy = Rlsmcg()
     policy.quad_like, policy.gnorm2 = quad_like, gnorm2
-    policy.slope_fit = slope_fit
     policy.prev_case, policy.phase = CaseTag.QUAD_SUBPROBLEM, phase
     state = SolverState(k=1, x=np.zeros(1), f=line.value(0.0), g=np.ones(1),
-                        s_prev=np.array([bb]), y_prev=np.ones(1))
+                        s_prev=np.array([bb]), y_prev=np.ones(1),
+                        slope_fit=slope_fit)
     record = DirectionRecord(d=line.d, case_tag=case_tag, gTd=gTd)
     return policy.trial_step(line, state, record, P)
 
@@ -272,10 +272,10 @@ def test_neg_grad_trial_step_ignores_the_gate():
 def test_hs_trial_step_fits_slopes_only_through_the_gate(slope_fit):
     from rlsmcg.baselines import BaselineKind, BaselineTag, _Policy
     policy = _Policy(BaselineKind(BaselineTag.HS_CG))
-    policy.slope_fit = slope_fit
     line, gTd = _offset_line(), -H * A_STAR
     state = SolverState(k=1, x=np.zeros(1), f=line.value(0.0),
-                        g=np.array([gTd]), s_prev=np.ones(1), y_prev=np.ones(1))
+                        g=np.array([gTd]), s_prev=np.ones(1), y_prev=np.ones(1),
+                        slope_fit=slope_fit)
     record = DirectionRecord(d=line.d, case_tag=CaseTag.HS, gTd=gTd)
     a0 = policy.trial_step(line, state, record, P)
     if slope_fit:

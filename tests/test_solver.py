@@ -700,7 +700,7 @@ def _state_after_steps(n_steps=3):
 def _snapshot(state):
     return (state.k, state.x.tobytes(), state.f, state.g.tobytes(),
             state.gnorm_inf, state.ledger, state.s_prev.tobytes(),
-            state.y_prev.tobytes(), state.d_prev.tobytes())
+            state.y_prev.tobytes(), state.d_prev.tobytes(), state.slope_fit)
 
 
 @pytest.mark.parametrize("bad", ["f_nan", "g_nan", "g_pinf", "g_ninf"])
@@ -726,6 +726,26 @@ def test_accept_rejects_a_non_finite_trial_and_leaves_state_untouched(bad):
 def test_accept_advances_the_gradient_max_norm_with_the_gradient():
     state = _state_after_steps()
     assert state.gnorm_inf == float(np.max(np.abs(state.g)))
+
+
+@pytest.mark.parametrize("solver", sorted(_RESCUE_POLICIES))
+def test_accept_sets_the_slope_gate_from_the_step_just_taken(solver):
+    # the shared iteration, not the policy, decides once per step whether f
+    # moved at rounding level; on this instance some steps open the gate
+    from rlsmcg.linesearch import f_at_rounding_level
+    from rlsmcg.problems import dense_quadratic
+    prob = dense_quadratic(20, 0)
+    params = P.resolve(prob.dim)
+    cp = CountingProblem(prob)
+    state = initial_state(cp)
+    policy = _RESCUE_POLICIES[solver]()
+    opened = 0
+    while state.gnorm_inf > params.grad_tol:
+        f_before = state.f
+        assert policy_step(policy, state, cp, params, traced=False)[0] is None
+        assert state.slope_fit == f_at_rounding_level(f_before, state.f)
+        opened += state.slope_fit
+    assert opened > 0
 
 
 def test_policy_memory_holds_the_last_directions_taken():

@@ -50,7 +50,8 @@ def load_tree(src_dir: str, name: str):
 
 def cell_runs(cell: str, trees) -> list:
     """(solve, problem) of ``cell`` in each tree; KeyError when the cell is
-    malformed or names no solver or problem there."""
+    malformed or names no solver or problem there, ValueError when the
+    family refuses its dimension."""
     m = _CELL_RE.match(cell)
     if not m:
         raise KeyError(f"cell {cell!r} is not of the form solver:family(dim)")
@@ -97,7 +98,7 @@ def main(argv) -> int:
     for cell in args.cells:
         try:
             runs = cell_runs(cell, trees)
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
         first = [(r.n_iter, r.n_f, r.n_g, r.status.value)
