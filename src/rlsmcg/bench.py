@@ -206,8 +206,9 @@ def _column_value(key: str, value: str):
 def read_results_csv(path: str) -> List[dict]:
     """The rows ``write_results_csv`` wrote, with or without ``us_per_iter``;
     ConfigError naming the line and column of a value that is missing, does
-    not parse, or is out of range: a count below 0, a ``dim`` below 1, or a
-    time or gradient norm that is negative or not finite."""
+    not parse, or is out of range: a count below 0, a ``dim`` below 1, a
+    time or gradient norm that is negative or not finite, or a ``status``
+    that is no ``Status`` value."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         columns = list(RESULT_HEADER)
@@ -222,6 +223,8 @@ def read_results_csv(path: str) -> List[dict]:
                         raise ValueError
                     if key in _NUMERIC_COLUMNS:
                         row[key] = _column_value(key, value)
+                    elif key == "status":
+                        Status(value)
                 except ValueError:
                     raise ConfigError(f"{path}, line {reader.line_num}: "
                                       f"missing or malformed {key!r}: "

@@ -54,11 +54,9 @@ class LineFunction:
 
     ``problem`` (a CountingProblem) counts the evaluations.  Each step's
     point x + a d is built once, and its f, its g and the caller's landing
-    point share it.  The origin's point is x itself; seeding it with the
-    already-known (f, g) keeps the evaluation accounting honest: phi(0) and
-    phi'(0) never re-evaluate.  A step that ``share`` finds at an earlier
-    step's point, byte for byte, takes that step's point, f, g and slope:
-    the two evaluate f and g once between them.
+    point all use that one array.  The origin's point is x itself; seeding
+    it with the already-known (f, g) keeps the evaluation accounting honest:
+    phi(0) and phi'(0) never re-evaluate.
     """
 
     def __init__(self, problem, x: Vector, d: Vector,
@@ -70,8 +68,6 @@ class LineFunction:
         self._f_cache = {} if f0 is None else {0.0: float(f0)}
         self._g_cache = {} if g0 is None else {0.0: np.asarray(g0, dtype=float)}
         self._slope_cache = {}
-        # step -> an earlier step whose point it is; no chain closes a cycle
-        self._same = {}
 
     def point(self, a: float) -> Vector:
         x_a = self._points.get(a)
@@ -82,17 +78,13 @@ class LineFunction:
     def value(self, a: float) -> float:
         f_a = self._f_cache.get(a)
         if f_a is None:
-            b = self._same.get(a)
-            f_a = self._f_cache[a] = (self.problem.f(self.point(a)) if b is None
-                                      else self.value(b))
+            f_a = self._f_cache[a] = self.problem.f(self.point(a))
         return f_a
 
     def gradient(self, a: float) -> Vector:
         g_a = self._g_cache.get(a)
         if g_a is None:
-            b = self._same.get(a)
-            g_a = self._g_cache[a] = (self.problem.g(self.point(a)) if b is None
-                                      else self.gradient(b))
+            g_a = self._g_cache[a] = self.problem.g(self.point(a))
         return g_a
 
     def slope(self, a: float) -> float:
@@ -100,21 +92,6 @@ class LineFunction:
         if s_a is None:
             s_a = self._slope_cache[a] = float(self.gradient(a).dot(self.d))
         return s_a
-
-    def share(self, a: float, b: float) -> bool:
-        """Whether step a's point is step b's, byte for byte (so +0.0 and
-        -0.0, or two NaN payloads, differ).  If so, a takes b's point, and
-        its f and g are b's, each evaluated once for both.  A value a holds
-        already is kept: it is b's to the bit, as the points are equal."""
-        x_b = self.point(b)
-        if self.point(a).tobytes() != x_b.tobytes():
-            return False
-        # a search that reuses the line may find a step it shared before
-        while b in self._same:
-            b = self._same[b]
-        if b != a:
-            self._same[a], self._points[a] = b, x_b
-        return True
 
 
 def quad_interp_min(phi0: float, dphi0: float, phi_a: float, a: float) -> Optional[float]:
@@ -157,7 +134,7 @@ def secant_step(line: LineFunction, a: float, gTd: float,
     return clip_step(-gTd * a / denom, params)
 
 
-# a step that moved f by at most this share of |f| moved it at rounding
+# a step that moved f by at most this fraction of |f| moved it at rounding
 # level; a relative change of f, so it has no units under f -> 2^k f
 SLOPE_FIT_REL = 1e-12
 
@@ -285,13 +262,7 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
 
     A failed decrease test shrinks the bracket; a failed curvature test
     (slope still steeply negative) expands it.  Gradients are evaluated only
-    at points that already pass the decrease test, and f and g at most once
-    per distinct point: from the second trial on, a step whose point x + a d
-    rounds to the point of the bracket end ``lo`` or ``hi`` takes that end's
-    values (``LineFunction.share``).  Each component of x + a d is monotone
-    in a, and every earlier trial lies outside (lo, hi), so a trial at any
-    earlier trial's point is at lo's or hi's.  The first trial, which ends
-    most searches, is not checked.  If no acceptable point is
+    at points that already pass the decrease test.  If no acceptable point is
     found in MAX_ROUNDS rounds, the best trial that at least stayed below C_k
     is returned, flagged MAX_BACKTRACK (alpha None when not even that exists).
     f and g at a returned step are evaluated, so ``line`` holds both.
@@ -346,8 +317,6 @@ def wolfe_search(line: LineFunction, alpha0: float, ledger: NonmonotoneLedger,
             if cand is None or not (lo + 0.1 * span <= cand <= lo + 0.9 * span):
                 cand = lo + 0.5 * span
             alpha = cand
-        if not line.share(alpha, lo) and hi is not None:
-            line.share(alpha, hi)
 
     if best_alpha is not None:
         line.gradient(best_alpha)

@@ -150,10 +150,9 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
     fields it owns (``trace_fields`` of the direction taken).  A search that
     hit its backtracking cap is taken once; a second one in a row, or one
     with no point below C_k, reruns along -g from ``bb_fallback_stepsize``,
-    whatever the policy; after a search along -g, on that search's line, so
-    the steps the two try alike are evaluated once.  Where -g is needed but
-    its g'd = -g'g is not negative, as when g'g underflows to zero, float64
-    cannot certify descent along it and the step fails with NUMERIC_FAIL.
+    whatever the policy.  Where -g is needed but its g'd = -g'g is not
+    negative, as when g'g underflows to zero, float64 cannot certify descent
+    along it and the step fails with NUMERIC_FAIL.
     Returns the failure status (None when the step was taken) and, when
     ``traced``, the record.
     """
@@ -177,9 +176,7 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
         if not record.gTd < 0.0:
             status = Status.NUMERIC_FAIL
         else:
-            if line.d.tobytes() != record.d.tobytes():  # else reuse its values
-                line = LineFunction(cp, state.x, record.d, f0=state.f,
-                                    g0=state.g)
+            line = LineFunction(cp, state.x, record.d, f0=state.f, g0=state.g)
             alpha0 = bb_fallback_stepsize(state.g, state.s_prev, state.y_prev,
                                           params)
             result = wolfe_search(line, alpha0, ledger, record.gTd, params)

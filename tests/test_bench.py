@@ -268,14 +268,16 @@ _GOOD_ROW = {"solver": "hs", "problem": "sphere(5)", "dim": "5", "n_iter": "1",
     ("us_per_iter", "-inf", False), ("us_per_iter", "-1", False),
     ("n_iter", "-1", False), ("n_f", "-1", False), ("n_g", "-5", False),
     ("dim", "0", False), ("final_gnorm_inf", "-1e-9", False),
-    ("final_gnorm_inf", "inf", False),
+    ("final_gnorm_inf", "inf", False), ("status", "convergd", False),
+    ("status", "iter_cap", True),
     # what a run from a start that is not finite writes, a run that starts
     # at the tolerance, and one timed below a microsecond
     ("final_gnorm_inf", "nan", True), ("n_iter", "0", True),
     ("wall_time_s", "0.000000", True),
 ])
 def test_results_csv_rejects_numbers_out_of_range(tmp_path, key, value, ok):
-    # a nan time or a negative count would win the profile's ratio test
+    # a nan time or a negative count would win the profile's ratio test,
+    # and a misspelt status would score its cell unsolved
     path = tmp_path / "r.csv"
     path.write_text(",".join(_GOOD_ROW) + "\n"
                     + ",".join({**_GOOD_ROW, key: value}.values()) + "\n")

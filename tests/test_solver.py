@@ -181,54 +181,6 @@ def test_every_solver_starts_its_rescue_from_the_same_step(
     assert alpha0 == rescue_alpha0
 
 
-class _SteepestFromTheRescueStep(_HalfStepDescent):
-    """Steepest descent whose trial step is the rescue's own."""
-
-    __slots__ = ()
-
-    def trial_step(self, line, state, record, params):
-        return solver_module.bb_fallback_stepsize(state.g, state.s_prev,
-                                                  state.y_prev, params)
-
-
-class _DoubledSteepest(_SteepestFromTheRescueStep):
-    """The same along -2g, a line whose direction is not -g's bytes."""
-
-    __slots__ = ()
-
-    def direction(self, state, params):
-        d = -2.0 * state.g
-        return DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(state.g, d))
-
-
-@pytest.mark.parametrize("policy, reused", [
-    (_SteepestFromTheRescueStep(), True), (_DoubledSteepest(), False)],
-    ids=["minus_g", "minus_2g"])
-def test_a_rescue_after_a_search_along_minus_g_reuses_its_line(
-        monkeypatch, policy, reused):
-    # f >= 1 everywhere and C_k is planted at 0, so both searches fail.
-    # After a search along -g itself, the rescue reruns it on the same line
-    # and evaluates nothing
-    x0 = np.ones(2)
-    prob = Problem("offset_sphere", 2, lambda x: 0.5 * dot(x, x) + 1.0,
-                   lambda x: x.copy(), x0)
-    cp = CountingProblem(prob)
-    state = initial_state(cp)
-    state.ledger = state.ledger._replace(Ck=0.0)
-    lines, counts = [], []
-
-    def spy(line, alpha0, ledger, gTd, params):
-        lines.append(line)
-        result = wolfe_search(line, alpha0, ledger, gTd, params)
-        counts.append((cp.n_f, cp.n_g))
-        return result
-    monkeypatch.setattr(solver_module, "wolfe_search", spy)
-    status, rec = policy_step(policy, state, cp, P.resolve(2))
-    assert status is Status.LINESEARCH_FAIL and rec.rescued
-    assert (lines[0] is lines[1]) is reused
-    assert (counts[0] == counts[1]) is reused
-
-
 def test_a_direction_with_no_finite_slope_is_replaced_by_steepest_descent():
     # no point of the line but x itself has a finite f, so a search along d
     # only backtracks; the driver searches along -g from the start instead
