@@ -1,11 +1,12 @@
 """Reference solvers, run on the main solver's driver.
 
-Two classics for comparison runs: Hestenes-Stiefel conjugate gradients and
-limited-memory BFGS (two-loop recursion).  Each supplies only a search
-direction, a trial step and, for L-BFGS, its pair memory.  Everything else
-(the evaluation counting, the nonmonotone Wolfe search with its -g rescue
-from the BB fallback step, the termination tests and the trace records) is
-the main solver's own, so reported counters are directly comparable.
+Two classics for comparison runs: Hestenes-Stiefel conjugate gradients with
+Powell restarts and limited-memory BFGS (two-loop recursion).  Each supplies
+only a search direction, a trial step and, for L-BFGS, its pair memory.
+Everything else (the evaluation counting, the nonmonotone Wolfe search with
+its -g rescue from the BB fallback step, the termination tests and the
+trace records) is the main solver's own, so reported counters are directly
+comparable.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .core import (CaseTag, DirectionRecord, Problem, RunReport, SolverParams,
                    SolverState, Vector, dot, norm_inf)
 from .linesearch import (LineFunction, StepResult, bb_fallback_stepsize,
-                         initial_stepsize)
+                         clip_step, initial_stepsize)
 # not called here; tools that time the layers patch these names in this module
 from .linesearch import ledger_update, wolfe_search  # noqa: F401
 from .smcg_direction import hs_direction, neg_grad_record
@@ -41,6 +42,8 @@ class BaselineKind:
 LBFGS_MEMORY = 11
 # pairs with s'y below this times ||s|| ||y|| are skipped (curvature too weak)
 LBFGS_SKIP = 1e-10
+# HS restarts along -g once |g'g_prev| >= this times g'g (Powell, 1977)
+POWELL_RESTART = 0.2
 
 
 class PairMemory:
@@ -90,10 +93,18 @@ class _Policy:
     def __init__(self, kind: BaselineKind):
         self.kind = kind
         self.pairs = PairMemory()
+        # alpha g'd of the last step, from which HS scales its first trial
+        self.alpha_gTd = math.nan
 
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
+        """HS, or its restart along -g (beta = 0) when g'g_prev = g'g - g'y
+        is no longer small against g'g; L-BFGS's two-loop once it holds a
+        pair; else -g."""
         g = state.g
         if self.kind.tag is BaselineTag.HS_CG and state.d_prev is not None:
+            gTg = dot(g, g)
+            if abs(gTg - dot(g, state.y_prev)) >= POWELL_RESTART * gTg:
+                return DirectionRecord(d=-g, case_tag=CaseTag.HS, gTd=-gTg)
             d = hs_direction(g, state.y_prev, state.d_prev)
             if d is not None:
                 return DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(g, d))
@@ -104,17 +115,20 @@ class _Policy:
 
     def trial_step(self, line: LineFunction, state: SolverState,
                    record: DirectionRecord, params: SolverParams) -> float:
-        """L-BFGS tries the unit step, and -g the BB step.  HS aims at the
-        1-D minimizer through phi(1), exact on quadratics, with no tau2 gate
-        (``initial_stepsize`` as if quadratic-like), or, once the last step
-        moved f only at rounding level, through the slope phi'(1), which no
-        rounding in f touches.  The secant falls back to the value fit, and
-        that to the BB step."""
+        """L-BFGS tries the unit step, and -g the BB step.  HS probes at
+        a = alpha_{k-1} g_{k-1}'d_{k-1} / g'd (Nocedal & Wright, 3.60),
+        which keeps the last step's first-order decrease and, unlike 1, has
+        no units of d.  From phi(a) it aims at the 1-D minimizer, exact on
+        quadratics, with no tau2 gate (``initial_stepsize`` as if
+        quadratic-like), or, once the last step moved f only at rounding
+        level, from the slope phi'(a), which no rounding in f touches.  The
+        secant falls back to the value fit, and that to the BB step."""
         if record.case_tag is CaseTag.LBFGS:
             return 1.0
         if record.case_tag is CaseTag.HS:
+            at = clip_step(self.alpha_gTd / record.gTd, params)
             step = initial_stepsize(line, record.gTd, params, quad_like=True,
-                                    slope_fit=state.slope_fit)
+                                    slope_fit=state.slope_fit, at=at)
             if step is not None:
                 return step
         return bb_fallback_stepsize(state.g, state.s_prev, state.y_prev, params)
@@ -131,10 +145,13 @@ class _Policy:
     def update(self, state: SolverState, record: DirectionRecord,
                line: LineFunction, result: StepResult, params: SolverParams) -> None:
         if self.kind.tag is BaselineTag.HS_CG:
+            self.alpha_gTd = result.alpha * record.gTd
             return
         s, y = state.s_prev, state.y_prev
         sTy, yTy = dot(s, y), dot(y, y)
-        if sTy > LBFGS_SKIP * math.sqrt(dot(s, s)) * math.sqrt(yTy):
+        # a y'y that underflows to 0 would pass any s'y > 0 and leave no
+        # seed scale s'y / y'y
+        if yTy > 0.0 and sTy > LBFGS_SKIP * math.sqrt(dot(s, s)) * math.sqrt(yTy):
             self.pairs.push(s, y, sTy, yTy)
 
 

@@ -226,27 +226,28 @@ def curvature_ok(slope_new: float, gTd: float, params: SolverParams) -> bool:
 # --- initial stepsize -------------------------------------------------------
 
 def initial_stepsize(line: LineFunction, gTd: float, params: SolverParams, *,
-                     quad_like: bool, slope_fit: bool = False) -> Optional[float]:
-    """Trial step along a model direction: interpolate through phi(1).
+                     quad_like: bool, slope_fit: bool = False,
+                     at: float = 1.0) -> Optional[float]:
+    """Trial step along a model direction: interpolate through phi(``at``).
 
-    The interpolated step is taken when f is quadratic-like or phi(1) stays
+    The interpolated step is taken when f is quadratic-like or phi(at) stays
     within tau2 relative changes of phi(0), measured as
-    |phi(1) - phi(0)| / (tau1 + |phi(0)|), which is taken only when f is
+    |phi(at) - phi(0)| / (tau1 + |phi(0)|), which is taken only when f is
     not quadratic-like.  With ``slope_fit`` (the last step moved f at
-    rounding level, ``f_at_rounding_level``) the secant through phi'(1)
+    rounding level, ``f_at_rounding_level``) the secant through phi'(at)
     comes first (``secant_step``), and the values only when it is None.
     None when the fit or the gate fails; the caller then picks its own
     fallback step.
     """
     if slope_fit:
-        alpha = secant_step(line, 1.0, gTd, params)
+        alpha = secant_step(line, at, gTd, params)
         if alpha is not None:
             return alpha
-    alpha = interp_step(line, 1.0, gTd, params)
+    alpha = interp_step(line, at, gTd, params)
     if alpha is None or quad_like:
         return alpha
     phi0 = line.value(0.0)
-    varpi = abs(line.value(1.0) - phi0) / (params.tau1 + abs(phi0))
+    varpi = abs(line.value(at) - phi0) / (params.tau1 + abs(phi0))
     return alpha if varpi <= params.tau2 else None
 
 

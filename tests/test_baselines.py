@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from rlsmcg.baselines import (BaselineKind, BaselineTag, PairMemory, lbfgs_two_loop,
-                              run_baseline)
-from rlsmcg.core import IterType, Problem, SolverParams, Status
-from rlsmcg.problems import get_problem
+from rlsmcg.baselines import (POWELL_RESTART, BaselineKind, BaselineTag,
+                              PairMemory, _Policy, lbfgs_two_loop, run_baseline)
+from rlsmcg.core import (CaseTag, IterType, Problem, SolverParams, SolverState,
+                         Status, dot)
+from rlsmcg.problems import get_problem, scaled
+from rlsmcg.smcg_direction import hs_direction
 from rlsmcg.solver import TraceRecord
 
 
@@ -141,12 +145,14 @@ def test_failed_baseline_step_reaches_the_hook():
 
 # exact (n_iter, n_f, n_g) of each baseline; the shared driver must keep them
 PINNED_COUNTS = {
-    "broyden_tridiag(100)": {"hs": (39, 78, 40), "lbfgs": (29, 30, 30)},
-    "ext_rosenbrock(1000)": {"hs": (471, 1042, 510), "lbfgs": (62, 72, 65)},
-    "powell_singular(4)": {"hs": (226, 458, 227), "lbfgs": (47, 48, 48)},
-    "quad_diag(10)": {"hs": (65, 130, 66), "lbfgs": (114, 115, 115)},
-    "quad_hilbert(6)": {"hs": (38, 76, 39), "lbfgs": (46, 47, 47)},
-    "trigonometric(10)": {"hs": (29, 62, 30), "lbfgs": (29, 36, 30)},
+    "broyden_tridiag(100)": {"hs": (28, 56, 29), "lbfgs": (29, 30, 30)},
+    # hs took 10,695 gradients here before its Powell restart and N&W probe
+    "ext_rosenbrock(10)": {"hs": (37, 84, 45), "lbfgs": (62, 72, 65)},
+    "ext_rosenbrock(1000)": {"hs": (37, 84, 45), "lbfgs": (62, 72, 65)},
+    "powell_singular(4)": {"hs": (69, 138, 70), "lbfgs": (47, 48, 48)},
+    "quad_diag(10)": {"hs": (12, 24, 13), "lbfgs": (114, 115, 115)},
+    "quad_hilbert(6)": {"hs": (8, 16, 9), "lbfgs": (46, 47, 47)},
+    "trigonometric(10)": {"hs": (35, 74, 36), "lbfgs": (29, 36, 30)},
 }
 
 
@@ -156,3 +162,51 @@ def test_baseline_counts_are_pinned(name, tag):
     rep = run_baseline(BaselineKind(tag), get_problem(name))
     assert rep.status is Status.CONVERGED
     assert (rep.n_iter, rep.n_f, rep.n_g) == PINNED_COUNTS[name][tag.value]
+
+
+def test_hs_converges_on_scaled_palmer_within_300_gradients():
+    # the N&W probe is scale-free, so f 2^-10 costs about what f costs;
+    # the probe at 1 took 158,529 gradients here
+    params = SolverParams(grad_tol=math.ldexp(1e-6, -10))
+    rep = run_baseline(BaselineKind(BaselineTag.HS_CG),
+                       scaled(get_problem("palmer_poly(8)"), -10), params)
+    assert rep.status is Status.CONVERGED
+    assert rep.n_g <= 300
+
+
+def _hs_state(t):
+    # g = (1, 0) after g_prev = (t, 1): g'g = 1 and g'g_prev = t
+    g, g_prev = np.array([1.0, 0.0]), np.array([t, 1.0])
+    return SolverState(k=1, x=np.zeros(2), f=0.0, g=g, s_prev=-g_prev,
+                       y_prev=g - g_prev, d_prev=-g_prev)
+
+
+@pytest.mark.parametrize("t", [0.21, -0.21, 0.5])
+def test_hs_restarts_along_minus_g_once_powell_test_fires(t):
+    assert POWELL_RESTART == 0.2
+    state = _hs_state(t)
+    rec = _Policy(BaselineKind(BaselineTag.HS_CG)).direction(state, SolverParams())
+    assert rec.case_tag is CaseTag.HS
+    np.testing.assert_array_equal(rec.d, -state.g)
+    assert rec.gTd == -dot(state.g, state.g) == -1.0
+
+
+@pytest.mark.parametrize("t", [0.19, -0.19, 0.0])
+def test_hs_keeps_its_beta_below_powell_threshold(t):
+    state = _hs_state(t)
+    rec = _Policy(BaselineKind(BaselineTag.HS_CG)).direction(state, SolverParams())
+    d = hs_direction(state.g, state.y_prev, state.d_prev)
+    assert rec.case_tag is CaseTag.HS
+    np.testing.assert_array_equal(rec.d, d)
+    assert rec.gTd == dot(state.g, d)
+    assert t == 0.0 or not np.array_equal(rec.d, -state.g)
+
+
+def test_lbfgs_skips_a_pair_whose_yTy_underflows():
+    # s'y = 1e-63 > 0 while y'y = 1e-326 rounds to 0: no seed scale s'y/y'y
+    s, y = np.array([1e100]), np.array([1e-163])
+    assert dot(s, y) > 0.0 and dot(y, y) == 0.0
+    policy = _Policy(BaselineKind(BaselineTag.LBFGS))
+    state = SolverState(k=1, x=s, f=0.0, g=y, s_prev=s, y_prev=y, d_prev=s)
+    policy.update(state, None, None, None, SolverParams())
+    assert policy.pairs.s == [] and policy.pairs.seed_scale == 1.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rlsmcg import linesearch
@@ -272,17 +272,60 @@ def test_hs_trial_step_fits_slopes_only_through_the_gate(slope_fit):
     from rlsmcg.baselines import BaselineKind, BaselineTag, _Policy
     policy = _Policy(BaselineKind(BaselineTag.HS_CG))
     line, gTd = _offset_line(), -H * A_STAR
+    # the last step's alpha g'd puts N&W's probe alpha g'd / g'd at 2
+    policy.alpha_gTd, probe = 2.0 * gTd, 2.0
     state = SolverState(k=1, x=np.zeros(1), f=line.value(0.0),
                         g=np.array([gTd]), s_prev=np.ones(1), y_prev=np.ones(1),
                         slope_fit=slope_fit)
     record = DirectionRecord(d=line.d, case_tag=CaseTag.HS, gTd=gTd)
     a0 = policy.trial_step(line, state, record, P)
     if slope_fit:
+        assert a0 == secant_step(_offset_line(), probe, gTd, P)
         assert a0 == pytest.approx(A_STAR, rel=1e-13)
         assert (line.problem.n_f, line.problem.n_g) == (0, 1)
+        line.slope(probe)  # the one g was taken at the probe: a cache hit
     else:
-        assert a0 == interp_step(_offset_line(), 1.0, gTd, P)
+        assert a0 == interp_step(_offset_line(), probe, gTd, P)
+        assert a0 != interp_step(_offset_line(), 1.0, gTd, P)
         assert (line.problem.n_f, line.problem.n_g) == (1, 0)
+        line.value(probe)  # the one f was taken at the probe: a cache hit
+    assert (line.problem.n_f, line.problem.n_g) == ((0, 1) if slope_fit else (1, 0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(h=st.floats(1e-3, 1e3), x_star=st.floats(0.5, 10.0),
+       quartic=st.floats(0.0, 1.0), c=st.floats(-1e3, 1e3),
+       probe=st.floats(1e-3, 1e3), slope_fit=st.booleans(),
+       k=st.sampled_from([10, -10]))
+def test_hs_first_trial_has_no_units(h, x_star, quartic, c, probe, slope_fit, k):
+    # phi = c + h (a - x*)^2 / 2 + quartic (a - x*)^4 along d = -g(0), in
+    # native units and at f 2^k; the scaled d and g'd carry 2^k and 2^2k,
+    # the last alpha g'd 2^k, so the probe and the trial carry 2^-k
+    from rlsmcg.baselines import BaselineKind, BaselineTag, _Policy
+
+    def trial(scale):
+        u = math.ldexp(1.0, scale)
+        f = lambda a: u * (c + 0.5 * h * (a - x_star) ** 2
+                           + quartic * (a - x_star) ** 4)
+        g = lambda a: u * (h * (a - x_star) + 4.0 * quartic * (a - x_star) ** 3)
+        g0 = g(0.0)
+        line = line_1d(f, g, d=-g0, f0=f(0.0), g0=g0)
+        policy = _Policy(BaselineKind(BaselineTag.HS_CG))
+        gTd = -g0 * g0
+        policy.alpha_gTd = probe * math.ldexp(gTd, -scale)
+        state = SolverState(k=1, x=np.zeros(1), f=f(0.0), g=np.array([g0]),
+                            s_prev=np.ones(1), y_prev=np.ones(1),
+                            slope_fit=slope_fit)
+        record = DirectionRecord(d=line.d, case_tag=CaseTag.HS, gTd=gTd)
+        at = policy.alpha_gTd / gTd
+        fit = (secant_step if slope_fit else interp_step)(
+            line_1d(f, g, d=-g0, f0=f(0.0), g0=g0), at, gTd, P)
+        return policy.trial_step(line, state, record, P), fit
+
+    native, native_fit = trial(0)
+    assume(native_fit is not None and native == native_fit)
+    assume(P.alpha_min * 2.0 ** 10 <= native <= P.alpha_max * 2.0 ** -10)
+    assert trial(k) == (math.ldexp(native, -k), math.ldexp(native_fit, -k))
 
 
 def test_rounding_level_gate_hand_values():
