@@ -9,9 +9,10 @@ trigonometric, Broyden tridiagonal).
 
 Problems are addressable by ``"family(dim)"`` strings; scalable families
 accept any admissible dimension, the registry lists the standard instances.
-The checks' other suites live here too: ``perturbed_registry``, the
-``ulp_start`` starts of ``ULP_STARTS``, the dense quadratics of
-``DENSE_SIZES`` and ``DENSE_SEEDS``, and ``scaled`` units of f.
+The checks' suites live here too, by name in ``SUITES``: the registry, its
+``perturbed_start`` starts, the ``ulp_start`` starts of ``ULP_INSTANCES``
+and the dense quadratics of ``DENSE_SIZES`` and ``DENSE_SEEDS``; ``scaled``
+puts any of them in other units of f.
 
 The evaluators take exactly their formulas' floating-point operations in
 order, form each shared subexpression once, reduce through the ufunc
@@ -24,8 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -308,7 +308,7 @@ def get_problem(name: str) -> Problem:
     return _FAMILIES[family](dim)
 
 
-# --- the checks' other suites: perturbed starts, dense quadratics, units ---
+# --- the checks' suites: perturbed and ulp starts, dense quadratics, units ---
 
 PERTURBED_SEEDS = range(1, 6)
 
@@ -322,6 +322,7 @@ def perturbed_start(x0: Vector, j: int) -> Vector:
 
 
 ULP_STARTS = range(24)
+ULP_INSTANCES = ("palmer_poly(8)", "quad_hilbert(8)", "quad_hilbert(12)")
 
 
 def ulp_start(x0: Vector, j: int) -> Vector:
@@ -333,18 +334,6 @@ def ulp_start(x0: Vector, j: int) -> Vector:
         return x0.copy()
     k = np.random.default_rng(j).integers(-3, 4, size=x0.size)
     return x0 + k * np.spacing(x0)
-
-
-def _perturbed(make: Callable[[], Problem], j: int) -> Problem:
-    problem = make()
-    return replace(problem, x0=perturbed_start(problem.x0, j))
-
-
-def perturbed_registry() -> List[Tuple[ProblemSpec, int]]:
-    """(spec, j) for each registry instance in order and each j of
-    ``PERTURBED_SEEDS``; spec makes the instance from ``perturbed_start``."""
-    return [(replace(spec, make=partial(_perturbed, spec.make, j)), j)
-            for spec in registry() for j in PERTURBED_SEEDS]
 
 
 DENSE_SIZES = (50, 100, 200, 300, 500)
@@ -371,6 +360,26 @@ def dense_quadratic(n: int, seed: int) -> Problem:
     return Problem(f"dense_quad({n})", n,
                    lambda x: 0.5 * float(x @ (A @ x)) - float(b @ x),
                    lambda x: A @ x - b, np.zeros(n))
+
+
+def _started(start: Callable[[Vector, int], Vector], names,
+             seeds) -> List[Tuple[str, Problem]]:
+    """``("name j", name from start(x0, j))`` for each name, then each j."""
+    made = ((name, j, get_problem(name)) for name in names for j in seeds)
+    return [(f"{name} {j}", replace(p, x0=start(p.x0, j))) for name, j, p in made]
+
+
+# each check suite by name: a function that builds its (label, problem)
+# pairs afresh, in run order
+SUITES: Dict[str, Callable[[], List[Tuple[str, Problem]]]] = {
+    "registry": lambda: [(spec.name, spec.make()) for spec in registry()],
+    "perturbed": lambda: _started(perturbed_start,
+                                  [spec.name for spec in registry()],
+                                  PERTURBED_SEEDS),
+    "dense": lambda: [(f"dense_quad({n}) {seed}", dense_quadratic(n, seed))
+                      for n in DENSE_SIZES for seed in DENSE_SEEDS],
+    "ulp": lambda: _started(ulp_start, ULP_INSTANCES, ULP_STARTS),
+}
 
 
 def scaled(problem: Problem, k: int) -> Problem:

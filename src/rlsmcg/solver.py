@@ -378,11 +378,8 @@ class Rlsmcg:
         # the phase is judged on the well-conditioned core of the span:
         # entered only when the core is a proper subspace (else the exit
         # predicate could never hold), left once the gradient points out of
-        # it.  With RQN on, the QR that gives the test's basis gives the core.
-        if self.rqn_enabled:
-            Z, core = rqn.qr_update(self.memory, rqn.ENTRY_RANK_TOL)
-        else:
-            Z = rqn.qr_update(self.memory)
+        # it.  The QR that gives the test's basis gives the core.
+        Z, core = rqn.qr_update(self.memory, rqn.ENTRY_RANK_TOL)
         if Z is None:
             return
         lost = rqn.orthogonality_lost(Z, g, gTg, params)

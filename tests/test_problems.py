@@ -4,9 +4,9 @@ import pytest
 
 from rlsmcg.core import Problem
 from rlsmcg.problems import (DENSE_SEEDS, DENSE_SIZES, PERTURBED_SEEDS,
-                             ULP_STARTS, ProblemSpec, dense_quadratic,
-                             dense_quadratic_terms, get_problem, hilbert_matrix,
-                             palmer_minimizer, perturbed_registry,
+                             SUITES, ULP_INSTANCES, ULP_STARTS, ProblemSpec,
+                             dense_quadratic, dense_quadratic_terms,
+                             get_problem, hilbert_matrix, palmer_minimizer,
                              perturbed_start, registry, scaled, ulp_start,
                              verify_gradients)
 from rlsmcg.solver import run_with_trace
@@ -296,20 +296,49 @@ def test_ulp_starts_are_fixed_and_within_three_ulps_of_the_standard_start():
     np.testing.assert_array_equal(x0, get_problem("palmer_poly(8)").x0)
 
 
-def test_perturbed_registry_starts_each_instance_from_each_seed():
-    pairs = perturbed_registry()
+def test_perturbed_suite_starts_each_instance_from_each_seed():
+    suite = SUITES["perturbed"]()
     specs = registry()
-    assert [(spec.name, j) for spec, j in pairs] == [
-        (spec.name, j) for spec in specs for j in PERTURBED_SEEDS]
-    for (spec, j), plain in zip(pairs, (s for s in specs for _ in PERTURBED_SEEDS)):
-        problem, standard = spec.make(), plain.make()
-        assert problem.name == spec.name and spec.dim == plain.dim
-        assert spec.known_fmin == plain.known_fmin
+    assert [label for label, _ in suite] == [
+        f"{spec.name} {j}" for spec in specs for j in PERTURBED_SEEDS]
+    cases = ((spec, j) for spec in specs for j in PERTURBED_SEEDS)
+    for (_, problem), (spec, j) in zip(suite, cases):
+        standard = spec.make()
+        assert problem.name == spec.name and problem.dim == spec.dim
         np.testing.assert_array_equal(problem.x0,
                                       perturbed_start(standard.x0, j))
         x = problem.x0
         assert problem.eval_f(x) == standard.eval_f(x)
         np.testing.assert_array_equal(problem.eval_g(x), standard.eval_g(x))
+
+
+def test_suites_are_the_four_check_suites_with_their_labels_and_starts():
+    assert list(SUITES) == ["registry", "perturbed", "dense", "ulp"]
+    suites = {name: build() for name, build in SUITES.items()}
+    assert {name: len(suite) for name, suite in suites.items()} == {
+        "registry": 21, "perturbed": 105, "dense": 15, "ulp": 72}
+    names = [spec.name for spec in registry()]
+    assert [label for label, _ in suites["registry"]] == names
+    assert [p.name for _, p in suites["registry"]] == names
+    assert [label for label, _ in suites["dense"]] == [
+        f"dense_quad({n}) {seed}" for n in DENSE_SIZES for seed in DENSE_SEEDS]
+    for (_, problem), n in zip(suites["dense"],
+                               (n for n in DENSE_SIZES for _ in DENSE_SEEDS)):
+        assert (problem.name, problem.dim) == (f"dense_quad({n})", n)
+    for suite, start, instances, seeds in (
+            ("perturbed", perturbed_start, names, PERTURBED_SEEDS),
+            ("ulp", ulp_start, ULP_INSTANCES, ULP_STARTS)):
+        cases = [(name, j) for name in instances for j in seeds]
+        assert [label for label, _ in suites[suite]] == [
+            f"{name} {j}" for name, j in cases]
+        for (_, problem), (name, j) in zip(suites[suite], cases):
+            assert problem.name == name
+            np.testing.assert_array_equal(
+                problem.x0, start(get_problem(name).x0, j))
+    # each call builds its problems afresh
+    for name, build in SUITES.items():
+        again = build()
+        assert all(a is not b for (_, a), (_, b) in zip(suites[name], again))
 
 
 def test_dense_quadratics_are_fixed_and_positive_definite():

@@ -1,5 +1,7 @@
 """The external yardstick ``tools/scipy_ref.py``, loaded by path."""
 
+import sys
+
 import pytest
 
 from rlsmcg import SolverParams
@@ -36,3 +38,13 @@ def test_family_totals_sum_each_column(scipy_ref):
     assert totals["quad_diag"]["hs"] == [6, 4, 2, 2]
     assert totals["palmer_poly"]["scipy_cg"] == [5, 4, 0, 1]
     assert totals["all"]["rlsmcg"] == [11, 8, 2, 3]
+
+
+def test_a_missing_scipy_is_refused_before_any_output(load_script, monkeypatch,
+                                                       capsys):
+    # needs no scipy: the import fails as it would where scipy is missing
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    scipy_ref = load_script("tools/scipy_ref.py", "scipy_ref")
+    assert scipy_ref.main(["scipy_ref.py"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "scipy" in err

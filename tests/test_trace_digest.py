@@ -10,7 +10,7 @@ import pytest
 
 from rlsmcg import RunReport, SolverParams, Status, bench, problems
 from rlsmcg.bench import SOLVERS
-from rlsmcg.problems import (ULP_STARTS, get_problem, perturbed_registry,
+from rlsmcg.problems import (PERTURBED_SEEDS, ULP_STARTS, get_problem,
                              perturbed_start, registry, scaled, ulp_start)
 
 
@@ -120,12 +120,12 @@ def test_perturbed_mode_runs_each_instance_from_the_librarys_starts(
         trace_digest, monkeypatch, capsys):
     code, solved = _run_stubbed(trace_digest, monkeypatch, "--perturbed", SRC_DIR)
     assert code == 0 and len(solved) == 105
-    pairs = perturbed_registry()
-    assert _labels(capsys.readouterr().out) == [f"{s.name} {j}" for s, j in pairs]
-    for (problem, params), (spec, j) in zip(solved, pairs):
-        assert params is None and problem.name == spec.name
+    pairs = [(spec.name, j) for spec in registry() for j in PERTURBED_SEEDS]
+    assert _labels(capsys.readouterr().out) == [f"{name} {j}" for name, j in pairs]
+    for (problem, params), (name, j) in zip(solved, pairs):
+        assert params is None and problem.name == name
         np.testing.assert_array_equal(
-            problem.x0, perturbed_start(get_problem(spec.name).x0, j))
+            problem.x0, perturbed_start(get_problem(name).x0, j))
 
 
 def test_dense_mode_runs_the_fifteen_dense_quadratics(trace_digest, monkeypatch,
@@ -203,12 +203,11 @@ def test_a_scale_without_an_exact_power_of_two_is_refused(
     assert k in err
 
 
-def test_ulp_mode_refuses_a_library_without_ulp_starts(trace_digest,
-                                                     monkeypatch, capsys):
-    monkeypatch.delattr(problems, "ulp_start")
-    err = _refuses_before_any_solve(trace_digest, monkeypatch, capsys,
-                                    "--ulp", SRC_DIR)
-    assert "ulp_start" in err
+def test_a_library_without_suites_is_refused(trace_digest, monkeypatch,
+                                             capsys):
+    monkeypatch.delattr(problems, "SUITES")
+    err = _refuses_before_any_solve(trace_digest, monkeypatch, capsys, SRC_DIR)
+    assert "SUITES" in err
 
 
 def test_a_directory_without_the_library_is_refused(trace_digest, monkeypatch,

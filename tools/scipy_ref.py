@@ -1,16 +1,17 @@
 """scipy's CG and L-BFGS-B beside the harness's solvers, cell by cell.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/scipy_ref.py [registry|perturbed|dense]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/scipy_ref.py [registry|perturbed|dense|ulp]
 
 runs ``scipy.optimize.minimize`` with ``method="CG"`` and
 ``method="L-BFGS-B"`` and the harness's hs, lbfgs and rlsmcg (from
 ``bench.SOLVERS``) on every instance of a suite, and prints one row per
 instance with ``n_f n_g status`` for each solver, then the per-family
-totals ``n_f n_g converged/runs`` and the suite's.  The suite is
-``registry()`` (the default), ``perturbed_registry()`` labelled
-``instance j``, or the dense quadratics of ``DENSE_SIZES`` and
-``DENSE_SEEDS`` labelled ``dense_quad(n) seed``; a family is the label up
-to its ``(``.
+totals ``n_f n_g converged/runs`` and the suite's.  The suite is any of
+``rlsmcg.problems.SUITES`` by name, ``registry`` by default, so ``ulp``
+(the ulp-perturbed starts of three stall instances) is one too; a row is
+labelled as the suite labels it, and a family is the label up to its
+``(``.  Without scipy the tool exits with code 2 and an ``error:`` line
+before any output.
 
 scipy stops on the max-norm of g at the harness's ``grad_tol`` (``gtol``;
 L-BFGS-B with ``ftol`` 0 and the harness's memory of 11 pairs), within the
@@ -36,8 +37,7 @@ from rlsmcg import SolverParams
 from rlsmcg.baselines import LBFGS_MEMORY
 from rlsmcg.bench import SOLVERS
 from rlsmcg.core import CountingProblem, norm_inf
-from rlsmcg.problems import (DENSE_SEEDS, DENSE_SIZES, dense_quadratic,
-                             perturbed_registry, registry)
+from rlsmcg.problems import SUITES
 
 HARNESS = ("hs", "lbfgs", "rlsmcg")
 COLUMNS = ("scipy_cg", "scipy_lbfgsb") + HARNESS
@@ -71,16 +71,6 @@ def cell(problem, params: SolverParams) -> dict:
     return row
 
 
-def suite(name: str) -> list:
-    """(label, problem) of each instance of the suite ``name``."""
-    if name == "perturbed":
-        return [(f"{spec.name} {j}", spec.make()) for spec, j in perturbed_registry()]
-    if name == "dense":
-        return [(f"dense_quad({n}) {seed}", dense_quadratic(n, seed))
-                for n in DENSE_SIZES for seed in DENSE_SEEDS]
-    return [(spec.name, spec.make()) for spec in registry()]
-
-
 def family_totals(rows: list) -> dict:
     """Family -> column -> [n_f, n_g, converged, runs] over ``rows`` of
     (label, cell), in the order the families first appear, and "all"."""
@@ -100,14 +90,19 @@ def family_totals(rows: list) -> dict:
 def main(argv) -> int:
     parser = argparse.ArgumentParser(prog="scipy_ref.py")
     parser.add_argument("suite", nargs="?", default="registry",
-                        choices=("registry", "perturbed", "dense"))
+                        choices=tuple(SUITES))
     args = parser.parse_args(argv[1:])
+    try:
+        import scipy.optimize  # noqa: F401
+    except ImportError:
+        print("error: scipy_ref.py needs scipy, which is missing", file=sys.stderr)
+        return 2
     params = SolverParams()
     first, width = 28, 22
     print(f"{'cell (n_f n_g status)':<{first}}"
           + "".join(f"{c:<{width}}" for c in COLUMNS))
     rows = []
-    for label, problem in suite(args.suite):
+    for label, problem in SUITES[args.suite]():
         row = cell(problem, params)
         rows.append((label, row))
         print(f"{label:<{first}}" + "".join(
