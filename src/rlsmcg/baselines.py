@@ -1,7 +1,7 @@
 """Reference solvers, run on the main solver's driver.
 
 Two classics for comparison runs: Hestenes-Stiefel conjugate gradients with
-Powell restarts and limited-memory BFGS (two-loop recursion).  Each supplies
+Powell restarts and limited-memory BFGS (in compact form).  Each supplies
 only a search direction, a trial step and, for L-BFGS, its pair memory.
 Everything else (the evaluation counting, the nonmonotone Wolfe search with
 its -g rescue from the BB fallback step, the termination tests and the
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,42 +47,61 @@ POWELL_RESTART = 0.2
 
 
 class PairMemory:
-    """The L-BFGS (s, y) pairs, newest first, each with its 1 / s'y, and the
-    seed scale s'y / y'y of the newest pair, the usual scaling of the seed
-    matrix."""
+    """The L-BFGS (s, y) pairs in the compact form of Byrd, Nocedal and
+    Schnabel (1994), kept in ring slots: pair i's s in row i of ``W`` and
+    its y in row ``LBFGS_MEMORY`` + i.  Beside them, in slot order,
+    ``Rinv`` = R^-1 for R the upper triangle of S'Y in age order, ``YY`` =
+    Y'Y, ``D`` = the s_i'y_i, and the seed scale s'y / y'y of the newest
+    pair, the usual scaling of the seed matrix.  Empty slots are zero.  The
+    form does not change under a common permutation of the pairs, so no
+    slot ever moves."""
 
     def __init__(self):
-        self.s: List[Vector] = []
-        self.y: List[Vector] = []
-        self.rho: List[float] = []
+        m = LBFGS_MEMORY
+        self.W: Optional[np.ndarray] = None  # (2m, n) once the first pair comes
+        self.Rinv, self.YY, self.D = np.zeros((m, m)), np.zeros((m, m)), np.zeros(m)
         self.seed_scale = 1.0
+        self.pushes = 0
+
+    def __len__(self) -> int:
+        return min(self.pushes, LBFGS_MEMORY)
 
     def push(self, s: Vector, y: Vector, sTy: float, yTy: float) -> None:
-        """Add the pair with s'y = ``sTy`` and y'y = ``yTy``, keeping the
-        newest ``LBFGS_MEMORY``."""
-        for pairs, new in ((self.s, s), (self.y, y), (self.rho, 1.0 / sTy)):
-            pairs.insert(0, new)
-            del pairs[LBFGS_MEMORY:]
+        """Add the pair with s'y = ``sTy`` and y'y = ``yTy`` in the oldest
+        slot, keeping the newest ``LBFGS_MEMORY``.  R^-1's trailing block is
+        the inverse of R's, so the dropped pair only zeroes its row (its
+        column is zero save the diagonal); the new column is -R^-1 S'y / s'y
+        and the new row is zero save 1 / s'y."""
+        m, k = LBFGS_MEMORY, self.pushes % LBFGS_MEMORY
+        if self.W is None:
+            self.W = np.zeros((2 * m, len(s)))
+        W, Rinv = self.W, self.Rinv
+        W[k], W[m + k] = s, y
+        v = W @ y  # S'y and Y'y
+        Rinv[k] = 0.0
+        Rinv[:, k] = (Rinv @ v[:m]) / -sTy
+        Rinv[k, k] = 1.0 / sTy
+        self.YY[k] = self.YY[:, k] = v[m:]
+        self.YY[k, k], self.D[k] = yTy, sTy
         self.seed_scale = sTy / yTy
+        self.pushes += 1
 
 
 def lbfgs_two_loop(g: Vector, pairs: PairMemory) -> Vector:
-    """Standard two-loop recursion over ``pairs``, from the seed matrix
-    ``pairs.seed_scale`` I."""
-    q = np.array(g, dtype=float)  # a copy, updated in place below
-    if not pairs.s:
-        return np.negative(q, out=q)
-    alpha = []
-    for r, s, y in zip(pairs.rho, pairs.s, pairs.y):
-        a = r * float(s.dot(q))
-        alpha.append(a)
-        q -= a * y
-    q *= pairs.seed_scale
-    for r, s, y, a in zip(reversed(pairs.rho), reversed(pairs.s),
-                          reversed(pairs.y), reversed(alpha)):
-        b = r * float(y.dot(q))
-        q += (a - b) * s
-    return np.negative(q, out=q)
+    """-H g, a fresh array, for H the L-BFGS inverse-Hessian estimate over
+    ``pairs`` from the seed matrix gamma I, gamma = ``pairs.seed_scale``: the
+    two-loop recursion's result from the compact form, H g = gamma g + W'c
+    with u = R^-1 S'g and c = [R^-T (D u + gamma (Y'Y u - Y'g)); -gamma u]."""
+    if not len(pairs):
+        return np.negative(g, dtype=float)
+    m, gamma = LBFGS_MEMORY, pairs.seed_scale
+    p = pairs.W @ g
+    u = pairs.Rinv @ p[:m]
+    c = np.concatenate((pairs.Rinv.T @ (pairs.D * u + gamma * (pairs.YY @ u - p[m:])),
+                        -gamma * u))
+    d = c @ pairs.W
+    d += gamma * g
+    return np.negative(d, out=d)
 
 
 class _Policy:
@@ -98,7 +117,7 @@ class _Policy:
 
     def direction(self, state: SolverState, params: SolverParams) -> DirectionRecord:
         """HS, or its restart along -g (beta = 0) when g'g_prev = g'g - g'y
-        is no longer small against g'g; L-BFGS's two-loop once it holds a
+        is no longer small against g'g; L-BFGS's direction once it holds a
         pair; else -g."""
         g = state.g
         if self.kind.tag is BaselineTag.HS_CG and state.d_prev is not None:
@@ -108,7 +127,7 @@ class _Policy:
             d = hs_direction(g, state.y_prev, state.d_prev)
             if d is not None:
                 return DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(g, d))
-        elif self.kind.tag is BaselineTag.LBFGS and self.pairs.s:
+        elif self.kind.tag is BaselineTag.LBFGS and self.pairs:
             d = lbfgs_two_loop(g, self.pairs)
             return DirectionRecord(d=d, case_tag=CaseTag.LBFGS, gTd=dot(g, d))
         return neg_grad_record(g)

@@ -171,6 +171,39 @@ def test_ulp_mode_runs_rlsmcg_and_its_ablation_from_the_ulp_starts(
                                       ulp_start(get_problem(name).x0, j))
 
 
+@pytest.mark.parametrize("mode, runs_per_solver", [((), 21), (("--ulp",), 72),
+                                                    (("--scale", "10"), 21)])
+def test_solver_option_limits_any_mode_to_the_named_solvers(
+        trace_digest, monkeypatch, capsys, mode, runs_per_solver):
+    solved = []
+
+    def stub(solver_name):
+        def solve(problem, params, trace_hook=None):
+            solved.append(solver_name)
+            return RunReport(n_iter=0, n_f=1, n_g=1, wall_time=0.0,
+                             status=Status.CONVERGED, final_gnorm_inf=0.0,
+                             x=problem.x0, f=0.0)
+        return solve
+
+    monkeypatch.setattr(bench, "SOLVERS", {name: stub(name) for name in SOLVERS})
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    # repeated, out of order and named twice: each runs once, in SOLVERS order
+    args = [*mode, "--solver", "lbfgs", "--solver", "hs", "--solver", "lbfgs"]
+    assert trace_digest.main(["trace_digest.py", *args, SRC_DIR]) == 0
+    order = [name for name in SOLVERS if name in ("hs", "lbfgs")]
+    assert solved == [name for name in order for _ in range(runs_per_solver)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines[:-1]] == solved
+    assert lines[-1].startswith(f"# {2 * runs_per_solver} runs, ")
+
+
+def test_an_unknown_solver_is_refused(trace_digest, monkeypatch, capsys):
+    err = _refuses_before_any_solve(trace_digest, monkeypatch, capsys,
+                                    "--ulp", "--solver", "stub",
+                                    "--solver", "nosuch", SRC_DIR)
+    assert "nosuch" in err
+
+
 @pytest.mark.parametrize("k", [-10, 10])
 def test_scale_mode_runs_the_registry_in_units_of_two_to_the_k(
         trace_digest, monkeypatch, capsys, k):

@@ -1,6 +1,7 @@
 """One sha256 per (solver, instance) over every trace record and the report.
 
-    OPENBLAS_NUM_THREADS=1 python tools/trace_digest.py [--perturbed|--dense|--ulp|--scale K] SRC_DIR
+    OPENBLAS_NUM_THREADS=1 python tools/trace_digest.py [--perturbed|--dense|--ulp|--scale K]
+        [--solver NAME]... SRC_DIR
 
 imports ``rlsmcg`` from ``SRC_DIR`` (a checkout's ``src``), runs every solver
 of ``bench.SOLVERS`` with a trace hook on each instance of a suite from that
@@ -15,8 +16,11 @@ how far rounding alone spreads the cost of the RQN phase and of its
 ablation (the pin of ``quad_hilbert(12)`` moved with rounding once).  With
 ``--scale K`` it is the registry ``scaled`` by 2^K, run with ``grad_tol =
 2^K 1e-6``: the same problems in other units, where a change to a test that
-compares unlike units can move steps although it moves none at 2^0.  A tree
-without ``SUITES`` is digested by the tool from its own commit.  A digest
+compares unlike units can move steps although it moves none at 2^0.  In
+any mode, ``--solver NAME`` (repeatable) runs only the named solvers of
+``bench.SOLVERS``, in ``SOLVERS`` order: ``--ulp --solver lbfgs`` is how
+far rounding alone spreads the cost of L-BFGS.  A tree without ``SUITES``
+is digested by the tool from its own commit.  A digest
 covers every ``TraceRecord`` field, taken in name order so that reordering
 the dataclass keeps it, with floats and arrays by their bytes, and the
 report's ``n_iter``, status, ``x``, ``f`` and ``final_gnorm_inf``.  The
@@ -29,8 +33,8 @@ reduction may round differently from run to run.  The tool exits with code
 2 and an ``error:`` line, before any solve, when ``SRC_DIR/rlsmcg`` holds
 no package, when the ``rlsmcg`` it imports does not come from ``SRC_DIR``
 (one already imported, or an installed copy), so that it never digests
-another tree than the one named, when the tree has no ``SUITES``, or when
-``scaled`` refuses K.
+another tree than the one named, when the tree has no ``SUITES``, when a
+``--solver`` is not in its ``SOLVERS``, or when ``scaled`` refuses K.
 """
 
 from __future__ import annotations
@@ -95,6 +99,7 @@ def main(argv) -> int:
         mode.add_argument(f"--{name}", dest="suite", action="store_const",
                           const=name, default="registry")
     mode.add_argument("--scale", type=int, metavar="K")
+    parser.add_argument("--solver", action="append", metavar="NAME")
     parser.add_argument("src_dir")
     args = parser.parse_args(argv[1:])
     src = Path(args.src_dir).resolve()
@@ -115,9 +120,15 @@ def main(argv) -> int:
         print(f"error: no SUITES in {args.src_dir}", file=sys.stderr)
         return 2
 
-    params, solvers, suite = None, SOLVERS, SUITES[args.suite]()
-    if args.suite == "ulp":
-        solvers = {name: SOLVERS[name] for name in ("rlsmcg", "rlsmcg_norqn")}
+    params, suite = None, SUITES[args.suite]()
+    names = args.solver or (("rlsmcg", "rlsmcg_norqn") if args.suite == "ulp"
+                            else SOLVERS)
+    unknown = sorted(set(names) - set(SOLVERS))
+    if unknown:
+        print(f"error: no solver {', '.join(unknown)} in bench.SOLVERS "
+              f"({', '.join(SOLVERS)})", file=sys.stderr)
+        return 2
+    solvers = {name: solve for name, solve in SOLVERS.items() if name in names}
     if args.scale is not None:
         try:
             suite = [(name, scaled(problem, args.scale)) for name, problem in suite]
