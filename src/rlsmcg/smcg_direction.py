@@ -17,14 +17,12 @@ emitted direction against the margin and takes -g where rounding broke it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .core import CaseTag, DirectionRecord, SolverParams, SolverState, Vector, dot
 
 
-@dataclass(frozen=True)
-class CurvatureSnapshot:
+class CurvatureSnapshot(NamedTuple):
     """Pairwise products of (g, s_prev, y_prev) used by every gate and solve."""
 
     sTy: float
@@ -34,18 +32,16 @@ class CurvatureSnapshot:
     gTs: float
     gTy: float
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.sTy, self.sTs, self.yTy, self.gTg,
-                                       self.gTs, self.gTy))):
-            raise ValueError("non-finite curvature snapshot")
-
     @classmethod
     def from_vectors(cls, g: Vector, s: Vector, y: Vector,
                      shared: Tuple[float, float, float]) -> "CurvatureSnapshot":
-        """The snapshot of (g, s, y), given ``shared`` = (g'g, g's, s'y)."""
+        """The snapshot of (g, s, y), given ``shared`` = (g'g, g's, s'y);
+        ValueError when a product is not finite."""
         gTg, gTs, sTy = shared
-        return cls(sTy=sTy, sTs=dot(s, s), yTy=dot(y, y), gTg=gTg, gTs=gTs,
-                   gTy=dot(g, y))
+        snap = cls(sTy, dot(s, s), dot(y, y), gTg, gTs, dot(g, y))
+        if not all(map(math.isfinite, snap)):
+            raise ValueError("non-finite curvature snapshot")
+        return snap
 
 
 def quadratic_closeness(f_prev: float, f_cur: float, gTs: float, sTy: float) -> float:

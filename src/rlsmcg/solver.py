@@ -227,7 +227,7 @@ class Rlsmcg:
         self.phase: Optional[Phase] = None
         # the last memory_m directions, newest first, and, for the monitor's
         # screen, their unit rows and Gram matrix (none when memory_m >= n:
-        # a memory that may span R^n, where the screen can never certify)
+        # there the monitor certifies from the memory that it spans R^n)
         self.memory: List[Vector] = []
         self.gram: Optional[rqn.GramRing] = None
         # g'g, g's and s'y of the current iterate, taken by ``update`` (g'g
@@ -368,12 +368,16 @@ class Rlsmcg:
         and if so open a phase."""
         if len(self.memory) < params.memory_m:
             return
-        # the Gram screen answers "not lost" where it can prove it; the QR
-        # and the exact predicate answer everything else
+        # the Gram screen answers "not lost" where it can prove it, and a
+        # memory proven to span R^n the exact predicate's answer, with a
+        # full core that opens no phase; the QR answers everything else
         g, gTg = state.g, self.gnorm2
-        if self.gram is not None and rqn.orthogonality_kept(
-                self.gram, g, gTg, params):
-            self.step_fields["orth_lost_flag"] = False
+        if self.gram is not None:
+            lost = False if rqn.orthogonality_kept(self.gram, g, gTg, params) else None
+        else:
+            lost = rqn.lost_in_rn(self.memory, gTg, params)
+        if lost is not None:
+            self.step_fields["orth_lost_flag"] = lost
             return
         # the phase is judged on the well-conditioned core of the span:
         # entered only when the core is a proper subspace (else the exit

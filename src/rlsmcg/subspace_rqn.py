@@ -12,17 +12,18 @@ Most gradients stay well away from the span, so the entry test is screened
 first: ``GramRing`` keeps the memory's unit directions and their Gram matrix
 current at O(nm) a step, and ``orthogonality_kept`` answers "not lost" from
 the normal equations when a rounding bound proves that the exact test would.
-Where it cannot (G singular or not finite, the residual inside the bound, or
-a memory of n or more directions, which may span R^n and for which the
-driver keeps no ring), the QR and ``orthogonality_lost`` decide, so every
-decision is the exact test's.
+For n directions in R^n, where the driver keeps no ring, ``lost_in_rn``
+proves from one Cholesky factorization that the QR keeps them all, and
+answers on that basis of R^n.  Where neither can (G singular or not finite,
+the residual inside the bound), the QR and ``orthogonality_lost`` decide,
+so every decision is the exact test's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -40,36 +41,49 @@ DROP_TOL = 1e-12
 ENTRY_RANK_TOL = 1e-8
 
 _U = 2.0 ** -53  # unit roundoff of float64
+_TINY = 2.0 ** -1022  # the least normal float64
 
 
-# The Cholesky factor and the solves with it call the LAPACK gufuncs that
-# numpy.linalg's ``cholesky`` and ``solve`` dispatch to, on the same arrays,
-# so they return the same bits; at the m x m sizes used here the wrapper's
-# conversions and checks cost more than the kernel.  The error state is the
-# wrapper's: a failed kernel raises LinAlgError and overflow stays silent.
-# Each call builds its own errstate, since numpy refuses to enter one twice.
+# The Cholesky factor, the solves with it and the QR call the LAPACK gufuncs
+# that numpy.linalg's ``cholesky``, ``solve`` and ``qr`` dispatch to, on the
+# same arrays, so they return the same bits; at the sizes used here the
+# wrappers' conversions and checks cost more than the kernels.  The error
+# state is the wrappers': a failed kernel raises LinAlgError and overflow
+# stays silent.  Each helper has one errstate, built at import and applied
+# as a decorator, which enters it afresh on every call.
 
-def _raise_not_positive_definite(err, flag):
-    raise LinAlgError("matrix is not positive definite")
+def _lapack_errors(message: str) -> np.errstate:
+    """The wrappers' error state, raising LinAlgError(message)."""
+    def fail(err, flag):
+        raise LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
+@_lapack_errors("matrix is not positive definite")
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the square matrix ``a``, read from its lower
     triangle; LinAlgError when a pivot is not positive."""
-    with np.errstate(call=_raise_not_positive_definite, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.cholesky_lo(a, signature="d->d")
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
+@_lapack_errors("matrix is not positive definite")
 def _cholesky_solve(L: np.ndarray, b: Vector) -> Vector:
     """(L L')^{-1} b for the lower Cholesky factor ``L``, solved against L
     and then L' (LU solves, as numpy.linalg's); a singular L is a failed
     factor of L L'."""
-    with np.errstate(call=_raise_not_positive_definite, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.solve1(
-            L.T, _umath_linalg.solve1(L, b, signature="dd->d"),
-            signature="dd->d")
+    return _umath_linalg.solve1(
+        L.T, _umath_linalg.solve1(L, b, signature="dd->d"), signature="dd->d")
+
+
+@_lapack_errors("QR factorization failed")
+def _qr(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(Q, R) of the reduced Householder QR of the 2-D ``a``, as
+    ``np.linalg.qr(a)`` returns them: the kernels run on the copy it makes."""
+    a = a.astype(np.float64, copy=True)
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+    return (_umath_linalg.qr_reduced(a, tau, signature="dd->d"),
+            np.triu(a[:len(tau)]))
 
 
 @dataclass(frozen=True)
@@ -149,7 +163,7 @@ def qr_update(dirs: List[Vector], core_tol: Optional[float] = None):
     kept = [d for d in dirs if 0.0 < dot(d, d) < math.inf]
     if not kept:
         return None if core_tol is None else (None, None)
-    Q, R = np.linalg.qr(np.array(kept).T)
+    Q, R = _qr(np.array(kept).T)
     Z = _drop_dependent(kept, Q, R, DROP_TOL)
     if core_tol is None:
         return Z
@@ -162,19 +176,20 @@ def _drop_dependent(kept: List[Vector], Q: np.ndarray, R: np.ndarray,
     Q R of ``kept``, up to the signed basis of a round with no dependent
     column.  Column 0 is never dependent, as its residual is its norm."""
     while True:
-        norms = np.linalg.norm(R, axis=0)  # ||d_k||, as Q is orthonormal
+        # ||d_k||, as Q is orthonormal; np.linalg.norm(R, axis=0) bit for bit
+        norms = np.sqrt(np.add.reduce(R * R, axis=0))
         # R has no diagonal past its n-th column: such a column lies in the
         # span of the n before it
         resid = np.zeros(len(kept))
-        resid[:len(R)] = np.abs(np.diag(R))
+        resid[:len(R)] = np.abs(R.diagonal())
         dependent = np.flatnonzero(resid <= drop_tol * norms)
         if dependent.size == 0:
-            return Q * np.sign(np.diag(R))
+            return Q * np.sign(R.diagonal())
         j = dependent[0]
-        tail = np.linalg.norm(R[j:, j:], axis=0)
+        tail = np.sqrt(np.add.reduce(R[j:, j:] ** 2, axis=0))
         kept = kept[:j] + [d for d, t, nrm in zip(kept[j:], tail, norms[j:])
                            if t > drop_tol * nrm]
-        Q, R = np.linalg.qr(np.array(kept).T)
+        Q, R = _qr(np.array(kept).T)
 
 
 def _outside_norm2(Z: np.ndarray, g: Vector) -> float:
@@ -202,7 +217,8 @@ class GramRing:
     """The memory's directions scaled to unit length, one per row of the
     m x n buffer ``D``, and their Gram matrix ``G = D D'``, held as the
     leading block of the screen's (2m+1) x (2m+1) bordered matrix ``A``
-    (see ``orthogonality_kept``), whose constant blocks are written once.
+    (see ``orthogonality_kept``), whose constant blocks are written once,
+    as is the coefficient ``rounding`` of kappa in the screen's bound.
 
     The rows are in ring order: a push overwrites the oldest row and its row
     and column of G in place, at O(nm), and nothing is rolled, since the
@@ -214,6 +230,7 @@ class GramRing:
 
     D: np.ndarray
     A: np.ndarray
+    rounding: float
     pushes: int = 0
 
     @classmethod
@@ -221,7 +238,8 @@ class GramRing:
         A = np.zeros((2 * m + 1, 2 * m + 1))
         A[m + 1:, :m] = np.eye(m)
         A[m + 1:, m + 1:] = np.eye(m) / _U
-        return cls(np.zeros((m, n)), A)
+        return cls(np.zeros((m, n)), A,
+                   (8.0 * (n + m + 2) + 1e4 * m ** 3 * n * n * _U) * _U)
 
     def push(self, d: Vector, dTd: float) -> None:
         D, A, m = self.D, self.A, len(self.D)
@@ -231,7 +249,7 @@ class GramRing:
             np.divide(d, norm, out=D[i])
         else:
             D[i] = math.nan
-        np.dot(D, D[i], out=A[i, :m])
+        D.dot(D[i], out=A[i, :m])
         A[:m, i] = A[i, :m]
         self.pushes += 1
 
@@ -303,8 +321,8 @@ def orthogonality_kept(ring: GramRing, g: Vector, gTg: float,
     is false, as is one against an infinite bound.
     """
     D, A = ring.D, ring.A
-    m, n = D.shape
-    np.dot(D, g, out=A[m, :m])  # cholesky reads the lower triangle only
+    m = len(D)
+    D.dot(g, out=A[m, :m])  # cholesky reads the lower triangle only
     A[m, m] = gTg
     try:
         L = _cholesky(A)
@@ -314,8 +332,64 @@ def orthogonality_kept(ring: GramRing, g: Vector, gTg: float,
     L31 = L[m + 1:, :m]
     kappa = m * float(np.vdot(L31, L31))
     threshold = 2.0 * params.eta0_tilde ** 2 * gTg
-    rounding = (8.0 * (n + m + 2) + 1e4 * m ** 3 * n * n * _U) * _U * kappa
-    return r2 > threshold + rounding * gTg
+    return r2 > threshold + ring.rounding * kappa * gTg
+
+
+def lost_in_rn(dirs: List[Vector], gTg: float,
+               params: SolverParams) -> Optional[bool]:
+    """``orthogonality_lost`` on the ``qr_update`` basis of n directions in
+    R^n, where rounding analysis proves that ``qr_update(dirs,
+    ENTRY_RANK_TOL)`` keeps them all, at both tolerances, so that Z and the
+    core span R^n; None leaves the question to the QR.  ``gTg`` is g'g.
+
+    With t = ENTRY_RANK_TOL, u = 2^-53, e = 10 n^2.5 u and L the Cholesky
+    factor of G, the unit directions' Gram matrix, the memory is certified
+    when each d'd lies in [2^-900, 2^900], clear of range effects, and
+    1 / ||L^{-1}||_F^2 > 2 (2t + e)^2 + 2n (4n + 5) u.  To first order, as
+    in ``orthogonality_kept`` (whose border gives L31 = L^{-T} here too):
+    L31 is (I + E) L^{-T}, ||E||_F <= gamma_{2n+1} ||L31||_F sqrt(n) < 1/8
+    (Thm 10.3), so lambda_min(L L') >= (3/4) / ||L31||_F^2; L L' is off G
+    by n gamma_{2n+1} (Thm 10.3) and G off the exact one by n gamma_{2n+4}
+    (Thm 3.5, with the rounded norms), so the unit directions' least
+    singular value has sigma^2 > (3/2) (2t + e)^2.  Householder QR is exact
+    for columns moved by gamma~ = 10 n^2 u of their norms (Thm 19.4), so
+    |R_kk| >= ||d_k|| (sigma - sqrt(n) gamma~) > t (1 + 2 gamma~) ||d_k||,
+    which bounds the norm ``_drop_dependent`` scales t by: every column is
+    kept, at DROP_TOL < t too.
+
+    On that basis the answer is False for g'g <= 0, and True where g'g and
+    eta0^2 g'g are normal and 2 rho^2 <= eta0^2, rho = (20 n^2.5 + 2 n^1.5
+    + 1) u: Q is within 10 n^2.5 u of orthogonal (section 19.3), Z'g and
+    Z(Z'g) add n^1.5 u ||g|| each and the difference u ||g||, so the
+    residual is at most rho ||g||; the 2 covers both sides' rounding.
+    """
+    n, eta2 = len(dirs), params.eta0_tilde ** 2
+    if gTg <= 0.0:
+        lost = False
+    elif (gTg < math.inf and eta2 * gTg >= _TINY
+          and 2.0 * ((20.0 * n ** 2.5 + 2.0 * n ** 1.5 + 1.0) * _U) ** 2 <= eta2):
+        lost = True
+    else:
+        return None
+    if n != dirs[0].size:
+        return None
+    D = np.array(dirs)
+    G = D @ D.T
+    dd = G.diagonal()  # a NaN, a zero or an infinity in D fails the range
+    if not (2.0 ** -900 <= dd.min() and dd.max() <= 2.0 ** 900):
+        return None
+    A = np.eye(2 * n)  # [[G, I], [I, I/u]], with G written below
+    A[n:, :n] = A[:n, :n]
+    A[n:, n:] /= _U
+    norms = np.sqrt(dd)
+    np.divide(G, np.multiply.outer(norms, norms), out=A[:n, :n])
+    try:
+        L31 = _cholesky(A)[n:, :n]
+    except LinAlgError:
+        return None
+    bound = (2.0 * (2.0 * ENTRY_RANK_TOL + 10.0 * n ** 2.5 * _U) ** 2
+             + 2.0 * n * (4 * n + 5) * _U)
+    return lost if 1.0 / float(np.vdot(L31, L31)) > bound else None
 
 
 def orthogonality_restored(Z: np.ndarray, g: Vector, gTg: float,

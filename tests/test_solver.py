@@ -590,41 +590,58 @@ def test_gram_screen_spares_the_qr_on_quad_diag_200(monkeypatch):
 
 
 def test_exact_predicate_runs_when_the_memory_spans_rn(monkeypatch):
-    # palmer_poly(8): memory_m = n = 8, so no screen runs and every
-    # full-memory SMCG iteration takes the QR and the exact predicate
-    calls = _count_calls(monkeypatch, "orthogonality_lost", "orthogonality_kept")
+    # palmer_poly(8): memory_m = n = 8, so no screen runs; each full-memory
+    # SMCG iteration asks the certificate first, and 2 of its 7 calls leave
+    # the question to the QR and the exact predicate.  Every flag is True,
+    # as when the exact predicate answered all 7
+    calls = _count_calls(monkeypatch, "orthogonality_lost", "orthogonality_kept",
+                         "lost_in_rn")
     _, trace = run_with_trace(get_problem("palmer_poly(8)"))
     monitored = [rec for rec in trace
                  if rec.state_before is IterType.SMCG and rec.k + 1 >= 8]
-    assert calls == {"orthogonality_lost": len(monitored), "orthogonality_kept": 0}
-    assert all(rec.orth_lost_flag is not None for rec in monitored)
+    assert [rec.k for rec in monitored] == [7, 15, 16, 17, 18, 19, 20]
+    assert calls == {"lost_in_rn": 7, "orthogonality_lost": 2,
+                     "orthogonality_kept": 0}
+    assert all(rec.orth_lost_flag is True for rec in monitored)
 
 
 def test_the_monitor_factors_each_memory_once_on_palmer_poly_8(monkeypatch):
     # the entry test's basis and the phase's core come from one first QR
-    # round: 9 LAPACK QRs, each inside one of 7 calls of rqn.qr_update,
-    # where a second factorization of the same memory for the core took 16
-    counts = {"qr": 0, "outside": 0}
+    # round: 4 LAPACK QRs, each inside one of the 2 calls of rqn.qr_update
+    # that the certificate leaves (9 inside 7 without it, where a second
+    # factorization of the same memory for the core took 16)
+    counts = {"qr": 0, "outside": 0, "qr_update": 0}
     depth = [0]
-    qr, qr_update = np.linalg.qr, rqn.qr_update
+    qr, qr_update = rqn._qr, rqn.qr_update
 
-    def counted_qr(*args, **kwargs):
+    def counted_qr(a):
         counts["qr"] += 1
         counts["outside"] += depth[0] == 0
-        return qr(*args, **kwargs)
+        return qr(a)
 
     def inside_qr_update(*args):
+        counts["qr_update"] += 1
         depth[0] += 1
         try:
             return qr_update(*args)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(rqn, "_qr", counted_qr)
     monkeypatch.setattr(rqn, "qr_update", inside_qr_update)
     report = run(get_problem("palmer_poly(8)"))
     assert (report.n_iter, report.n_f, report.n_g) == PINNED_COUNTS["palmer_poly(8)"][0]
-    assert counts == {"qr": 9, "outside": 0}
+    assert counts == {"qr": 4, "outside": 0, "qr_update": 2}
+
+
+def test_a_registry_sweep_takes_at_most_63_qrs(monkeypatch):
+    # the certificate of a memory that spans R^n spares the QR on every
+    # instance with n <= 11 that never opens a phase: 313 calls without it,
+    # 208 of them on powell_singular(4); 14 with it
+    calls = _count_calls(monkeypatch, "qr_update")
+    for spec in registry():
+        run(spec.make())
+    assert calls["qr_update"] <= 63
 
 
 @pytest.mark.parametrize("rqn_enabled", [True, False], ids=["rqn", "norqn"])

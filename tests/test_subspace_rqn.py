@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from rlsmcg import subspace_rqn
 from rlsmcg.core import SolverParams
 from rlsmcg.subspace_rqn import (DROP_TOL, ENTRY_RANK_TOL, GramRing,
-                                 SubspaceHessian, curvature_scale,
+                                 SubspaceHessian, curvature_scale, lost_in_rn,
                                  orthogonality_kept, orthogonality_lost,
                                  orthogonality_restored, qr_update, ratio,
                                  rbfgs_update, rqn_direction, update_mu)
@@ -459,6 +459,99 @@ def test_ring_gram_is_the_gram_of_the_last_m_unit_directions(data, m, n, extra):
                                atol=4e-16 * n)
 
 
+# --- the certificate of a memory that spans R^n -----------------------------------
+
+def test_certificate_answers_on_a_well_conditioned_basis_of_rn():
+    dirs = [e(i) + 0.5 * e((i + 1) % 4) for i in range(4)]
+    assert lost_in_rn(dirs, 1.0, P) is True
+    assert lost_in_rn(dirs, 0.0, P) is False
+    # g'g or eta0^2 g'g not normal, or g'g not finite: the QR decides
+    for gTg in (1e-300, 2.0 ** -1030, math.inf):
+        assert lost_in_rn(dirs, gTg, P) is None
+    # an entry threshold below the basis's rounding
+    assert lost_in_rn(dirs, 1.0, replace(P, eta0_tilde=1e-14)) is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_certificate_leaves_other_memories_to_the_qr():
+    basis = [e(i) for i in range(4)]
+    for dirs in (basis[:3],                            # fewer than n
+                 basis + [e(0)],                       # more than n
+                 [e(0), e(0), e(2), e(3)],             # a repeated direction
+                 [e(0), e(0) + 1e-9 * e(1), e(2), e(3)],   # dependent
+                 [e(0), e(1), e(2), np.zeros(4)],
+                 [e(0), e(1), e(2), np.full(4, math.nan)],
+                 [e(0), e(1), e(2), np.full(4, 1e300)],  # norm overflows
+                 [e(0), e(1), e(2), 1e-160 * e(3)]):     # d'd not normal
+        assert lost_in_rn(dirs, 1.0, P) is None
+    # kept by the QR, but too close to dependent to certify from G
+    dirs = [e(0), e(0) + 1e-7 * e(1), e(2), e(3)]
+    assert qr_update(dirs, ENTRY_RANK_TOL)[1].shape[1] == 4
+    assert lost_in_rn(dirs, 1.0, P) is None
+
+
+@st.composite
+def square_memories(draw, entry_dependent=False):
+    """n <= 11 directions in R^n of scales 10^[-3, 3], with directions
+    replaced by combinations of the first ones plus noise of 1e-13
+    (dependent at DROP_TOL) or of 10^[-11, -8.05] (dependent at
+    ENTRY_RANK_TOL: always one of these if ``entry_dependent``), and by
+    zero, NaN, +-inf and norm-overflowing directions."""
+    n = draw(st.integers(2 if entry_dependent else 1, 11))
+    rows = draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))
+                .filter(lambda a: np.all(np.abs(a).sum(axis=1) > 0.1)))
+    exps = draw(arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
+    dirs = list(rows * 10.0 ** exps[:, None])
+    base = draw(st.integers(1, n - 1 if entry_dependent else n))
+    entry = st.floats(-11.0, -8.05).map(lambda x: 10.0 ** x)
+    slots = draw(st.lists(st.integers(base, n - 1), unique=True,
+                          min_size=int(entry_dependent), max_size=3)) if base < n else []
+    for k, j in enumerate(slots):
+        noise = draw(entry if entry_dependent and k == 0
+                     else st.just(1e-13) | entry)
+        coef = draw(arrays(np.float64, base, elements=st.floats(0.1, 1.0)))
+        c = coef @ np.array(dirs[:base])
+        u = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0))
+                 .filter(lambda a: np.abs(a).sum() > 0.1))
+        dirs[j] = c + noise * np.linalg.norm(c) * _unit(u)
+    if not entry_dependent:
+        for j in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=2)):
+            bad = draw(st.sampled_from([0.0, math.nan, math.inf, -math.inf, 1e300]))
+            dirs[j] = np.zeros(n)
+            dirs[j][draw(st.integers(0, n - 1)) if bad != 1e300 else slice(None)] = bad
+    return dirs
+
+
+def _random_gradient(data, n):
+    g = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0))
+                  .filter(lambda v: np.abs(v).sum() > 0.1))
+    return g * 10.0 ** data.draw(st.floats(-100.0, 100.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(dirs=square_memories(), data=st.data())
+def test_a_certified_memory_keeps_all_n_columns_and_loses_every_gradient(dirs, data):
+    n = len(dirs)
+    Z, core = qr_update(dirs, ENTRY_RANK_TOL)
+    if lost_in_rn(dirs, 1.0, P) is None:
+        return
+    assert Z.shape == core.shape == (n, n)
+    g = _random_gradient(data, n)
+    assert orthogonality_lost(Z, g, gtg(g), P)
+    assert lost_in_rn(dirs, gtg(g), P) is True
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(dirs=square_memories(entry_dependent=True), data=st.data())
+def test_a_column_dependent_at_the_entry_tolerance_goes_to_the_qr(dirs, data):
+    n = len(dirs)
+    assert qr_update(dirs, ENTRY_RANK_TOL)[1].shape[1] < n
+    assert lost_in_rn(dirs, gtg(_random_gradient(data, n)), P) is None
+
+
 # --- regularized BFGS update ----------------------------------------------------
 
 def test_rbfgs_identity_fixed_point():
@@ -828,6 +921,48 @@ def test_solve_pair_is_numpys_bit_for_bit_on_cholesky_factors(data, m):
     ours = subspace_rqn._cholesky_solve(L, g)
     theirs = np.linalg.solve(L.T, np.linalg.solve(L, g))  # L.T is a strided view
     assert ours.tobytes() == theirs.tobytes()
+
+
+def _same_qr(a):
+    """Whether ``_qr`` and ``np.linalg.qr`` return the same Q and R, bit for
+    bit, and the column norms of R that ``_drop_dependent`` takes, from row
+    j on for every j, are ``np.linalg.norm``'s."""
+    ours, theirs = subspace_rqn._qr(a), np.linalg.qr(a)
+    R = ours[1]
+    return (all(x.shape == y.shape and x.tobytes() == y.tobytes()
+                for x, y in zip(ours, theirs))
+            and np.sqrt(np.add.reduce(R * R, axis=0)).tobytes()
+            == np.linalg.norm(R, axis=0).tobytes()
+            and all(np.sqrt(np.add.reduce(R[j:, j:] ** 2, axis=0)).tobytes()
+                    == np.linalg.norm(R[j:, j:], axis=0).tobytes()
+                    for j in range(min(R.shape))))
+
+
+@GENERATED
+@given(data=st.data(), n=st.integers(1, 40), k=dims)
+def test_qr_is_numpys_bit_for_bit(data, n, k):
+    # k directions as qr_update stacks them: rows of a C array, transposed,
+    # each scaled by 2^[-200, 200]
+    rows = data.draw(arrays(np.float64, (k, n), elements=st.floats(-1.0, 1.0)))
+    exps = data.draw(arrays(np.int64, k, elements=st.integers(-200, 200)))
+    assert _same_qr((rows * 2.0 ** exps[:, None]).T)
+
+
+def test_qr_is_numpys_bit_for_bit_at_n_1000():
+    rng = np.random.default_rng(5)
+    assert _same_qr((rng.standard_normal((11, 1000))
+                     * 2.0 ** rng.integers(-200, 201, (11, 1))).T)
+
+
+def test_a_failed_qr_kernel_raises_its_own_error(monkeypatch):
+    class Kernel:  # a kernel that flags an invalid operation, as LAPACK's do
+        @staticmethod
+        def qr_r_raw(a, signature):
+            return np.sqrt(np.full(1, -1.0))
+
+    monkeypatch.setattr(subspace_rqn, "_umath_linalg", Kernel)
+    with pytest.raises(np.linalg.LinAlgError, match="^QR factorization failed$"):
+        subspace_rqn._qr(np.eye(2))
 
 
 class _Unfactored(SubspaceHessian):
