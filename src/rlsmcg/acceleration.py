@@ -12,7 +12,7 @@ an accepted rescale lands on the line minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .core import SolverParams, Vector
 from .linesearch import NonmonotoneLedger, curvature_ok, sufficient_decrease_ok
 
 
-@dataclass(frozen=True)
-class TrialPoint:
+class TrialPoint(NamedTuple):
     """The line-search trial z = x + alpha*d with its evaluations."""
 
     z: Vector
@@ -31,8 +30,7 @@ class TrialPoint:
     d: Vector
 
 
-@dataclass(frozen=True)
-class AccelResult:
+class AccelResult(NamedTuple):
     x_next: Vector
     f_next: float
     g_next: Vector

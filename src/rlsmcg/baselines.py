@@ -12,9 +12,8 @@ comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,8 +32,7 @@ class BaselineTag(Enum):
     LBFGS = "lbfgs"
 
 
-@dataclass(frozen=True)
-class BaselineKind:
+class BaselineKind(NamedTuple):
     tag: BaselineTag
 
 
@@ -121,15 +119,15 @@ class _Policy:
         pair; else -g."""
         g = state.g
         if self.kind.tag is BaselineTag.HS_CG and state.d_prev is not None:
-            gTg = dot(g, g)
-            if abs(gTg - dot(g, state.y_prev)) >= POWELL_RESTART * gTg:
-                return DirectionRecord(d=-g, case_tag=CaseTag.HS, gTd=-gTg)
-            d = hs_direction(g, state.y_prev, state.d_prev)
+            gTg, gTy = dot(g, g), dot(g, state.y_prev)
+            if abs(gTg - gTy) >= POWELL_RESTART * gTg:
+                return DirectionRecord(-g, CaseTag.HS, -gTg)
+            d = hs_direction(g, state.y_prev, state.d_prev, gTy)
             if d is not None:
-                return DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(g, d))
+                return DirectionRecord(d, CaseTag.HS, dot(g, d))
         elif self.kind.tag is BaselineTag.LBFGS and self.pairs:
             d = lbfgs_two_loop(g, self.pairs)
-            return DirectionRecord(d=d, case_tag=CaseTag.LBFGS, gTd=dot(g, d))
+            return DirectionRecord(d, CaseTag.LBFGS, dot(g, d))
         return neg_grad_record(g)
 
     def trial_step(self, line: LineFunction, state: SolverState,

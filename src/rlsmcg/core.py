@@ -13,7 +13,7 @@ import numbers
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -282,8 +282,7 @@ class SolverParams:
         return replace(self, memory_m=m, l_reset=lr, varsigma=vs)
 
 
-@dataclass
-class DirectionRecord:
+class DirectionRecord(NamedTuple):
     """A chosen search direction plus the branch that produced it.
 
     ``solver.policy_step`` searches only along a direction whose gTd is
@@ -297,8 +296,7 @@ class DirectionRecord:
     g_hat: Optional[Vector] = None  # Z'g, which an RQN step is solved from
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """Outcome of a single solver run."""
 
     n_iter: int

@@ -12,7 +12,6 @@ its solver's choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -38,8 +37,7 @@ class NonmonotoneLedger(NamedTuple):
         return cls(Ck=f0, Qk=1.0, k=0)
 
 
-@dataclass
-class StepResult:
+class StepResult(NamedTuple):
     """Outcome of one line search: the step on its line (None when the
     search found no point below C_k) and how it was accepted.  f and g at
     the step are in the line's cache."""

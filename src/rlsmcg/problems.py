@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .core import (Problem, Vector, _is_count, finite_diff_gradient,
                    finite_diff_steps)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """A registered problem instance plus whatever is known about its optimum."""
 
     name: str
@@ -395,8 +394,7 @@ def scaled(problem: Problem, k: int) -> Problem:
 
 # --- gradient verification ----------------------------------------------------
 
-@dataclass
-class GradientCheckReport:
+class GradientCheckReport(NamedTuple):
     name: str
     n_points: int
     ok: bool

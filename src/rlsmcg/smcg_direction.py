@@ -144,12 +144,14 @@ def _bnorm(u: float, v: float, snap: CurvatureSnapshot) -> float:
     return math.sqrt(max(q, 0.0))
 
 
-def hs_direction(g_cur: Vector, y_prev: Vector, d_prev: Vector) -> Optional[Vector]:
-    """Hestenes-Stiefel step d = -g + (g'y / d'y) d_prev; None when d'y == 0."""
+def hs_direction(g_cur: Vector, y_prev: Vector, d_prev: Vector,
+                 gTy: float) -> Optional[Vector]:
+    """Hestenes-Stiefel step d = -g + (g'y / d'y) d_prev, given ``gTy`` =
+    g'y, which every caller has taken; None when d'y == 0."""
     dTy = dot(d_prev, y_prev)
     if dTy == 0.0:
         return None
-    d = dot(g_cur, y_prev) / dTy * d_prev
+    d = gTy / dTy * d_prev
     d -= g_cur  # the same sum as -g_cur + beta * d_prev, in one vector
     return d
 
@@ -203,18 +205,18 @@ def smcg_direction(state: SolverState, params: SolverParams, t_k: float,
                 u, v = sol
                 record = _combine(g, state.s_prev, u, v, CaseTag.REG_SUBPROBLEM)
     elif hs_fallback_ok(snap, params):
-        d = hs_direction(g, state.y_prev, state.d_prev)
+        d = hs_direction(g, state.y_prev, state.d_prev, snap.gTy)
         if d is not None:
-            record = DirectionRecord(d=d, case_tag=CaseTag.HS, gTd=dot(g, d))
+            record = DirectionRecord(d, CaseTag.HS, dot(g, d))
 
     return neg_grad_record(g) if record is None else record
 
 
 def _combine(g: Vector, s: Vector, u: float, v: float, tag: CaseTag) -> DirectionRecord:
     d = u * g + v * s
-    return DirectionRecord(d=d, case_tag=tag, gTd=dot(g, d))
+    return DirectionRecord(d, tag, dot(g, d))
 
 
 def neg_grad_record(g: Vector) -> DirectionRecord:
     """The steepest-descent step -g, which every solver restarts and rescues with."""
-    return DirectionRecord(d=-g, case_tag=CaseTag.NEG_GRAD, gTd=-dot(g, g))
+    return DirectionRecord(-g, CaseTag.NEG_GRAD, -dot(g, g))

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,8 +39,7 @@ def update_restart_counters(iter_restart: int, iter_quad: int, t_k: float,
     return iter_restart + 1, iter_quad + 1 if t_k <= params.xi4 else 0
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Everything observable about one iteration, of any solver.
 
     The defaulted fields are the policy's ``trace_fields``; a baseline's
@@ -200,8 +198,7 @@ def policy_step(policy, state: SolverState, cp: CountingProblem,
         rescued=rescued, failure=status, **policy.trace_fields(record))
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(NamedTuple):
     """An open RQN phase: the reduced model ``bhat`` lives in the orthonormal
     ``basis``, or on all of R^n when ``basis`` is None (the whole-space
     phase, which multiplies by no basis), and the phase is left once the

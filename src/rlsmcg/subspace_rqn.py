@@ -212,7 +212,6 @@ def orthogonality_lost(Z: np.ndarray, g: Vector, gTg: float,
     return _outside_norm2(Z, g) <= params.eta0_tilde ** 2 * gTg
 
 
-@dataclass
 class GramRing:
     """The memory's directions scaled to unit length, one per row of the
     m x n buffer ``D``, and their Gram matrix ``G = D D'``, held as the
@@ -228,10 +227,10 @@ class GramRing:
     certify.
     """
 
-    D: np.ndarray
-    A: np.ndarray
-    rounding: float
-    pushes: int = 0
+    __slots__ = ("D", "A", "rounding", "pushes")
+
+    def __init__(self, D: np.ndarray, A: np.ndarray, rounding: float):
+        self.D, self.A, self.rounding, self.pushes = D, A, rounding, 0
 
     @classmethod
     def empty(cls, m: int, n: int) -> "GramRing":

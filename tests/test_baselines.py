@@ -260,7 +260,8 @@ def test_hs_restarts_along_minus_g_once_powell_test_fires(t):
 def test_hs_keeps_its_beta_below_powell_threshold(t):
     state = _hs_state(t)
     rec = _Policy(BaselineKind(BaselineTag.HS_CG)).direction(state, SolverParams())
-    d = hs_direction(state.g, state.y_prev, state.d_prev)
+    g, y = state.g, state.y_prev
+    d = hs_direction(g, y, state.d_prev, dot(g, y))
     assert rec.case_tag is CaseTag.HS
     np.testing.assert_array_equal(rec.d, d)
     assert rec.gTd == dot(state.g, d)

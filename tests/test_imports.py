@@ -4,9 +4,16 @@ No linter ships with the project, so the check walks the syntax tree: a
 name bound by an import must appear as a name somewhere else in the module
 (string annotations included).  ``__init__.py`` re-exports by design, and an
 import line marked ``# noqa: F401`` is kept on purpose.
+
+Importing the library also builds no dataclass beyond the four that
+validate or are built field by field: ``@dataclass`` generates and compiles
+its methods on every import, which a NamedTuple does not.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +68,25 @@ def test_checker_flags_an_unused_import():
               "from os import sep  # noqa: F401\n"
               "def f(x: 'Optional[int]'):\n    return np.zeros(x)\n")
     assert unused_imports(source) == [(1, "math")]
+
+
+# the dataclasses defined by the modules a fresh ``import rlsmcg`` loads
+_IMPORT_PATH_DATACLASSES = """
+import dataclasses, sys
+import rlsmcg
+print(" ".join(sorted(
+    name for module_name, module in list(sys.modules.items())
+    if module_name == "rlsmcg" or module_name.startswith("rlsmcg.")
+    for name, obj in vars(module).items()
+    if isinstance(obj, type) and obj.__module__ == module_name
+    and dataclasses.is_dataclass(obj))))
+"""
+
+
+def test_the_import_path_defines_four_dataclasses():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PATH_DATACLASSES],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Problem", "SolverParams", "SolverState",
+                                   "SubspaceHessian"]

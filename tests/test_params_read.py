@@ -37,8 +37,10 @@ def _library_sources(skip="core.py"):
 
 
 def field_names(cls):
-    """The fields of a dataclass or NamedTuple, and its properties."""
-    names = getattr(cls, "_fields", None) or [f.name for f in fields(cls)]
+    """The fields of a dataclass or NamedTuple, or the slots of a plain
+    class, and its properties."""
+    names = (getattr(cls, "_fields", None) or getattr(cls, "__slots__", None)
+             or [f.name for f in fields(cls)])
     return list(names) + [name for name, value in vars(cls).items()
                           if isinstance(value, property)]
 
@@ -68,6 +70,7 @@ def test_field_names_include_properties():
 
     assert field_names(Pair) == ["Ck", "Qk", "k", "ratio"]
     assert field_names(StepResult) == ["alpha", "accepted_by"]
+    assert field_names(GramRing) == ["D", "A", "rounding", "pushes"]
 
 
 def test_checker_flags_a_field_only_written():

@@ -272,14 +272,14 @@ def test_default_regularization_weight_scales_with_closeness():
 # --- HS direction ---------------------------------------------------------------
 
 def test_hs_zero_beta_gives_neg_gradient():
-    d = hs_direction(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
-                     np.array([1.0, 0.0]))
+    g, y = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    d = hs_direction(g, y, np.array([1.0, 0.0]), dot(g, y))
     assert d == pytest.approx([0.0, -1.0])
 
 
 def test_hs_degenerate_denominator_signals():
     assert hs_direction(np.ones(2), np.array([0.0, 1.0]),
-                        np.array([1.0, 0.0])) is None
+                        np.array([1.0, 0.0]), 1.0) is None
 
 
 def test_hs_conjugacy_on_quadratic_with_exact_linesearch():
@@ -291,7 +291,7 @@ def test_hs_conjugacy_on_quadratic_with_exact_linesearch():
     x1 = x + alpha * d0
     g1 = A @ x1
     y0 = g1 - g
-    d1 = hs_direction(g1, y0, d0)
+    d1 = hs_direction(g1, y0, d0, dot(g1, y0))
     assert abs(float(d1 @ A @ d0)) <= 1e-12 * np.linalg.norm(d1) * np.linalg.norm(d0)
 
 

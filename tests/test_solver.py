@@ -357,8 +357,8 @@ def _step_into_degenerate_phase():
     state, cp, params, policy, _ = _step_into_phase(get_problem("quad_hilbert(8)"))
     n = cp.problem.dim
     Q, _ = np.linalg.qr(np.column_stack([state.g, np.eye(n)[:, 1:]]))
-    policy.phase = replace(policy.phase, basis=Q[:, 1:],
-                           bhat=SubspaceHessian.identity(n - 1, P.mu_min))
+    policy.phase = policy.phase._replace(
+        basis=Q[:, 1:], bhat=SubspaceHessian.identity(n - 1, P.mu_min))
     return state, cp, params, policy
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -43,13 +44,45 @@ def test_counts_are_left_out_of_the_digest(trace_digest):
 
     def costlier(problem, params, trace_hook=None):
         report = solve(problem, params, trace_hook=trace_hook)
-        return dataclasses.replace(report, n_f=report.n_f + 1,
-                                   n_g=report.n_g + 2)
+        return report._replace(n_f=report.n_f + 1, n_g=report.n_g + 2)
 
     plain = trace_digest.digest(solve, problem)
     costly = trace_digest.digest(costlier, problem)
     assert costly[:2] == plain[:2]
     assert costly[2:4] == (plain[2] + 1, plain[3] + 2)
+
+
+class _TupleRecord(NamedTuple):
+    k: int
+    alpha: float
+    bhat: Optional[np.ndarray] = None
+
+
+@dataclasses.dataclass
+class _DataRecord:  # the same fields in another order
+    alpha: float
+    bhat: Optional[np.ndarray]
+    k: int
+
+
+def test_either_kind_of_record_gives_the_same_digest(trace_digest):
+    problem = get_problem("sphere(10)")
+
+    def emitting(*records):
+        def solve(problem, params, trace_hook=None):
+            for rec in records:
+                trace_hook(rec)
+            return RunReport(n_iter=len(records), n_f=1, n_g=1, wall_time=0.0,
+                             status=Status.CONVERGED, final_gnorm_inf=0.0,
+                             x=problem.x0, f=0.0)
+        return solve
+
+    bhat = np.arange(4.0).reshape(2, 2)
+    tuples = emitting(_TupleRecord(0, 0.5), _TupleRecord(1, 0.25, bhat))
+    data = emitting(_DataRecord(0.5, None, 0), _DataRecord(0.25, bhat, 1))
+    other = emitting(_TupleRecord(0, 0.5), _TupleRecord(1, 0.125, bhat))
+    assert trace_digest.digest(tuples, problem) == trace_digest.digest(data, problem)
+    assert trace_digest.digest(other, problem)[0] != trace_digest.digest(tuples, problem)[0]
 
 
 def test_encoding_tells_kinds_of_value_apart(trace_digest):

@@ -8,11 +8,14 @@ process of its own, alternating which checkout runs first (A in even
 pairs, B in odd ones), so that a drift of the host's speed falls on both
 alike.  The two runs of a pair share a seed, so they solve the same
 inputs.  Each pair prints one line: its seed, the checkout that ran first,
-both runs' ``wall_s``, the ratio B/A and ``same`` or ``DIFF`` as the runs'
-``n_iter``, ``n_f``, ``n_g`` and ``solved_frac`` agree or not.  Then it
-prints the median and the quartiles of each checkout's ``wall_s``, the
-median ratio B/A, the number of pairs B ran faster and the number whose
-counts differ.  The defaults are 10 pairs of 20 s runs from seed 0.
+both runs' ``wall_s``, ``setup_s`` and ``peak_rss_mb`` with the ratio B/A
+of each, and ``same`` or ``DIFF`` as the runs' ``n_iter``, ``n_f``, ``n_g``
+and ``solved_frac`` agree or not.  Then, for each of the three metrics, it
+prints the median and the quartiles of each checkout's values, the median
+ratio B/A and the number of pairs in which B's value was lower, and last
+the number of pairs whose counts differ.  The defaults are 10 pairs of
+20 s runs from seed 0.  Given the same root twice, it measures the host's
+own A/A bias: the spread that a change must exceed to show.
 
 The tool exits with code 2 and an ``error:`` line when a root has no
 ``perfbench/run.py`` (before any run), when a run exits with an error or
@@ -29,6 +32,8 @@ import sys
 from pathlib import Path
 
 COUNTS = ("n_iter", "n_f", "n_g", "solved_frac")
+# the metrics compared pair by pair, with the format of their values
+METRICS = (("wall_s", ".6f"), ("setup_s", ".6f"), ("peak_rss_mb", ".2f"))
 
 
 class RunError(Exception):
@@ -84,9 +89,11 @@ def main(argv) -> int:
 
     print(f"# workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, "
           f"seeds {args.first_seed} to {args.first_seed + args.pairs - 1}")
-    print(f"{'seed':>6s} {'first':>5s} {'A wall_s':>10s} {'B wall_s':>10s} "
-          f"{'B/A':>7s}  counts")
-    walls, ratios, wins, differ = ([], []), [], 0, 0
+    header = "".join(f" {'A ' + name:>14s} {'B ' + name:>14s} {'B/A':>6s}"
+                     for name, _ in METRICS)
+    print(f"{'seed':>6s} {'first':>5s}{header}  counts")
+    values = {name: ([], []) for name, _ in METRICS}
+    differ = 0
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = (0, 1) if i % 2 == 0 else (1, 0)
@@ -97,20 +104,25 @@ def main(argv) -> int:
         except RunError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        a, b = (run["wall_s"] for run in runs)
         same = all(runs[0][k] == runs[1][k] for k in COUNTS)
-        walls[0].append(a)
-        walls[1].append(b)
-        ratios.append(b / a)
-        wins += b < a
         differ += not same
-        print(f"{seed:6d} {'AB'[order[0]]:>5s} {a:10.6f} {b:10.6f} {b / a:7.3f}  "
-              f"{'same' if same else 'DIFF'}", flush=True)
-    for name, values in zip("AB", walls):
-        q1, med, q3 = quartiles(values)
-        print(f"# {name} wall_s median {med:.6f}, quartiles {q1:.6f} {q3:.6f}")
-    print(f"# B/A median {statistics.median(ratios):.3f}; B faster in {wins} of "
-          f"{args.pairs} pairs; counts differ in {differ}")
+        cells = ""
+        for name, fmt in METRICS:
+            a, b = runs[0][name], runs[1][name]
+            values[name][0].append(a)
+            values[name][1].append(b)
+            cells += f" {a:14{fmt}} {b:14{fmt}} {b / a:6.3f}"
+        print(f"{seed:6d} {'AB'[order[0]]:>5s}{cells}  {'same' if same else 'DIFF'}",
+              flush=True)
+    for name, fmt in METRICS:
+        for label, column in zip("AB", values[name]):
+            q1, med, q3 = quartiles(column)
+            print(f"# {label} {name} median {med:{fmt}}, quartiles {q1:{fmt}} {q3:{fmt}}")
+        a, b = values[name]
+        ratio = statistics.median(y / x for x, y in zip(a, b))
+        lower = sum(y < x for x, y in zip(a, b))
+        print(f"# {name} B/A median {ratio:.3f}; B lower in {lower} of {args.pairs} pairs")
+    print(f"# counts differ in {differ} of {args.pairs} pairs")
     return 0
 
 

@@ -22,7 +22,8 @@ any mode, ``--solver NAME`` (repeatable) runs only the named solvers of
 far rounding alone spreads the cost of L-BFGS.  A tree without ``SUITES``
 is digested by the tool from its own commit.  A digest
 covers every ``TraceRecord`` field, taken in name order so that reordering
-the dataclass keeps it, with floats and arrays by their bytes, and the
+the fields keeps it, and alike for a NamedTuple record and an older
+tree's dataclass record, with floats and arrays by their bytes, and the
 report's ``n_iter``, status, ``x``, ``f`` and ``final_gnorm_inf``.  The
 report's evaluation counts are the two columns after the digest, not part
 of it.  Two source trees whose outputs are equal took the same steps bit
@@ -84,7 +85,10 @@ def digest(solve, problem, params=None) -> tuple:
     report = solve(problem, params, trace_hook=records.append)
     h = hashlib.sha256()
     for rec in records:
-        for name in sorted(f.name for f in dataclasses.fields(rec)):
+        # a NamedTuple, or a dataclass in an older tree
+        names = (getattr(type(rec), "_fields", None)
+                 or [f.name for f in dataclasses.fields(rec)])
+        for name in sorted(names):
             _feed(h, name, getattr(rec, name))
     for name in ("n_iter", "status", "x", "f", "final_gnorm_inf"):
         _feed(h, "report." + name, getattr(report, name))
